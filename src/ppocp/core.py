@@ -5,8 +5,10 @@ vertices ``z_1..z_m`` in R^n; the task everywhere in this package is the
 Euclidean projection of the origin onto that hull.  This module owns the
 vertex matrix and its derived objects (constraint rows ``-z_i``, Gram matrix
 of vertex inner products), the membership predicates for the two dual-side
-feasible sets, and the variational-inequality residuals used to certify
-every route's answer.
+feasible sets, the variational-inequality residuals used to certify every
+route's answer, and Wolfe's minimum-norm-point kernel
+(``refine_simplex_minimizer``), which the wolfe and maximin routes share and
+which works on the vertex rows in R^n without forming the Gram matrix.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ class Route(enum.Enum):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == float
+        and a.base is None
+        and not a.flags.writeable
+    ):
+        return a  # a frozen buffer of its own: a copy would only cost memory
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -168,11 +177,22 @@ def constraint_matrix(P: Polyhedron) -> ConstraintSystem:
     return ConstraintSystem(C=-P.vertices, e=np.ones(P.m))
 
 
+# Rows per block when gram_matrix mirrors its upper triangle.
+_MIRROR_ROWS = 256
+
+
 def gram_matrix(P: Polyhedron) -> GramMatrix:
     """Gram matrix ``B[i, j] = <z_i, z_j>``, symmetrized by construction."""
-    G = P.vertices @ P.vertices.T
-    # Mirror the upper triangle so B == B.T bit for bit.
-    B = np.triu(G) + np.triu(G, 1).T
+    B = P.vertices @ P.vertices.T
+    # Mirror the upper triangle so B == B.T bit for bit, a block of rows at a
+    # time in place, so no second m x m array is held.
+    for lo in range(0, P.m, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, P.m)
+        B[lo:hi, :lo] = B[:lo, lo:hi].T
+        block = B[lo:hi, lo:hi]
+        below = np.tril_indices(hi - lo, -1)
+        block[below] = block.T[below]
+    B.flags.writeable = False
     return GramMatrix(B=B)
 
 
@@ -284,76 +304,89 @@ def projection_result(
     )
 
 
-def affine_face_weights(B: np.ndarray, support: list[int]) -> np.ndarray:
-    """Weights minimizing ``<w, B w>`` over ``sum w = 1`` on a vertex subset.
-
-    Solves the stationarity system of the affine-hull problem by a least
-    squares factorization, so a singular Gram block yields the minimum-norm
-    weight vector deterministically.
-    """
-    k = len(support)
-    K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = 2.0 * B[np.ix_(support, support)]
-    K[:k, k] = -1.0
-    K[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol[:k]
-
-
 def refine_simplex_minimizer(
-    B: np.ndarray, alpha, tol: float | None = None
+    Z: np.ndarray,
+    alpha,
+    tol: float | None = None,
+    max_cycles: int | None = None,
+    trace: list | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Polish a simplex point toward the exact minimizer of ``<a, B a>``.
+    """Minimize ``||a @ Z||^2`` over the simplex by Wolfe's minimum-norm point.
 
-    Active-set descent in the style of the classical minimum-norm-point
-    schemes: solve the affine-hull problem on the current support, walk
-    toward that solution without leaving the simplex (dropping coordinates
-    that hit zero), and grow the support with the vertex most violating the
-    global optimality margin.  The objective never increases and the iterate
-    stays on the simplex.  Returns the polished weights and the number of
-    inner steps taken.
+    P. Wolfe, "Finding the nearest point in a polytope" (Math. Prog. 11,
+    1976), run on the vertex rows ``Z`` in R^n; the m x m Gram matrix is
+    never formed.  The corral starts at the lowest-norm vertex in the
+    support of ``alpha`` (lowest index on ties).  Each major cycle scans
+    ``j = argmin Z x`` and stops once ``||x||^2 - <z_j, x> <= tol`` or ``z_j``
+    is already in the corral; otherwise ``z_j`` joins it.  Each minor cycle
+    solves the affine-hull problem on the corral with a bordered least
+    squares system and, when that leaves the simplex, steps back to its
+    boundary and drops the vertices whose weight reaches zero.  The corral
+    stays affinely independent, so it never holds more than n + 1 vertices,
+    and ``||x||^2`` falls with every major cycle; its value at each cycle is
+    appended to ``trace`` when one is given.  ``tol`` defaults to
+    ``64 eps max_i ||z_i||^2`` and the affine solve is scaled alike, so
+    scaling ``Z`` by a power of two leaves the weights unchanged to the bit.
+    Returns the weights over all m vertices and the number of minor cycles
+    taken (at most ``max_cycles`` major cycles run, ``4 m + 8`` by default).
     """
-    m = B.shape[0]
-    eps = np.finfo(float).eps
+    Z = np.asarray(Z, dtype=float)
+    m = Z.shape[0]
+    sq = np.einsum("ij,ij->i", Z, Z)
     if tol is None:
-        tol = 64.0 * eps * (1.0 + float(np.abs(B).max()))
-    x = np.maximum(np.asarray(alpha, dtype=float), 0.0)
-    s = x.sum()
-    x = x / s if s > 0 else np.full(m, 1.0 / m)
-    support = np.flatnonzero(x > 1e-12).tolist()
-    if not support:
-        support = [int(np.argmin(np.diag(B)))]
-        x = np.zeros(m)
-        x[support[0]] = 1.0
+        tol = 64.0 * np.finfo(float).eps * float(sq.max())
+    if max_cycles is None:
+        max_cycles = 4 * m + 8
+    a = np.asarray(alpha, dtype=float)
+    candidates = np.flatnonzero(a > 1e-12)
+    if candidates.size == 0:
+        candidates = np.arange(m)
+    corral = candidates[[int(np.argmin(sq[candidates]))]]
+    lam = np.ones(1)
+    x = Z[corral[0]].copy()
     steps = 0
-    for _ in range(4 * m + 8):
-        for _ in range(m + 1):
-            steps += 1
-            lam = affine_face_weights(B, support)
-            if lam.min() >= -1e-12:
-                x = np.zeros(m)
-                x[support] = np.maximum(lam, 0.0)
-                x /= x.sum()
-                break
-            xs = x[support]
-            neg = lam < 0
-            theta = float(np.min(xs[neg] / (xs[neg] - lam[neg])))
-            theta = min(max(theta, 0.0), 1.0)
-            xs = (1.0 - theta) * xs + theta * lam
-            x = np.zeros(m)
-            x[support] = np.maximum(xs, 0.0)
-            x /= x.sum()
-            support = [i for i in support if x[i] > 1e-14]
-            if not support:
-                support = [int(np.argmin(np.diag(B)))]
-                x = np.zeros(m)
-                x[support[0]] = 1.0
-        w = B @ x
-        phi = float(x @ w)
+    for _ in range(max_cycles):
+        xx = float(x @ x)
+        if trace is not None:
+            trace.append(xx)
+        w = Z @ x
         j = int(np.argmin(w))
-        if phi - float(w[j]) <= tol or j in support:
+        if xx - float(w[j]) <= tol or j in corral:
             break
-        support.append(j)
-    return x, steps
+        corral = np.append(corral, j)
+        lam = np.append(lam, 0.0)
+        while True:
+            steps += 1
+            Zs = Z[corral]
+            k = len(corral)
+            K = np.zeros((k + 1, k + 1))
+            # The Gram block is divided by its largest diagonal entry so that
+            # it and the unit border share one magnitude: the least-squares
+            # rank cut-off then does not depend on the units of Z.
+            G = Zs @ Zs.T
+            K[:k, :k] = G / G.diagonal().max()
+            K[:k, k] = -1.0
+            K[k, :k] = 1.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            mu = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
+            if mu.min() >= 0.0:
+                lam = mu
+                break
+            neg = np.flatnonzero(mu < 0.0)
+            ratios = lam[neg] / (lam[neg] - mu[neg])
+            first = int(np.argmin(ratios))
+            theta = min(max(float(ratios[first]), 0.0), 1.0)
+            lam = (1.0 - theta) * lam + theta * mu
+            lam[neg[first]] = 0.0
+            keep = lam > 1e-14
+            corral, lam = corral[keep], lam[keep]
+        keep = lam > 0.0
+        corral, lam = corral[keep], lam[keep] / lam[keep].sum()
+        x = lam @ Z[corral]
+        if j not in corral:
+            # Rounding dropped the vertex that was just added: no progress.
+            break
+    weights = np.zeros(m)
+    weights[corral] = lam
+    return weights, steps

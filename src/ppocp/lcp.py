@@ -97,10 +97,18 @@ class LcpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LCPOutcome:
+    """``pivots`` counts the final escalation attempt; ``pivots_total`` every
+    attempt, abandoned ones included (defaults to ``pivots``)."""
+
     status: LcpStatus
     w: np.ndarray | None
     v: np.ndarray | None
     pivots: int
+    pivots_total: int | None = None
+
+    def __post_init__(self):
+        if self.pivots_total is None:
+            object.__setattr__(self, "pivots_total", self.pivots)
 
 
 def canonicalize_primal(P: Polyhedron) -> CanonicalQP:
@@ -410,6 +418,11 @@ def lemke_solve(
     )
     last_diag = None
     last_error = None
+    spent = 0  # pivots of abandoned attempts
+
+    def outcome_of(status, w, v, pivots):
+        return LCPOutcome(status, w, v, pivots, pivots_total=spent + pivots)
+
     for eps_rel, reg_rel in attempts:
         eps_use = min(eps_rel * scale_q, 0.25 * float(-q.min()))
         M_eff = M if reg_rel == 0.0 else M + (reg_rel * scale_m) * np.eye(k)
@@ -419,34 +432,33 @@ def lemke_solve(
             )
         except PivotLimitExceeded as err:
             last_error = err
+            spent += err.pivots
             continue
         if outcome == "ray":
             # Unreachable for a positive-definite shift, so this is always a
             # verdict on the original problem.
-            return LCPOutcome(
-                status=LcpStatus.RAY_TERMINATION, w=None, v=None, pivots=pivots
-            )
+            return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
         if outcome == "cycle":
             last_error = PivotLimitExceeded(
                 f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
             )
+            spent += pivots
             continue
         basis, w_pert, v_pert = payload
         w, v = _solve_on_basis(M, q, basis, k)
         ok, diag = verified(w, v)
         if ok:
-            return LCPOutcome(status=LcpStatus.SOLUTION, w=w, v=v, pivots=pivots)
+            return outcome_of(LcpStatus.SOLUTION, w, v, pivots)
         w, v = _solve_on_support(M, q, w_pert, v_pert, eps_use)
         ok, diag2 = verified(w, v)
         if ok:
-            return LCPOutcome(status=LcpStatus.SOLUTION, w=w, v=v, pivots=pivots)
+            return outcome_of(LcpStatus.SOLUTION, w, v, pivots)
         if reg_rel > 0.0 and _ray_certificate(M, q, v_pert, cfg.unbounded_cap):
             # The shifted problem is always solvable, so its exploding
             # solution is what infeasibility of the original looks like.
-            return LCPOutcome(
-                status=LcpStatus.RAY_TERMINATION, w=None, v=None, pivots=pivots
-            )
+            return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
         last_diag = (diag, diag2)
+        spent += pivots
 
     if last_diag is not None:
         raise InternalInconsistency(

@@ -8,10 +8,12 @@ then ``c * t(c)``.  When the hull contains the origin the optimal value is
 zero, reached already at ``c = 0``.
 
 The solver runs projected supergradient ascent with a ``1/(G sqrt(k))``
-schedule, tracking the best iterate, then polishes the active vertex set
-with the shared facial descent so the reported value meets the distance
-identity to near machine precision (the ascent phase alone converges far
-too slowly for that).
+schedule, tracking the best iterate, then polishes with Wolfe's
+minimum-norm-point algorithm (``core.refine_simplex_minimizer``, shared
+with the wolfe route) started from the best direction's active vertices,
+so the reported value meets the distance identity to near machine
+precision (the ascent phase alone converges far too slowly for that).
+``iterations`` counts ascent steps plus the polish's minor cycles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ToleranceConfig,
-    gram_matrix,
+    gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     refine_simplex_minimizer,
     support_value,
 )
@@ -99,17 +101,14 @@ def solve_maximin(
         if norm_c > 1.0:
             c = c / norm_c
 
-    # Facial polish seeded from the best direction's active vertices: the
-    # optimality conditions tie the maximizer to the minimum-norm point of
-    # the active set's hull, so refining that set closes the gap the ascent
-    # schedule cannot.
+    # Minimum-norm-point polish seeded from the best direction's active
+    # vertices: the optimality conditions tie the maximizer to the
+    # minimum-norm point of the active set's hull, so the polish closes the
+    # gap the ascent schedule cannot.  On an origin-inside hull best_c = 0
+    # makes every vertex active; the corral still starts from one of them.
     values = z @ best_c
     cutoff = best_t + 1e-6 * (1.0 + abs(best_t))
-    active = values <= cutoff
-    seed = np.where(active, 1.0, 0.0)
-    seed /= seed.sum()
-    B = gram_matrix(P).B
-    weights, polish_steps = refine_simplex_minimizer(B, seed)
+    weights, polish_steps = refine_simplex_minimizer(z, values <= cutoff)
     iterations += polish_steps
 
     w = weights @ z

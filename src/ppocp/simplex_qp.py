@@ -6,11 +6,14 @@ vertices.  A weight vector is optimal exactly when every row satisfies
 ``(B a)_i >= <a, B a>``; the signed slack of that criterion is the
 ``optimality_gap`` exposed here.
 
-The solver is Frank-Wolfe with away steps and exact line search.  The linear
-minimization oracle over the simplex is the lowest-index vertex minimizing
-``(B a)_i``, which coincides with the support-function argmin at the current
-point.  A terminal active-set polish closes the gap to near machine
-precision so that independently computed routes agree tightly.
+The solver is Wolfe's minimum-norm-point algorithm
+(``core.refine_simplex_minimizer``), run on the vertex rows in R^n with a
+corral of at most n + 1 vertices; ``B`` itself is only formed by ``phi``
+and ``optimality_gap``.  Its linear oracle is the lowest-index vertex
+minimizing ``<z_i, x>`` at the current point ``x = a @ Z``, and its
+affine-hull solves close the gap to near machine precision so that
+independently computed routes agree tightly.  ``iterations`` counts the
+algorithm's minor cycles.
 """
 
 from __future__ import annotations
@@ -93,89 +96,31 @@ def solve_wolfe(
         ``opt_tol`` is the stopping contract on the optimality gap;
         ``zero_tol`` flags origin membership when the optimum is ~0.
     start : array, optional
-        Initial weights (defaults to uniform).  Exposed so tests can verify
+        Initial weights (defaults to uniform); the corral starts at the
+        lowest-norm vertex of their support.  Exposed so tests can verify
         that the recovered point is start-independent even when the optimal
         weights are not unique.
     record_trace : bool
-        Attach the per-iteration objective values as ``solution.trace``.
+        Attach ``||x||^2`` at each major cycle as ``solution.trace``.
 
     Raises
     ------
     MaxIterExceeded
         If the gap contract cannot be met; carries the best iterate.
     """
-    B = gram_matrix(P).B
     m = P.m
     if start is None:
         alpha = np.full(m, 1.0 / m)
     else:
-        alpha = _check_simplex(start, m, cfg.feas_tol).copy()
-        alpha = np.maximum(alpha, 0.0)
-        alpha /= alpha.sum()
+        alpha = _check_simplex(start, m, cfg.feas_tol)
 
-    trace: list[float] = []
-    iterations = 0
-    # The first-order phase only needs to land in the optimal basin; the
-    # facial polish below closes the remaining gap to near machine precision
-    # far faster than Frank-Wolfe's tail ever would, and it terminates
-    # finitely from any simplex point, so the phase budget is modest.
-    gap_stop = max(cfg.opt_tol, 1e-6 * (1.0 + float(np.abs(B).max())))
-    phase_budget = min(cfg.max_iter, 30 * m + 200)
-    for iterations in range(1, phase_budget + 1):
-        w = B @ alpha
-        phi_val = float(alpha @ w)
-        if record_trace:
-            trace.append(phi_val)
-        s = int(np.argmin(w))
-        gap_fw = phi_val - float(w[s])
-        if gap_fw <= gap_stop:
-            break
-
-        support = np.flatnonzero(alpha > 0)
-        v = int(support[np.argmax(w[support])])
-        gap_away = float(w[v]) - phi_val
-
-        if gap_fw >= gap_away:
-            # Toward step: d = e_s - alpha.
-            d_w = float(w[s]) - phi_val
-            d_Bd = float(B[s, s]) - 2.0 * float(w[s]) + phi_val
-            step_max = 1.0
-            toward = True
-        else:
-            # Away step: d = alpha - e_v, feasible until alpha_v hits zero.
-            d_w = phi_val - float(w[v])
-            d_Bd = phi_val - 2.0 * float(w[v]) + float(B[v, v])
-            a_v = float(alpha[v])
-            step_max = a_v / (1.0 - a_v) if a_v < 1.0 else 0.0
-            toward = False
-
-        if d_Bd > 0.0:
-            step = min(max(-d_w / d_Bd, 0.0), step_max)
-        else:
-            step = step_max
-
-        if toward:
-            alpha *= 1.0 - step
-            alpha[s] += step
-        else:
-            alpha *= 1.0 + step
-            alpha[v] -= step
-            if step == step_max:
-                alpha[v] = 0.0  # drop step: remove the away vertex exactly
-        np.maximum(alpha, 0.0, out=alpha)
-        alpha /= alpha.sum()
-
-    # Active-set polish: the first-order loop certifies gap <= opt_tol, which
-    # only bounds the point error by sqrt(2 * opt_tol); the facial solve
-    # tightens the iterate to near machine precision.
-    alpha, polish_steps = refine_simplex_minimizer(B, alpha)
-    iterations += polish_steps
-
-    w = B @ alpha
-    phi_val = float(alpha @ w)
-    gap = phi_val - float(w.min())
-    if record_trace:
-        trace.append(phi_val)
+    trace: list[float] | None = [] if record_trace else None
+    alpha, iterations = refine_simplex_minimizer(
+        P.vertices, alpha, max_cycles=cfg.max_iter, trace=trace
+    )
+    x = alpha @ P.vertices
+    phi_val = float(x @ x)
+    gap = phi_val - float((P.vertices @ x).min())
     if gap > cfg.opt_tol:
         raise MaxIterExceeded(
             f"optimality gap {gap:.3e} above {cfg.opt_tol:.1e} "
@@ -184,15 +129,9 @@ def solve_wolfe(
             residual=gap,
             iterations=iterations,
         )
-
-    # Clamp fuzz below zero and renormalize before reporting.
-    alpha = np.maximum(alpha, 0.0)
-    alpha /= alpha.sum()
-    rho = alpha @ P.vertices
-    phi_val = float(alpha @ (B @ alpha))
     return SimplexSolution(
         alpha=alpha,
-        rho=rho,
+        rho=x,
         phi=phi_val,
         gap=gap,
         iterations=iterations,

@@ -171,7 +171,7 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
     S = constraint_matrix(P)
     B = gram_matrix(P).B
     m = P.m
-    scale = 1.0 + float(np.abs(B).max())
+    scale = 1.0 + max(float(B.max()), -float(B.min()))
 
     u = np.zeros(m)
     f = 0.0

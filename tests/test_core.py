@@ -246,17 +246,15 @@ class TestTranslate:
 
 class TestRefineSimplexMinimizer:
     def test_triangle_from_uniform(self):
-        from ppocp.core import gram_matrix
-
-        B = gram_matrix(Polyhedron(np.array(TRIANGLE))).B
-        x, _ = refine_simplex_minimizer(B, np.full(3, 1.0 / 3.0))
+        Z = Polyhedron(np.array(TRIANGLE)).vertices
+        x, _ = refine_simplex_minimizer(Z, np.full(3, 1.0 / 3.0))
         assert_allclose(x, [0.5, 0.5, 0.0], atol=1e-12)
 
     def test_never_leaves_simplex(self):
         for seed in range(6):
             P = random_polyhedron(seed)
             B = gram_matrix(P).B
-            x, _ = refine_simplex_minimizer(B, np.full(P.m, 1.0 / P.m))
+            x, _ = refine_simplex_minimizer(P.vertices, np.full(P.m, 1.0 / P.m))
             assert x.min() >= 0.0
             assert abs(x.sum() - 1.0) <= 1e-12
             w = B @ x

@@ -114,6 +114,19 @@ class TestLemkeSolve:
         assert_array_equal(out.w, [1.0, 2.0])
         assert_array_equal(out.v, [0.0, 0.0])
 
+    def test_pivots_total_counts_abandoned_attempts(self):
+        # The unregularised attempts cycle on this rank-deficient instance
+        # before a shifted one succeeds; pivots counts only that last one.
+        P = Polyhedron(np.random.default_rng(0).uniform(-5, 5, (200, 50)))
+        out = lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT))
+        assert out.pivots > 0
+        assert out.pivots_total > out.pivots
+
+    def test_pivots_total_equals_pivots_on_first_attempt(self):
+        L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
+        out = lemke_solve(L)
+        assert out.pivots_total == out.pivots
+
     def test_dual_orthant_triangle(self):
         L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
         out = lemke_solve(L)
