@@ -31,7 +31,6 @@ from .errors import (
     ConflictingCharacterizations,
     OracleScaleExceeded,
     PpocpError,
-    ZeroVector,
 )
 from .lcp import LcpStatus, LcpVariant, build_lcp, extract_projection, lemke_solve
 from .maximin import solve_maximin
@@ -45,6 +44,7 @@ __all__ = [
     "ZeroMembershipVotes",
     "RouteEntry",
     "ConsensusReport",
+    "ROUTES",
     "reference_projection",
     "check_optimality",
     "detect_zero_membership",
@@ -112,11 +112,14 @@ class ConsensusReport:
     verdict: str  # "agree" or "conflict"
 
     @property
+    def headline(self) -> ProjectionResult | None:
+        """The first successful route's result, in route order."""
+        return next((e.result for e in self.entries.values() if e.status == "ok"), None)
+
+    @property
     def rho(self) -> np.ndarray | None:
-        for entry in self.entries.values():
-            if entry.status == "ok":
-                return entry.result.rho
-        return None
+        headline = self.headline
+        return None if headline is None else headline.rho
 
 
 def _project_segment(a, b):
@@ -277,50 +280,60 @@ def detect_zero_membership(
     return votes
 
 
-def _run_wolfe(P, cfg):
+# Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns
+# ``(ProjectionResult, alpha_witness | None)``, or None when the route does
+# not apply.  Runners look the solvers up as module globals at call time, so
+# replacing ``certify.solve_wolfe`` and its peers reaches every caller.
+
+
+def _run_wolfe(P, cfg, verbose=False):
     sol = solve_wolfe(P, cfg)
-    return projection_result(
+    result = projection_result(
         P, sol.rho, Route.WOLFE, sol.iterations, cfg, origin_inside=sol.origin_inside
     )
+    return result, sol.alpha
 
 
-def _run_dual(P, cfg):
+def _run_dual(P, cfg, verbose=False):
     out = solve_dual(P, cfg)
-    if out.status is DualStatus.UNBOUNDED_BELOW:
-        return projection_result(
-            P, np.zeros(P.n), Route.DUAL, out.iterations, cfg, origin_inside=True
-        )
-    return projection_result(
-        P, out.rho, Route.DUAL, out.iterations, cfg, origin_inside=False
+    inside = out.status is DualStatus.UNBOUNDED_BELOW
+    rho = np.zeros(P.n) if inside else out.rho
+    result = projection_result(
+        P, rho, Route.DUAL, out.iterations, cfg, origin_inside=inside
     )
+    return result, None
 
 
-def _run_maximin(P, cfg):
+def _run_maximin(P, cfg, verbose=False):
     sol = solve_maximin(P, cfg)
-    return projection_result(
+    result = projection_result(
         P, sol.rho, Route.MAXIMIN, sol.iterations, cfg, origin_inside=sol.origin_inside
     )
+    return result, None
 
 
 def _run_lcp(variant):
-    def runner(P, cfg):
+    def runner(P, cfg, verbose=False):
         instance = build_lcp(P, variant)
-        return extract_projection(P, instance, lemke_solve(instance, cfg), cfg)
+        outcome = lemke_solve(instance, cfg, verbose=verbose)
+        return extract_projection(P, instance, outcome, cfg), None
 
     return runner
 
 
-def _run_oracle(P, cfg):
-    return reference_projection(P, cfg)
+def _run_nnls(P, cfg, verbose=False):
+    result = project_via_nnls(P, cfg)
+    return None if result is None else (result, None)
 
 
-_ROUTE_RUNNERS = {
+ROUTES = {
     "wolfe": _run_wolfe,
     "dual": _run_dual,
     "maximin": _run_maximin,
     "lcp-primal": _run_lcp(LcpVariant.PRIMAL_SPLIT),
     "lcp-wolfe": _run_lcp(LcpVariant.WOLFE_KKT),
     "lcp-dual": _run_lcp(LcpVariant.DUAL_ORTHANT),
+    "nnls": _run_nnls,
 }
 
 
@@ -335,20 +348,16 @@ def cross_check(
     origin-membership votes coincide.
     """
     entries: dict[str, RouteEntry] = {}
-    for name, runner in _ROUTE_RUNNERS.items():
+    for name, runner in ROUTES.items():
         try:
-            entries[name] = RouteEntry(status="ok", result=runner(P, cfg))
+            outcome = runner(P, cfg)
         except PpocpError as err:
             entries[name] = RouteEntry(status="error", error=str(err))
-
-    try:
-        nnls_result = project_via_nnls(P, cfg)
-        if nnls_result is None:
-            entries["nnls"] = RouteEntry(status="not-applicable")
+            continue
+        if outcome is None:
+            entries[name] = RouteEntry(status="not-applicable")
         else:
-            entries["nnls"] = RouteEntry(status="ok", result=nnls_result)
-    except (ZeroVector, PpocpError) as err:
-        entries["nnls"] = RouteEntry(status="error", error=str(err))
+            entries[name] = RouteEntry(status="ok", result=outcome[0])
 
     if P.m <= 4:
         try:

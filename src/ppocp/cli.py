@@ -20,18 +20,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import check_optimality, cross_check
-from .core import (
-    Polyhedron,
-    Route,
-    ToleranceConfig,
-    projection_result,
-    translate,
-)
+from .certify import ROUTES, check_optimality, cross_check
+from .core import Polyhedron, ToleranceConfig, translate
 from .errors import (
     ConflictingCharacterizations,
     InconsistentOutcome,
@@ -41,45 +34,8 @@ from .errors import (
     PpocpError,
     ZeroVector,
 )
-from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
-from .maximin import solve_maximin
-from .nnls import project_via_nnls
-from .simplex_qp import solve_wolfe
-from .support_qp import DualStatus, solve_dual
 
-METHODS = (
-    "wolfe",
-    "dual",
-    "maximin",
-    "lcp-primal",
-    "lcp-wolfe",
-    "lcp-dual",
-    "nnls",
-    "all",
-)
-
-_ROUTE_ORDER = (
-    "wolfe",
-    "dual",
-    "maximin",
-    "lcp-primal",
-    "lcp-wolfe",
-    "lcp-dual",
-    "nnls",
-    "oracle",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: what to load, which route, how to report."""
-
-    input: str
-    method: str
-    tolerances: ToleranceConfig
-    point: np.ndarray | None
-    output: str
-    verbose: bool
+METHODS = (*ROUTES, "all")
 
 
 def _json_text(obj) -> str:
@@ -185,10 +141,7 @@ def _certificate_payload(cert) -> dict:
 
 def _report_payload(report) -> dict:
     routes = {}
-    for name in _ROUTE_ORDER:
-        if name not in report.entries:
-            continue
-        entry = report.entries[name]
+    for name, entry in report.entries.items():
         if entry.status == "ok":
             r = entry.result
             routes[name] = {
@@ -209,48 +162,6 @@ def _report_payload(report) -> dict:
         "votes": {k: v for k, v in sorted(report.votes.items())},
         "routes": routes,
     }
-
-
-def _run_single(method: str, P: Polyhedron, cfg: ToleranceConfig, verbose: bool):
-    """Run one route; returns (result, alpha_witness) or None if inapplicable."""
-    if method == "wolfe":
-        sol = solve_wolfe(P, cfg)
-        result = projection_result(
-            P, sol.rho, Route.WOLFE, sol.iterations, cfg, origin_inside=sol.origin_inside
-        )
-        return result, sol.alpha
-    if method == "dual":
-        out = solve_dual(P, cfg)
-        if out.status is DualStatus.UNBOUNDED_BELOW:
-            result = projection_result(
-                P, np.zeros(P.n), Route.DUAL, out.iterations, cfg, origin_inside=True
-            )
-        else:
-            result = projection_result(
-                P, out.rho, Route.DUAL, out.iterations, cfg, origin_inside=False
-            )
-        return result, None
-    if method == "maximin":
-        sol = solve_maximin(P, cfg)
-        result = projection_result(
-            P, sol.rho, Route.MAXIMIN, sol.iterations, cfg, origin_inside=sol.origin_inside
-        )
-        return result, None
-    if method.startswith("lcp-"):
-        variant = {
-            "lcp-primal": LcpVariant.PRIMAL_SPLIT,
-            "lcp-wolfe": LcpVariant.WOLFE_KKT,
-            "lcp-dual": LcpVariant.DUAL_ORTHANT,
-        }[method]
-        instance = build_lcp(P, variant)
-        outcome = lemke_solve(instance, cfg, verbose=verbose)
-        return extract_projection(P, instance, outcome, cfg), None
-    if method == "nnls":
-        result = project_via_nnls(P, cfg)
-        if result is None:
-            return None
-        return result, None
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _result_payload(result, certificate, shift, report=None) -> dict:
@@ -320,23 +231,15 @@ def run(argv=None) -> int:
 
     try:
         P = _load_instance(ns.input)
-        run_cfg = RunConfig(
-            input=ns.input,
-            method=ns.method,
-            tolerances=_config_from(ns),
-            point=None if ns.point is None else np.asarray(ns.point, dtype=float),
-            output=ns.output,
-            verbose=ns.verbose,
-        )
+        cfg = _config_from(ns)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    cfg = run_cfg.tolerances
 
     shift = None
     work = P
-    if run_cfg.point is not None:
-        shift = run_cfg.point
+    if ns.point is not None:
+        shift = np.asarray(ns.point, dtype=float)
         if len(shift) != P.n:
             print(
                 f"error: --point needs {P.n} coordinates, got {len(shift)}",
@@ -349,32 +252,27 @@ def run(argv=None) -> int:
         work = translate(P, shift)
 
     try:
-        if run_cfg.method == "all":
+        if ns.method == "all":
             report = cross_check(work, cfg)
-            headline = None
-            for name in _ROUTE_ORDER:
-                entry = report.entries.get(name)
-                if entry is not None and entry.status == "ok":
-                    headline = entry.result
-                    break
+            headline = report.headline
             if headline is None:
                 print("error: every route failed", file=sys.stderr)
                 return 4
             certificate = check_optimality(work, headline.rho, cfg=cfg)
             payload = _result_payload(headline, certificate, shift, report=report)
-            _emit(payload, run_cfg.output)
+            _emit(payload, ns.output)
             if report.verdict != "agree":
                 print("error: cross-route consensus conflict", file=sys.stderr)
                 return 4
             return 0
 
-        outcome = _run_single(run_cfg.method, work, cfg, run_cfg.verbose)
+        outcome = ROUTES[ns.method](work, cfg, verbose=ns.verbose)
         if outcome is None:
-            _emit({"status": "not-applicable"}, run_cfg.output)
+            _emit({"status": "not-applicable"}, ns.output)
             return 0
         result, witness = outcome
         certificate = check_optimality(work, result.rho, alpha=witness, cfg=cfg)
-        _emit(_result_payload(result, certificate, shift), run_cfg.output)
+        _emit(_result_payload(result, certificate, shift), ns.output)
         return 0
     except (MaxIterExceeded, PivotLimitExceeded) as err:
         print(f"error: solver did not converge: {err}", file=sys.stderr)

@@ -13,9 +13,11 @@ diagonal or nonsingular square ``C`` (closed-form rules below), and decided
 by the least-squares residual otherwise.  Inconsistency is data, not an
 error; the caller falls back to the other routes.
 
-The solver is the Lawson-Hanson active-set method with column-pivoted
-orthogonal factorizations for the inner least-squares solves and
-lowest-index tie-breaking on the entering coordinate.
+The solver is the Lawson-Hanson active-set method with lowest-index
+tie-breaking on the entering coordinate.  Its inner solves on the passive
+columns are plain minimum-norm least squares (``numpy.linalg.lstsq``); the
+method needs some least-squares solution there, not a particular
+factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -75,13 +76,6 @@ class ReductionData:
     residual: float
 
 
-def _lstsq_pivoted(A, b):
-    if A.shape[1] == 0:
-        return np.zeros(0)
-    x, *_ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")
-    return x
-
-
 def _lawson_hanson(A, b, cfg: ToleranceConfig):
     r, s = A.shape
     x = np.zeros(s)
@@ -105,7 +99,7 @@ def _lawson_hanson(A, b, cfg: ToleranceConfig):
                     best=x,
                     iterations=iterations,
                 )
-            z = _lstsq_pivoted(A[:, passive], b)
+            z, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
             if z.size and z.min() <= 0.0:
                 xs = x[passive]
                 neg = z <= 0.0

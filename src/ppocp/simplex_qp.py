@@ -8,12 +8,12 @@ vertices.  A weight vector is optimal exactly when every row satisfies
 
 The solver is Wolfe's minimum-norm-point algorithm
 (``core.refine_simplex_minimizer``), run on the vertex rows in R^n with a
-corral of at most n + 1 vertices; ``B`` itself is only formed by ``phi``
-and ``optimality_gap``.  Its linear oracle is the lowest-index vertex
-minimizing ``<z_i, x>`` at the current point ``x = a @ Z``, and its
+corral of at most n + 1 vertices.  Its linear oracle is the lowest-index
+vertex minimizing ``<z_i, x>`` at the current point ``x = a @ Z``, and its
 affine-hull solves close the gap to near machine precision so that
 independently computed routes agree tightly.  ``iterations`` counts the
-algorithm's minor cycles.
+algorithm's minor cycles.  ``B`` itself is never formed: ``phi`` and
+``optimality_gap`` evaluate ``B a = Z x`` at ``x = a @ Z`` in O(mn).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ToleranceConfig,
-    gram_matrix,
+    gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     refine_simplex_minimizer,
 )
 from .errors import MaxIterExceeded, SimplexViolation
@@ -59,11 +59,17 @@ def _check_simplex(alpha, m: int, feas_tol: float) -> np.ndarray:
     return alpha
 
 
+def _phi_and_gap(Z, alpha) -> tuple[np.ndarray, float, float]:
+    """The point ``x = alpha @ Z``, ``<alpha, B alpha> = ||x||^2`` and the gap."""
+    x = alpha @ Z
+    phi_val = float(x @ x)
+    return x, phi_val, phi_val - float((Z @ x).min())
+
+
 def phi(P: Polyhedron, alpha, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Quadratic form ``<alpha, B alpha>``, the squared norm of the combination."""
     alpha = _check_simplex(alpha, P.m, cfg.feas_tol)
-    B = gram_matrix(P).B
-    return float(alpha @ B @ alpha)
+    return _phi_and_gap(P.vertices, alpha)[1]
 
 
 def optimality_gap(
@@ -75,9 +81,7 @@ def optimality_gap(
     assert the returned value is at most ``opt_tol``.
     """
     alpha = _check_simplex(alpha, P.m, cfg.feas_tol)
-    B = gram_matrix(P).B
-    w = B @ alpha
-    return float(alpha @ w - w.min())
+    return _phi_and_gap(P.vertices, alpha)[2]
 
 
 def solve_wolfe(
@@ -118,9 +122,7 @@ def solve_wolfe(
     alpha, iterations = refine_simplex_minimizer(
         P.vertices, alpha, max_cycles=cfg.max_iter, trace=trace
     )
-    x = alpha @ P.vertices
-    phi_val = float(x @ x)
-    gap = phi_val - float((P.vertices @ x).min())
+    x, phi_val, gap = _phi_and_gap(P.vertices, alpha)
     if gap > cfg.opt_tol:
         raise MaxIterExceeded(
             f"optimality gap {gap:.3e} above {cfg.opt_tol:.1e} "

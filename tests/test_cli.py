@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE
-from ppocp import cli
+from ppocp import certify, cli
+from ppocp.core import Polyhedron
+
+# Square and nonsingular, so every route applies, nnls included.
+SQUARE = [[3.0, 1.0], [1.0, 2.0]]
 
 
 def write_instance(tmp_path, vertices, name="instance.json"):
@@ -42,9 +49,7 @@ class TestProjectionRuns:
         assert np.allclose(doc["rho"], [0.0, 0.0], atol=1e-8)
         assert doc["route"] == "wolfe"
 
-    @pytest.mark.parametrize(
-        "method", ["wolfe", "dual", "maximin", "lcp-primal", "lcp-wolfe", "lcp-dual"]
-    )
+    @pytest.mark.parametrize("method", [r for r in certify.ROUTES if r != "nnls"])
     def test_every_method_headline(self, tmp_path, capsys, method):
         path = write_instance(tmp_path, TRIANGLE)
         code, out, _ = run_cli(capsys, "--input", path, "--method", method)
@@ -52,6 +57,18 @@ class TestProjectionRuns:
         doc = json.loads(out)
         assert np.allclose(doc["rho"], [1.0, 1.0], atol=1e-6)
         assert doc["route"] == method
+
+    @pytest.mark.parametrize("method", list(certify.ROUTES))
+    def test_single_route_matches_consensus_entry(self, tmp_path, capsys, method):
+        path = write_instance(tmp_path, SQUARE)
+        code, out, _ = run_cli(capsys, "--input", path, "--method", method)
+        assert code == 0
+        report = certify.cross_check(Polyhedron(np.array(SQUARE)))
+        assert report.entries[method].status == "ok"
+        assert json.loads(out)["rho"] == list(report.entries[method].result.rho)
+
+    def test_methods_follow_route_table(self):
+        assert cli.METHODS == (*certify.ROUTES, "all")
 
     def test_nnls_not_applicable_is_success(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGLE)
@@ -216,3 +233,17 @@ class TestGen:
     def test_gen_rejects_bad_sizes(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--m", "0", "--n", "2")
         assert code == 2
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import ppocp.cli, sys; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
