@@ -1,15 +1,18 @@
 """Certificates, origin-membership consensus, and the brute-force oracle.
 
-Every route's answer is validated against the same optimality criterion: the
-vertex residuals ``<z_i - rho, rho>`` must all be nonnegative, equivalently
-``rho`` must lie in the ball-intersection set of ``core.in_omega``.  A hull
-witness (convex weights reproducing ``rho``) is checked when available.
+Every route's answer, and the oracle's, passes one check before it is
+reported: the smallest vertex residual ``<z_i - rho, rho>`` must be at least
+``-10 opt_tol`` (``_vi_checked``), or the answer becomes an
+InconsistentOutcome naming its route.  ``check_optimality`` evaluates the
+same criterion, equivalently ``rho`` in the ball-intersection set of
+``core.in_omega``, as a certificate record, together with a hull witness
+(convex weights reproducing ``rho``) when one is available.
 
 Four independent characterizations decide whether the hull contains the
 origin; they are equivalent theorems, so a split vote is always surfaced as
 an error, never resolved silently.  The reference oracle is deliberately
-low-tech (closed forms for up to three vertices, pure grid search for four)
-so that it shares no machinery with the routes it arbitrates.
+low-tech (exact face enumeration for up to four vertices) so that it shares
+no machinery with the routes it arbitrates.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from .core import (
 )
 from .errors import (
     ConflictingCharacterizations,
+    InconsistentOutcome,
     OracleScaleExceeded,
     PpocpError,
 )
-from .lcp import LcpStatus, LcpVariant, build_lcp, extract_projection, lemke_solve
+from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
 from .maximin import solve_maximin
 from .nnls import project_via_nnls
 from .simplex_qp import solve_wolfe
@@ -122,31 +126,6 @@ class ConsensusReport:
         return None if headline is None else headline.rho
 
 
-def _project_segment(a, b):
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return a.copy()
-    t = min(max(-float(a @ d) / dd, 0.0), 1.0)
-    return a + t * d
-
-
-def _project_triangle(z):
-    # Affine-hull least squares, then barycentric feasibility; edges cover
-    # the infeasible (and any degenerate) cases.
-    V = np.column_stack([z[1] - z[0], z[2] - z[0]])
-    s, *_ = np.linalg.lstsq(V, -z[0], rcond=None)
-    candidates = []
-    bary = np.array([1.0 - s[0] - s[1], s[0], s[1]])
-    if bary.min() >= -1e-12:
-        candidates.append(z[0] + V @ s)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            candidates.append(_project_segment(z[i], z[j]))
-    norms = [float(c @ c) for c in candidates]
-    return candidates[int(np.argmin(norms))]
-
-
 def _project_enumerate(z):
     """Exact subset enumeration: project onto every face's affine hull.
 
@@ -156,8 +135,9 @@ def _project_enumerate(z):
     combination of an affinely independent subset, whose (then unique)
     weights the least-squares solve reproduces, so it is always among the
     candidates.  Grid search at any fixed step cannot reach the residual
-    tolerances the certificates demand, which is why the four-vertex case
-    enumerates too.
+    tolerances the certificates demand.  Returns the projection and the
+    number of candidates compared: every vertex, plus each larger face whose
+    affine-hull projection has nonnegative weights.
     """
     from itertools import combinations
 
@@ -189,24 +169,15 @@ def _project_enumerate(z):
 def reference_projection(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ProjectionResult:
-    """Independent projection for tiny instances.
+    """Independent projection for up to four vertices by face enumeration.
 
-    Exact case analysis throughout: vertex, segment, and triangle (affine
-    hull plus edge recursion) have dedicated closed forms; four vertices go
-    through complete face enumeration.  No solver machinery is shared with
-    the routes this oracle arbitrates.
+    ``iterations`` counts the faces evaluated (see ``_project_enumerate``).
+    No solver machinery is shared with the routes this oracle arbitrates.
     """
-    z = P.vertices
-    if P.m == 1:
-        return projection_result(P, z[0], Route.ORACLE, 1, cfg)
-    if P.m == 2:
-        return projection_result(P, _project_segment(z[0], z[1]), Route.ORACLE, 1, cfg)
-    if P.m == 3:
-        return projection_result(P, _project_triangle(z), Route.ORACLE, 1, cfg)
-    if P.m == 4:
-        rho, evaluations = _project_enumerate(z)
-        return projection_result(P, rho, Route.ORACLE, evaluations, cfg)
-    raise OracleScaleExceeded(f"oracle handles at most 4 vertices, got {P.m}")
+    if P.m > 4:
+        raise OracleScaleExceeded(f"oracle handles at most 4 vertices, got {P.m}")
+    rho, evaluations = _project_enumerate(P.vertices)
+    return projection_result(P, rho, Route.ORACLE, evaluations, cfg)
 
 
 def check_optimality(
@@ -256,34 +227,25 @@ def check_optimality(
     )
 
 
-def detect_zero_membership(
-    P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ZeroMembershipVotes:
-    """Poll the four origin-membership characterizations.
+def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionResult:
+    """Pass a route's answer on, or reject it when the VI residual is negative.
 
-    Votes: the simplex QP reaching objective ~0, the dual diverging, the
-    maximin value ~0, and ray termination of the split-form complementarity
-    problem.  Raises ConflictingCharacterizations on a split vote, which is
-    always a numerical-tolerance failure worth surfacing.
+    The one optimality check every answer meets before it is reported:
+    ``min_i <z_i - rho, rho> >= -10 opt_tol``.
     """
-    votes = ZeroMembershipVotes(
-        wolfe_inside=solve_wolfe(P, cfg).origin_inside,
-        dual_inside=solve_dual(P, cfg).status is DualStatus.UNBOUNDED_BELOW,
-        maximin_inside=solve_maximin(P, cfg).origin_inside,
-        lcp_inside=lemke_solve(build_lcp(P, LcpVariant.PRIMAL_SPLIT), cfg).status
-        is LcpStatus.RAY_TERMINATION,
-    )
-    if not votes.unanimous:
-        raise ConflictingCharacterizations(
-            f"origin-membership characterizations disagree: {votes}", votes=votes
+    if result.vi_min < -10.0 * cfg.opt_tol:
+        raise InconsistentOutcome(
+            f"{result.route.value} answer fails the optimality residual: "
+            f"{result.vi_min:.3e}"
         )
-    return votes
+    return result
 
 
 # Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns
-# ``(ProjectionResult, alpha_witness | None)``, or None when the route does
-# not apply.  Runners look the solvers up as module globals at call time, so
-# replacing ``certify.solve_wolfe`` and its peers reaches every caller.
+# ``(ProjectionResult, alpha_witness | None)``, with the result through
+# ``_vi_checked``, or None when the route does not apply.  Runners look the
+# solvers up as module globals at call time, so replacing
+# ``certify.solve_wolfe`` and its peers reaches every caller.
 
 
 def _run_wolfe(P, cfg, verbose=False):
@@ -291,7 +253,7 @@ def _run_wolfe(P, cfg, verbose=False):
     result = projection_result(
         P, sol.rho, Route.WOLFE, sol.iterations, cfg, origin_inside=sol.origin_inside
     )
-    return result, sol.alpha
+    return _vi_checked(result, cfg), sol.alpha
 
 
 def _run_dual(P, cfg, verbose=False):
@@ -301,7 +263,7 @@ def _run_dual(P, cfg, verbose=False):
     result = projection_result(
         P, rho, Route.DUAL, out.iterations, cfg, origin_inside=inside
     )
-    return result, None
+    return _vi_checked(result, cfg), None
 
 
 def _run_maximin(P, cfg, verbose=False):
@@ -309,21 +271,21 @@ def _run_maximin(P, cfg, verbose=False):
     result = projection_result(
         P, sol.rho, Route.MAXIMIN, sol.iterations, cfg, origin_inside=sol.origin_inside
     )
-    return result, None
+    return _vi_checked(result, cfg), None
 
 
 def _run_lcp(variant):
     def runner(P, cfg, verbose=False):
         instance = build_lcp(P, variant)
         outcome = lemke_solve(instance, cfg, verbose=verbose)
-        return extract_projection(P, instance, outcome, cfg), None
+        return _vi_checked(extract_projection(P, instance, outcome, cfg), cfg), None
 
     return runner
 
 
 def _run_nnls(P, cfg, verbose=False):
     result = project_via_nnls(P, cfg)
-    return None if result is None else (result, None)
+    return None if result is None else (_vi_checked(result, cfg), None)
 
 
 ROUTES = {
@@ -337,15 +299,36 @@ ROUTES = {
 }
 
 
+def detect_zero_membership(
+    P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> ZeroMembershipVotes:
+    """Poll the four origin-membership characterizations.
+
+    Votes are the ``origin_inside`` of the wolfe, dual, maximin and
+    lcp-primal routes: the simplex QP reaching objective ~0, the dual
+    diverging, the maximin value ~0, and ray termination of the split-form
+    complementarity problem.  Raises ConflictingCharacterizations on a split
+    vote, which is always a numerical-tolerance failure worth surfacing; a
+    route's own error, a failed VI check included, propagates.
+    """
+    voters = ("wolfe", "dual", "maximin", "lcp-primal")  # ZeroMembershipVotes order
+    votes = ZeroMembershipVotes(*(ROUTES[r](P, cfg)[0].origin_inside for r in voters))
+    if not votes.unanimous:
+        raise ConflictingCharacterizations(
+            f"origin-membership characterizations disagree: {votes}", votes=votes
+        )
+    return votes
+
+
 def cross_check(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConsensusReport:
     """Run every applicable route and compare the answers.
 
-    Per-route errors are captured in the report rather than aborting the
-    remaining routes.  The verdict is ``agree`` only when all successful
-    routes match pairwise within ``1e-6 * (1 + max distance)`` and their
-    origin-membership votes coincide.
+    Per-route errors, an answer failing the VI check included, are captured
+    in the report rather than aborting the remaining routes.  The verdict is
+    ``agree`` only when all successful routes match pairwise within
+    ``1e-6 * (1 + max distance)`` and their origin-membership votes coincide.
     """
     entries: dict[str, RouteEntry] = {}
     for name, runner in ROUTES.items():
@@ -361,7 +344,8 @@ def cross_check(
 
     if P.m <= 4:
         try:
-            entries["oracle"] = RouteEntry(status="ok", result=reference_projection(P, cfg))
+            result = _vi_checked(reference_projection(P, cfg), cfg)
+            entries["oracle"] = RouteEntry(status="ok", result=result)
         except PpocpError as err:
             entries["oracle"] = RouteEntry(status="error", error=str(err))
 

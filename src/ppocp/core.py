@@ -177,21 +177,14 @@ def constraint_matrix(P: Polyhedron) -> ConstraintSystem:
     return ConstraintSystem(C=-P.vertices, e=np.ones(P.m))
 
 
-# Rows per block when gram_matrix mirrors its upper triangle.
-_MIRROR_ROWS = 256
-
-
 def gram_matrix(P: Polyhedron) -> GramMatrix:
-    """Gram matrix ``B[i, j] = <z_i, z_j>``, symmetrized by construction."""
+    """Gram matrix ``B[i, j] = <z_i, z_j>``, symmetric to the bit.
+
+    NumPy computes ``Z @ Z.T`` on one buffer with a symmetric rank-k update
+    (BLAS ``syrk``) and copies one triangle into the other, so ``B == B.T``
+    holds exactly.
+    """
     B = P.vertices @ P.vertices.T
-    # Mirror the upper triangle so B == B.T bit for bit, a block of rows at a
-    # time in place, so no second m x m array is held.
-    for lo in range(0, P.m, _MIRROR_ROWS):
-        hi = min(lo + _MIRROR_ROWS, P.m)
-        B[lo:hi, :lo] = B[:lo, lo:hi].T
-        block = B[lo:hi, lo:hi]
-        below = np.tril_indices(hi - lo, -1)
-        block[below] = block.T[below]
     B.flags.writeable = False
     return GramMatrix(B=B)
 
@@ -307,7 +300,6 @@ def projection_result(
 def refine_simplex_minimizer(
     Z: np.ndarray,
     alpha,
-    tol: float | None = None,
     max_cycles: int | None = None,
     trace: list | None = None,
 ) -> tuple[np.ndarray, int]:
@@ -317,24 +309,24 @@ def refine_simplex_minimizer(
     1976), run on the vertex rows ``Z`` in R^n; the m x m Gram matrix is
     never formed.  The corral starts at the lowest-norm vertex in the
     support of ``alpha`` (lowest index on ties).  Each major cycle scans
-    ``j = argmin Z x`` and stops once ``||x||^2 - <z_j, x> <= tol`` or ``z_j``
-    is already in the corral; otherwise ``z_j`` joins it.  Each minor cycle
-    solves the affine-hull problem on the corral with a bordered least
-    squares system and, when that leaves the simplex, steps back to its
-    boundary and drops the vertices whose weight reaches zero.  The corral
+    ``j = argmin Z x`` and stops once ``||x||^2 - <z_j, x>`` is at most
+    ``64 eps max_i ||z_i||^2`` or ``z_j`` is already in the corral; otherwise
+    ``z_j`` joins it.  Each minor cycle solves the affine-hull problem on the
+    corral with a bordered least squares system and, when that leaves the
+    simplex, steps back to its boundary and drops the vertices whose weight
+    reaches zero.  The corral
     stays affinely independent, so it never holds more than n + 1 vertices,
     and ``||x||^2`` falls with every major cycle; its value at each cycle is
-    appended to ``trace`` when one is given.  ``tol`` defaults to
-    ``64 eps max_i ||z_i||^2`` and the affine solve is scaled alike, so
-    scaling ``Z`` by a power of two leaves the weights unchanged to the bit.
+    appended to ``trace`` when one is given.  The stopping threshold and the
+    affine solve both scale with ``max_i ||z_i||^2``, so scaling ``Z`` by a
+    power of two leaves the weights unchanged to the bit.
     Returns the weights over all m vertices and the number of minor cycles
     taken (at most ``max_cycles`` major cycles run, ``4 m + 8`` by default).
     """
     Z = np.asarray(Z, dtype=float)
     m = Z.shape[0]
     sq = np.einsum("ij,ij->i", Z, Z)
-    if tol is None:
-        tol = 64.0 * np.finfo(float).eps * float(sq.max())
+    tol = 64.0 * np.finfo(float).eps * float(sq.max())
     if max_cycles is None:
         max_cycles = 4 * m + 8
     a = np.asarray(alpha, dtype=float)

@@ -296,16 +296,13 @@ def _pivot_path(M, q, k, verbose):
 
 def _solve_on_basis(M, q, basis, k):
     """Solve the original system on a complementary basis and assemble w, v."""
-    cols = np.empty((k, k))
-    for j, var in enumerate(basis):
-        cols[:, j] = np.eye(k)[:, var] if var < k else -M[:, var - k]
+    cols = np.hstack([np.eye(k), -M])[:, basis]
     try:
         values = np.linalg.solve(cols, q)
     except np.linalg.LinAlgError:
         values, *_ = np.linalg.lstsq(cols, q, rcond=None)
     solution = np.zeros(2 * k)
-    for var, val in zip(basis, values):
-        solution[var] = val
+    solution[basis] = values
     return solution[:k], solution[k:]
 
 
@@ -486,8 +483,8 @@ def extract_projection(
     Ray termination on the primal-split and dual-orthant variants certifies
     an empty feasible set, hence the origin inside the hull; the
     simplex-constrained variant is always solvable, so a ray there is an
-    inconsistency.  Extracted points are cross-checked against the
-    variational inequality before being returned.
+    inconsistency.  The extracted point is returned unchecked; the route
+    runners in ``certify`` apply the variational-inequality check.
     """
     route = _ROUTE_OF_VARIANT[L.variant]
     if O.status is LcpStatus.RAY_TERMINATION:
@@ -516,9 +513,4 @@ def extract_projection(
         rho = rho_from_ybar(y_bar, cfg.zero_tol)
         origin_inside = False
 
-    result = projection_result(P, rho, route, O.pivots, cfg, origin_inside)
-    if result.vi_min < -10.0 * cfg.opt_tol:
-        raise InconsistentOutcome(
-            f"extracted point fails the optimality residual: {result.vi_min:.3e}"
-        )
-    return result
+    return projection_result(P, rho, route, O.pivots, cfg, origin_inside)

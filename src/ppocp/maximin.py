@@ -61,6 +61,17 @@ def projection_from_maximin(
     return np.zeros_like(c_hat)
 
 
+def _origin_inside(n: int, iterations: int) -> MaximinSolution:
+    """The solution when the hull holds the origin: value zero at ``c = 0``."""
+    return MaximinSolution(
+        c_hat=np.zeros(n),
+        t_value=0.0,
+        rho=np.zeros(n),
+        iterations=iterations,
+        origin_inside=True,
+    )
+
+
 def solve_maximin(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> MaximinSolution:
@@ -75,13 +86,7 @@ def solve_maximin(
     G = float(norms.max())
     if G == 0.0:
         # Every vertex sits at the origin; the hull is {0}.
-        return MaximinSolution(
-            c_hat=np.zeros(P.n),
-            t_value=0.0,
-            rho=np.zeros(P.n),
-            iterations=0,
-            origin_inside=True,
-        )
+        return _origin_inside(P.n, 0)
 
     centroid = z.mean(axis=0)
     c_norm = float(np.linalg.norm(centroid))
@@ -126,13 +131,7 @@ def solve_maximin(
             iterations=iterations,
             origin_inside=t_value <= cfg.zero_tol,
         )
-    return MaximinSolution(
-        c_hat=np.zeros(P.n),
-        t_value=0.0,
-        rho=np.zeros(P.n),
-        iterations=iterations,
-        origin_inside=True,
-    )
+    return _origin_inside(P.n, iterations)
 
 
 def cone_nonempty(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -191,20 +191,23 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             return False
         return decrease_run >= min(100, it - 1) or f <= -cfg.unbounded_cap
 
+    def unbounded(it: int) -> DualOutcome:
+        return DualOutcome(
+            status=DualStatus.UNBOUNDED_BELOW,
+            u_star=None,
+            y_bar=None,
+            rho=None,
+            f_star=None,
+            iterations=it,
+        )
+
     for iterations in range(1, cfg.max_iter + 1):
         pg = _projected_gradient(u, g)
         pg_norm = float(np.linalg.norm(pg))
         if pg_norm <= cfg.opt_tol:
             break
         if diverging(iterations):
-            return DualOutcome(
-                status=DualStatus.UNBOUNDED_BELOW,
-                u_star=None,
-                y_bar=None,
-                rho=None,
-                f_star=None,
-                iterations=iterations,
-            )
+            return unbounded(iterations)
 
         if prev_u is None:
             d = -pg
@@ -238,14 +241,7 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             gamma *= 0.5
         if not accepted or not np.any(u_new != u):
             if diverging(iterations):
-                return DualOutcome(
-                    status=DualStatus.UNBOUNDED_BELOW,
-                    u_star=None,
-                    y_bar=None,
-                    rho=None,
-                    f_star=None,
-                    iterations=iterations,
-                )
+                return unbounded(iterations)
             break  # stalled; hand over to the polish phase
 
         # Exact radial descent: along the ray t * u the objective is a scalar

@@ -11,13 +11,14 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
+from ppocp import certify
 from ppocp.certify import (
     check_optimality,
     cross_check,
     detect_zero_membership,
     reference_projection,
 )
-from ppocp.core import Polyhedron, Route
+from ppocp.core import Polyhedron, Route, projection_result
 from ppocp.errors import OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
@@ -163,6 +164,19 @@ class TestCrossCheck:
             assert report.verdict == "agree", {
                 k: (v.status, v.error) for k, v in report.entries.items()
             }
+
+    def test_oracle_answer_failing_vi_check_is_error(self, monkeypatch):
+        # Twice the true projection [1, 1] has vi_min = -4.
+        P = Polyhedron(np.array(TRIANGLE))
+        monkeypatch.setattr(
+            certify,
+            "reference_projection",
+            lambda P, cfg: projection_result(P, [2.0, 2.0], Route.ORACLE, 1, cfg),
+        )
+        report = cross_check(P)
+        assert report.entries["oracle"].status == "error"
+        assert "oracle" in report.entries["oracle"].error
+        assert report.verdict == "conflict"
 
     def test_duplicate_vertices_are_first_class(self):
         import warnings

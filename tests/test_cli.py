@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -66,6 +67,30 @@ class TestProjectionRuns:
         report = certify.cross_check(Polyhedron(np.array(SQUARE)))
         assert report.entries[method].status == "ok"
         assert json.loads(out)["rho"] == list(report.entries[method].result.rho)
+
+    @pytest.mark.parametrize(
+        "solver, route",
+        [("solve_wolfe", "wolfe"), ("solve_dual", "dual"), ("solve_maximin", "maximin")],
+    )
+    def test_answer_failing_vi_check_is_rejected(
+        self, tmp_path, capsys, monkeypatch, solver, route
+    ):
+        # Twice the true projection [1, 1] has vi_min = -4: no route may report it.
+        real = getattr(certify, solver)
+
+        def doubled(P, cfg):
+            answer = real(P, cfg)
+            return dataclasses.replace(answer, rho=2.0 * answer.rho)
+
+        monkeypatch.setattr(certify, solver, doubled)
+        entry = certify.cross_check(Polyhedron(np.array(TRIANGLE))).entries[route]
+        assert entry.status == "error"
+        assert route in entry.error
+        path = write_instance(tmp_path, TRIANGLE)
+        code, out, err = run_cli(capsys, "--input", path, "--method", route)
+        assert code == 4
+        assert out == ""
+        assert route in err
 
     def test_methods_follow_route_table(self):
         assert cli.METHODS == (*certify.ROUTES, "all")

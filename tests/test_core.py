@@ -114,6 +114,13 @@ class TestGramMatrix:
             assert_allclose(B, S.C @ S.C.T, atol=1e-12)
             assert_array_equal(B, B.T)
 
+    def test_tall_gram_is_exactly_symmetric(self):
+        # m well past the m <= 12 instances above, for the BLAS product.
+        P = Polyhedron(np.random.default_rng(0).uniform(-5.0, 5.0, size=(600, 20)))
+        B = gram_matrix(P).B
+        assert_array_equal(B, B.T)
+        assert_allclose(B, np.einsum("ik,jk->ij", P.vertices, P.vertices), atol=1e-11)
+
     def test_psd_probe(self):
         # <xi, B xi> equals ||C^T xi||^2, hence is nonnegative.
         rng = np.random.default_rng(0)
