@@ -20,6 +20,10 @@ terminates finitely: either with a solution or along an unbounded ray.  Ray
 termination certifies that the underlying feasible set is empty, which for
 the primal-split and dual-orthant variants means the hull contains the
 origin.
+
+The engine pivots a dense ``k x (2k+1)`` tableau by one rank-one update per
+pivot, checks the basis invariant in ``O(k)``, breaks exact ratio ties
+lexicographically, and rebuilds the tableau from the data every 8 pivots.
 """
 
 from __future__ import annotations
@@ -170,27 +174,53 @@ def _dump_tableau(basis, T, rhs, k, out=None):
 
 
 def _check_complementary_basis(basis, k):
-    z0_basic = 2 * k in basis
-    missing = 0
-    for i in range(k):
-        w_basic = i in basis
-        v_basic = (k + i) in basis
-        if w_basic and v_basic:
-            raise InternalInconsistency(
-                f"complementary pair {i + 1} has both members basic"
-            )
-        if not w_basic and not v_basic:
-            missing += 1
-    expected = 1 if z0_basic else 0
+    """Raise unless each pair ``(w_i, v_i)`` has exactly one basic member,
+    with one pair left out exactly when ``z0`` is basic.  Returns the basic
+    membership array over ``(w, v, z0)``, which identifies the basis."""
+    member = np.zeros(2 * k + 1, dtype=bool)
+    member[basis] = True
+    w_basic, v_basic = member[:k], member[k : 2 * k]
+    both = np.flatnonzero(w_basic & v_basic)
+    if both.size:
+        raise InternalInconsistency(
+            f"complementary pair {both[0] + 1} has both members basic"
+        )
+    missing = k - int(np.count_nonzero(w_basic | v_basic))
+    expected = 1 if member[2 * k] else 0
     if missing != expected:
         raise InternalInconsistency(
             f"{missing} complementary pairs without a basic member "
             f"(expected {expected})"
         )
+    return member
+
+
+def _pivot(T, rhs, row, col):
+    """Gauss-Jordan pivot on ``T[row, col]``, in place, as one rank-one update.
+
+    Every entry receives the same division or product-and-subtraction as
+    row-by-row elimination, so the tableau matches it to the bit (up to the
+    sign of zeros).
+    """
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    T -= np.outer(factor, T[row])
+    rhs -= factor * rhs[row]
+    T[:, col] = 0.0
+    T[row, col] = 1.0
 
 
 def _pivot_path(M, q, k, verbose):
     """Run the complementary pivot sequence on one right-hand side.
+
+    Each pivot is one rank-one update of the tableau (``_pivot``), followed
+    by an ``O(k)`` check of the complementary-basis invariant.  The leaving
+    row is the lexicographic minimum ratio; the full key sort runs only over
+    rows that tie exactly on ``rhs / col``.  Every 8 pivots the tableau is
+    refactored exactly from the basis to shed accumulated drift.
 
     Returns ``("solution", (basis, w, v), pivots)``, ``("ray", None,
     pivots)``, or ``("cycle", None, pivots)`` when a basis repeats
@@ -204,18 +234,6 @@ def _pivot_path(M, q, k, verbose):
     basis = list(range(k))
     z0 = 2 * k
     eps = np.finfo(float).eps
-
-    def pivot(row: int, col: int):
-        piv = T[row, col]
-        T[row] /= piv
-        rhs[row] /= piv
-        for i in range(k):
-            if i != row and T[i, col] != 0.0:
-                factor = T[i, col]
-                T[i] -= factor * T[row]
-                rhs[i] -= factor * rhs[row]
-                T[i, col] = 0.0
-        T[row, col] = 1.0
 
     def refactor() -> bool:
         # Rebuild the row-reduced form exactly from the basis; long pivot
@@ -240,11 +258,11 @@ def _pivot_path(M, q, k, verbose):
     order = np.lexsort(keys.T[::-1])
     row = int(order[0])
     leaving = basis[row]
-    pivot(row, z0)
+    _pivot(T, rhs, row, z0)
     basis[row] = z0
     entering = leaving + k  # complement of the evicted w variable
     pivots = 1
-    _check_complementary_basis(basis, k)
+    member = _check_complementary_basis(basis, k)
     if verbose:
         _dump_tableau(basis, T, rhs, k)
     if rhs.min() < 0.0:
@@ -252,7 +270,7 @@ def _pivot_path(M, q, k, verbose):
         return "cycle", None, pivots
 
     limit = 50 * k
-    seen = {tuple(sorted(basis))}
+    seen = {member.tobytes()}
     since_refactor = 0
     while pivots < limit:
         col = T[:, entering]
@@ -260,13 +278,17 @@ def _pivot_path(M, q, k, verbose):
         cand = np.flatnonzero(col > tol)
         if cand.size == 0:
             return "ray", None, pivots
-        ratios = np.column_stack([rhs[cand], T[np.ix_(cand, range(k))]]) / col[
-            cand, None
-        ]
-        order = np.lexsort(ratios.T[::-1])
-        row = int(cand[order[0]])
+        # Lexicographic minimum ratio.  The (k+1)-key sort only breaks exact
+        # ties on the first key, so it runs on the tied rows alone (on every
+        # row when a ratio is NaN, since the minimum is then NaN).
+        first = rhs[cand] / col[cand]
+        tied = cand[~(first > first.min())]
+        if tied.size > 1:
+            ratios = np.column_stack([rhs[tied], T[tied, :k]]) / col[tied, None]
+            tied = tied[np.lexsort(ratios.T[::-1])]
+        row = int(tied[0])
         leaving = basis[row]
-        pivot(row, entering)
+        _pivot(T, rhs, row, entering)
         basis[row] = entering
         pivots += 1
         since_refactor += 1
@@ -274,7 +296,7 @@ def _pivot_path(M, q, k, verbose):
             if not refactor():
                 return "cycle", None, pivots
             since_refactor = 0
-        _check_complementary_basis(basis, k)
+        member = _check_complementary_basis(basis, k)
         if verbose:
             _dump_tableau(basis, T, rhs, k)
         if leaving == z0:
@@ -284,7 +306,7 @@ def _pivot_path(M, q, k, verbose):
             values[basis] = rhs
             return "solution", (list(basis), values[:k], values[k : 2 * k]), pivots
         entering = leaving + k if leaving < k else leaving - k
-        key = tuple(sorted(basis))
+        key = member.tobytes()
         if key in seen:
             return "cycle", None, pivots
         seen.add(key)
@@ -296,7 +318,11 @@ def _pivot_path(M, q, k, verbose):
 
 def _solve_on_basis(M, q, basis, k):
     """Solve the original system on a complementary basis and assemble w, v."""
-    cols = np.hstack([np.eye(k), -M])[:, basis]
+    basis = np.asarray(basis)
+    on_w = basis < k
+    cols = np.zeros((k, k))
+    cols[basis[on_w], np.flatnonzero(on_w)] = 1.0
+    cols[:, ~on_w] = -M[:, basis[~on_w] - k]
     try:
         values = np.linalg.solve(cols, q)
     except np.linalg.LinAlgError:
@@ -498,8 +524,7 @@ def extract_projection(
 
     origin_inside = None
     if L.variant is LcpVariant.PRIMAL_SPLIT:
-        qp = canonicalize_primal(P)
-        y = qp.reconstruct_y(O.v[: 2 * P.n])
+        y = O.v[: P.n] - O.v[P.n : 2 * P.n]  # y = s - s'
         rho = rho_from_ybar(y, cfg.zero_tol)
         origin_inside = False
     elif L.variant is LcpVariant.WOLFE_KKT:

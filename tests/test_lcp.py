@@ -11,8 +11,10 @@ from conftest import (
     separated_polyhedron,
 )
 from ppocp.core import Polyhedron, Route, constraint_matrix
-from ppocp.errors import InconsistentOutcome
+from ppocp.errors import InconsistentOutcome, InternalInconsistency
 from ppocp.lcp import (
+    _check_complementary_basis,
+    _pivot,
     CanonicalQP,
     LCPInstance,
     LcpStatus,
@@ -101,6 +103,63 @@ class TestBuildLcp:
             for _ in range(100):
                 v = rng.normal(size=L.k)
                 assert float(v @ L.M @ v) >= -1e-10 * float(v @ v)
+
+
+def _pivot_by_rows(T, rhs, row, col):
+    # Row-by-row Gauss-Jordan elimination: the reference _pivot must match.
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            factor = T[i, col]
+            T[i] -= factor * T[row]
+            rhs[i] -= factor * rhs[row]
+            T[i, col] = 0.0
+    T[row, col] = 1.0
+
+
+class TestPivot:
+    @pytest.mark.parametrize("k", (3, 28, 160))
+    def test_matches_row_elimination_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            T = rng.normal(size=(k, 2 * k + 1))
+            rhs = rng.normal(size=k)
+            row, col = int(rng.integers(k)), int(rng.integers(2 * k + 1))
+            zeros = rng.choice(k, size=k // 3, replace=False)
+            T[zeros[zeros != row], col] = 0.0
+            T_ref, rhs_ref = T.copy(), rhs.copy()
+            _pivot(T, rhs, row, col)
+            _pivot_by_rows(T_ref, rhs_ref, row, col)
+            assert_array_equal(T, T_ref)
+            assert_array_equal(rhs, rhs_ref)
+
+
+class TestCheckComplementaryBasis:
+    def test_valid_bases_pass(self):
+        _check_complementary_basis([0, 4, 2], 3)  # w1, v2, w3
+        _check_complementary_basis([0, 6, 5], 3)  # w1, z0, v3: pair 2 open
+
+    def test_pair_with_both_members_basic(self):
+        with pytest.raises(InternalInconsistency, match="pair 2 has both members basic"):
+            _check_complementary_basis([1, 4, 2], 3)  # w2 and v2
+
+    # With no pair holding both members, a miscount needs a basis of the
+    # wrong length: the check guards the bookkeeping, not the arithmetic.
+    def test_missing_pair_without_z0(self):
+        with pytest.raises(
+            InternalInconsistency,
+            match=r"1 complementary pairs without a basic member \(expected 0\)",
+        ):
+            _check_complementary_basis([0, 2, 3], 4)  # pair 2 open, no z0
+
+    def test_no_missing_pair_with_z0(self):
+        with pytest.raises(
+            InternalInconsistency,
+            match=r"0 complementary pairs without a basic member \(expected 1\)",
+        ):
+            _check_complementary_basis([0, 1, 2, 3, 8], 4)  # every pair and z0
 
 
 class TestLemkeSolve:
