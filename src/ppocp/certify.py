@@ -263,7 +263,7 @@ def _run_dual(P, cfg, verbose=False):
     result = projection_result(
         P, rho, Route.DUAL, out.iterations, cfg, origin_inside=inside
     )
-    return _vi_checked(result, cfg), None
+    return _vi_checked(result, cfg), out.alpha
 
 
 def _run_maximin(P, cfg, verbose=False):
@@ -306,8 +306,10 @@ def detect_zero_membership(
 
     Votes are the ``origin_inside`` of the wolfe, dual, maximin and
     lcp-primal routes: the simplex QP reaching objective ~0, the dual
-    diverging, the maximin value ~0, and ray termination of the split-form
-    complementarity problem.  Raises ConflictingCharacterizations on a split
+    active-set solver's infeasibility witness (convex weights ``alpha`` with
+    ``||alpha @ Z||`` at the rounding level of the vertices), the maximin
+    value ~0, and ray termination of the split-form complementarity
+    problem.  Raises ConflictingCharacterizations on a split
     vote, which is always a numerical-tolerance failure worth surfacing; a
     route's own error, a failed VI check included, propagates.
     """

@@ -46,9 +46,10 @@ class ToleranceConfig:
 
     feas_tol bounds constraint violations, opt_tol bounds optimality
     residuals, zero_tol decides when the origin is declared inside the hull,
-    and unbounded_cap is the iterate-norm ceiling used to flag a diverging
-    dual.  Thresholds are absolute, so callers working with very large or
-    very small vertex coordinates should scale them accordingly.
+    and unbounded_cap bounds the ray of the Lemke ray certificate
+    (``lcp._ray_certificate``); the dual route does not use it.  Thresholds
+    are absolute, so callers working with very large or very small vertex
+    coordinates should scale them accordingly.
     """
 
     feas_tol: float = 1e-9

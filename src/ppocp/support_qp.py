@@ -10,9 +10,13 @@ whose solution gives ``y_bar = -1/2 C^T u*`` in closed form.  ``D`` is empty
 exactly when the hull contains the origin, in which case ``f`` is unbounded
 below; the solver reports that as a status rather than an error.
 
-The solver is projected gradient descent with Barzilai-Borwein steps,
-monotonized by step halving, followed by an active-set polish that solves
-the stationarity system on the support to near machine precision.
+The solver is the dual active-set method of Goldfarb and Idnani ("A
+numerically stable dual method for solving strictly convex quadratic
+programs", Math. Prog. 27, 1983) for ``min 1/2 ||y||^2`` subject to
+``Z y >= 1``, run in R^n on at most n active vertex rows; the m x m Gram
+matrix is never formed.  Its multipliers ``lam`` are ``u / 2``.  When the
+hull contains the origin it returns convex weights ``alpha`` with
+``alpha @ Z = 0``, an exact witness in place of a divergence test.
 """
 
 from __future__ import annotations
@@ -27,14 +31,15 @@ from .core import (
     ConstraintSystem,
     Polyhedron,
     ToleranceConfig,
-    constraint_matrix,
-    gram_matrix,
+    gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
 )
 from .errors import MaxIterExceeded, NegativeDualVariable, ZeroVector
 
 __all__ = [
     "DualStatus",
     "DualOutcome",
+    "ENTER_TOL",
+    "DEPENDENT_TOL",
     "invert_support_vector",
     "dual_objective",
     "dual_gradient",
@@ -42,6 +47,18 @@ __all__ = [
     "recover_primal",
     "rho_from_ybar",
 ]
+
+# A vertex row enters the active set while <z_p, y> < 1 - ENTER_TOL
+# max_i ||z_i|| ||y||.  Rounding in <z_p, y> is about eps sqrt(n) ||z_p|| ||y||,
+# so a row already active is never taken as violated on rounding alone.
+ENTER_TOL = 64.0 * np.finfo(float).eps
+# The entering row z_p = N r + z, with z outside the span of the active rows
+# N, counts as dependent on them when ||z|| <= DEPENDENT_TOL max_i ||z_i||
+# (1 + sum_j |r_j|): moving each vertex by that fraction of max_i ||z_i||
+# makes z_p = N r exact.  Only a dependent row can close a convex combination
+# through the origin, and the witness (1, -r) / (1 + sum_j |r_j|) then has
+# ||alpha @ Z|| <= DEPENDENT_TOL max_i ||z_i|| up to rounding.
+DEPENDENT_TOL = 64.0 * np.finfo(float).eps
 
 
 class DualStatus(enum.Enum):
@@ -55,7 +72,10 @@ class DualOutcome:
 
     ``u_star``, ``y_bar``, ``rho`` and ``f_star`` are present only when
     ``status`` is SOLVED; unboundedness signals that the hull contains the
-    origin.
+    origin.  ``alpha`` is always present: convex weights over the vertices
+    with ``alpha @ Z = rho`` when SOLVED (``u_star / sum(u_star)``), and with
+    ``alpha @ Z = 0`` when UNBOUNDED_BELOW.  ``iterations`` counts the
+    active-set steps, adds and drops together.
     """
 
     status: DualStatus
@@ -64,6 +84,7 @@ class DualOutcome:
     rho: np.ndarray | None
     f_star: float | None
     iterations: int
+    alpha: np.ndarray
 
 
 def invert_support_vector(y, zero_tol: float = DEFAULT_TOLERANCES.zero_tol):
@@ -115,190 +136,126 @@ def rho_from_ybar(y_bar, zero_tol: float = DEFAULT_TOLERANCES.zero_tol):
     return invert_support_vector(y_bar, zero_tol)
 
 
-def _projected_gradient(u, g):
-    pg = np.where(u > 0.0, g, np.minimum(g, 0.0))
-    return pg
-
-
-def _polish_orthant(B, u, tol):
-    """Active-set refinement of a stationary point of f on the orthant.
-
-    Solves ``1/2 B_SS x = e_S`` on the current support, dropping the most
-    negative coordinate when the solve leaves the orthant and growing the
-    support with the worst violated gradient coordinate.  Returns the
-    refined vector, or None when no certified point was reached within the
-    step budget.
-    """
-    m = B.shape[0]
-    support = np.flatnonzero(u > 1e-12).tolist()
-    if not support:
-        support = [0]
-    for _ in range(4 * m + 8):
-        for _ in range(m + 1):
-            sub = np.ix_(support, support)
-            x, *_ = np.linalg.lstsq(0.5 * B[sub], np.ones(len(support)), rcond=None)
-            if x.min() >= -1e-12:
-                break
-            worst = int(np.argmin(x))
-            support.pop(worst)
-            if not support:
-                return None
-        cand = np.zeros(m)
-        cand[support] = np.maximum(x, 0.0)
-        grad = 0.5 * (B @ cand) - 1.0
-        mask = np.ones(m, dtype=bool)
-        mask[support] = False
-        if not mask.any() or float(grad[mask].min()) >= -tol:
-            on_support = float(np.abs(grad[support]).max()) if support else 0.0
-            if on_support <= tol:
-                return cand
-            return None
-        j = int(np.flatnonzero(mask)[np.argmin(grad[mask])])
-        support.append(j)
-    return None
-
-
 def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DualOutcome:
     """Minimize the dual objective over the nonnegative orthant.
 
-    Returns a SOLVED outcome with the recovered ``y_bar`` and projection, or
-    UNBOUNDED_BELOW when the iterates diverge while the objective keeps
-    falling, which certifies (heuristically; the exact statement is cross
-    checked elsewhere) that the hull contains the origin.
+    Goldfarb-Idnani on ``min 1/2 ||y||^2`` subject to ``Z y >= 1``, from
+    ``y = 0`` and an empty active set.  Each pass scans ``s = Z y - 1`` for
+    ``p = argmin s`` (lowest index on ties) and stops once ``s_p`` clears
+    ``ENTER_TOL``.  Otherwise ``z_p`` is split, through a thin QR of the
+    active rows ``N`` (refactored whenever they change), into ``N r`` in
+    their span and a part in its null space.  A null-space part allows a
+    primal step, which adds ``p`` once ``s_p`` reaches zero; a multiplier
+    ``lam_j - t r_j`` reaching zero first drops ``j`` instead (a partial
+    step), and ``p`` is tried again.  A row dependent on the active rows
+    (``DEPENDENT_TOL``) takes only the partial step; with no ``r_j > 0`` it
+    has none, and ``z_p - N r = 0`` is a convex combination through the
+    origin: the outcome is UNBOUNDED_BELOW with its weights ``(1, -r)``
+    normalised as ``alpha``.  After each add, ``y`` and ``lam`` are solved
+    afresh from the factors.
 
-    Raises MaxIterExceeded when neither happens within the budget.
+    Both tolerances are relative to ``max_i ||z_i||``, so scaling the
+    vertices leaves the status and the step path unchanged and scales
+    ``rho`` alike.
+
+    Raises MaxIterExceeded when the answer needs more than ``cfg.max_iter``
+    steps (adds and drops together), with the dual vector ``u = 2 lam`` of
+    the last step as ``best`` and the largest violation ``-min s`` as
+    ``residual``.
     """
-    S = constraint_matrix(P)
-    B = gram_matrix(P).B
+    Z = P.vertices
     m = P.m
-    scale = 1.0 + max(float(B.max()), -float(B.min()))
+    zmax = float(np.sqrt(np.einsum("ij,ij->i", Z, Z).max()))
+    enter_tol = ENTER_TOL * zmax
+    dependent_tol = DEPENDENT_TOL * zmax
 
-    u = np.zeros(m)
-    f = 0.0
-    g = -np.ones(m)
-    prev_u = None
-    prev_g = None
-    decrease_run = 0
-    iterations = 0
+    y = np.zeros(P.n)
+    active: list[int] = []
+    lam = np.zeros(0)
+    Q, R = np.linalg.qr(Z[active].T)
+    steps = 0
 
-    def diverging(it: int) -> bool:
-        # Heuristic by necessity: a run of monotone decreases while the
-        # iterate norm passes the cap.  At norms where further decreases fall
-        # below floating-point resolution the objective value itself (already
-        # below -cap, i.e. an implied distance under 1/sqrt(cap)) stands in
-        # for the run count.
-        if float(np.linalg.norm(u)) <= cfg.unbounded_cap:
-            return False
-        return decrease_run >= min(100, it - 1) or f <= -cfg.unbounded_cap
+    def weights(values, rows):
+        out = np.zeros(m)
+        out[rows] = values
+        return out
 
-    def unbounded(it: int) -> DualOutcome:
-        return DualOutcome(
-            status=DualStatus.UNBOUNDED_BELOW,
-            u_star=None,
-            y_bar=None,
-            rho=None,
-            f_star=None,
-            iterations=it,
+    def give_up(message, violation):
+        return MaxIterExceeded(
+            message,
+            best=weights(2.0 * lam, active),
+            residual=violation,
+            iterations=steps,
         )
 
-    for iterations in range(1, cfg.max_iter + 1):
-        pg = _projected_gradient(u, g)
-        pg_norm = float(np.linalg.norm(pg))
-        if pg_norm <= cfg.opt_tol:
+    while True:
+        s = Z @ y - 1.0
+        p = int(np.argmin(s))
+        if s[p] >= -enter_tol * float(np.linalg.norm(y)):
             break
-        if diverging(iterations):
-            return unbounded(iterations)
-
-        if prev_u is None:
-            d = -pg
-            curv = float(d @ (B @ d))
-            gamma = 2.0 * float(pg @ pg) / curv if curv > 0 else 1e6
-        else:
-            s = u - prev_u
-            yd = g - prev_g
-            # The radial direction is line-searched exactly below, so estimate
-            # the Barzilai-Borwein curvature from the deflated differences;
-            # mixing the near-flat ray into the estimate makes the steps
-            # collapse once the iterate norm grows.
-            norm_u = float(np.linalg.norm(u))
-            if norm_u > 0.0:
-                uh = u / norm_u
-                s = s - float(s @ uh) * uh
-                yd = yd - float(yd @ uh) * uh
-            sy = float(s @ yd)
-            gamma = float(s @ s) / sy if sy > 1e-300 else 1e12
-        gamma = min(max(gamma, 1e-12), 1e15)
-
-        prev_u, prev_g = u, g
-        accepted = False
-        for _ in range(80):
-            u_new = np.maximum(u - gamma * pg, 0.0)
-            gc = S.C.T @ u_new
-            f_new = 0.25 * float(gc @ gc) - float(u_new.sum())
-            if f_new <= f:
-                accepted = True
+        if p in active:
+            # Only rounding can make an active row the most violated one.
+            raise give_up(f"dual active-set solver stalled at vertex {p}", float(-s[p]))
+        zp = Z[p]
+        sp = float(s[p])
+        while True:
+            if steps == cfg.max_iter:
+                raise give_up(
+                    f"dual solver did not converge in {cfg.max_iter} active-set steps",
+                    float(-s[p]),
+                )
+            q = Q.T @ zp
+            z = zp - Q @ q
+            r = np.linalg.solve(R, q)
+            positive = np.flatnonzero(r > 0.0)
+            if positive.size:
+                ratios = lam[positive] / r[positive]
+                drop = int(positive[np.argmin(ratios)])
+                t1 = float(ratios.min())
+            else:
+                t1 = np.inf
+            spread = 1.0 + float(np.abs(r).sum())
+            dependent = float(np.linalg.norm(z)) <= dependent_tol * spread
+            if dependent and not positive.size:
+                alpha = weights(-r, active)
+                alpha[p] = 1.0
+                return DualOutcome(
+                    status=DualStatus.UNBOUNDED_BELOW,
+                    u_star=None,
+                    y_bar=None,
+                    rho=None,
+                    f_star=None,
+                    iterations=steps,
+                    alpha=alpha / alpha.sum(),
+                )
+            steps += 1
+            curvature = float(z @ zp)
+            t2 = np.inf if dependent else -sp / curvature
+            t = min(t1, t2)
+            lam = lam - t * r
+            sp += t * curvature
+            if t2 <= t1:
+                active.append(p)
                 break
-            gamma *= 0.5
-        if not accepted or not np.any(u_new != u):
-            if diverging(iterations):
-                return unbounded(iterations)
-            break  # stalled; hand over to the polish phase
+            del active[drop]
+            lam = np.delete(lam, drop)
+            Q, R = np.linalg.qr(Z[active].T)
+        # All active rows hold with equality: y is the minimum-norm solution
+        # of N^T y = 1 and lam its multipliers, recomputed from the QR factors
+        # so that rounding does not accumulate over the steps.
+        Q, R = np.linalg.qr(Z[active].T)
+        w = np.linalg.solve(R.T, np.ones(len(active)))
+        y = Q @ w
+        lam = np.maximum(np.linalg.solve(R, w), 0.0)  # clip rounding below zero
 
-        # Exact radial descent: along the ray t * u the objective is a scalar
-        # quadratic minimized at t = 2 sum(u) / <u, B u>.  On instances with
-        # no minimizer the normalized iterate approaches a direction with
-        # vanishing quadratic term, so this rescale blows the norm up
-        # geometrically and the divergence guard fires quickly; on bounded
-        # instances it is one more monotone descent step.
-        quad = float(u_new @ (B @ u_new))
-        lin = float(u_new.sum())
-        if lin > 0.0 and quad > 0.0:
-            t = min(2.0 * lin / quad, 100.0)
-            if t > 1.0:
-                cand = t * u_new
-                f_cand = 0.25 * t * t * quad - t * lin
-                if f_cand <= f_new:
-                    u_new, f_new = cand, f_cand
-
-        decrease_run = decrease_run + 1 if f_new < f else 0
-        u, f = u_new, f_new
-        g = 0.5 * (B @ u) - 1.0
-    else:
-        raise MaxIterExceeded(
-            f"dual solver did not converge in {cfg.max_iter} iterations",
-            best=u,
-            residual=float(np.linalg.norm(_projected_gradient(u, g))),
-            iterations=cfg.max_iter,
-        )
-
-    tol_polish = 1e-12 * scale * (1.0 + float(np.linalg.norm(u)))
-    polished = _polish_orthant(B, u, tol_polish)
-    if polished is not None:
-        gp = 0.5 * (B @ polished) - 1.0
-        if float(np.linalg.norm(_projected_gradient(polished, gp))) <= float(
-            np.linalg.norm(_projected_gradient(u, g))
-        ):
-            u = polished
-            g = gp
-
-    pg_norm = float(np.linalg.norm(_projected_gradient(u, g)))
-    if pg_norm > cfg.opt_tol:
-        raise MaxIterExceeded(
-            f"dual stationarity residual {pg_norm:.3e} above {cfg.opt_tol:.1e}",
-            best=u,
-            residual=pg_norm,
-            iterations=iterations,
-        )
-
-    u = np.maximum(u, 0.0)
-    y_bar = recover_primal(S, u)
-    rho = rho_from_ybar(y_bar, cfg.zero_tol)
-    f_star = dual_objective(S, u, cfg)
+    u = weights(2.0 * lam, active)
+    g = lam @ Z[active]  # -1/2 C^T u
     return DualOutcome(
         status=DualStatus.SOLVED,
         u_star=u,
-        y_bar=y_bar,
-        rho=rho,
-        f_star=f_star,
-        iterations=iterations,
+        y_bar=y,
+        rho=y / float(y @ y),
+        f_star=float(g @ g) - float(u.sum()),
+        iterations=steps,
+        alpha=weights(lam / lam.sum(), active),
     )

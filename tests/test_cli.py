@@ -197,7 +197,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_nonconvergence_exit(self, tmp_path, capsys):
-        # An isosceles sliver with a 1e-18 gap target cannot be certified.
+        # The isosceles sliver needs two active-set steps; one is not enough.
         path = write_instance(tmp_path, [[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]])
         code, _, err = run_cli(
             capsys,
@@ -208,7 +208,7 @@ class TestExitCodes:
             "--tol",
             "1e-18",
             "--max-iter",
-            "40",
+            "1",
         )
         assert code == 3
         assert "converge" in err

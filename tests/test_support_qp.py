@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    COLLINEAR_PAIR,
+    LINE_POINTS,
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
@@ -11,10 +15,11 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
-from ppocp.core import Polyhedron, constraint_matrix, in_D, in_omega
-from ppocp.errors import NegativeDualVariable, ZeroVector
+from ppocp.core import Polyhedron, ToleranceConfig, constraint_matrix, in_D, in_omega
+from ppocp.errors import MaxIterExceeded, NegativeDualVariable, ZeroVector
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import (
+    DEPENDENT_TOL,
     DualStatus,
     dual_gradient,
     dual_objective,
@@ -174,3 +179,201 @@ class TestSolveDual:
             P = separated_polyhedron(seed)
             assert solve_dual(P).status is DualStatus.SOLVED
             assert not solve_wolfe(P).origin_inside
+
+
+EPS = np.finfo(float).eps
+
+
+def tall_separated(seed, m=1000, n=20, margin=5.0, box=5.0):
+    """A hull at distance >= margin: perfbench/workloads.separated, first draw."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-box, box, size=(m, n))
+    d = rng.normal(size=n)
+    d /= np.linalg.norm(d)
+    return Polyhedron(z + (margin - float(np.min(z @ d))) * d)
+
+
+def tall_inside(seed, m, n, box=5.0):
+    """First vertex closes a strictly positive combination through the origin."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-box, box, size=(m - 1, n))
+    lam = rng.uniform(0.2, 1.0, size=m)
+    return Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z]))
+
+
+def polyhedron(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate vertices are the point here
+        return Polyhedron(np.array(rows, dtype=float))
+
+
+def degenerate_hull(seed):
+    """Random hull with every vertex repeated (odd seeds) or flat (even seeds).
+
+    A flat hull's vertices span a random k-dimensional subspace up to the
+    rounding of the product that builds them.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    m = int(rng.integers(1, 30))
+    z = rng.uniform(-5.0, 5.0, size=(m, n))
+    if seed % 2:
+        z = np.vstack([z, z[rng.integers(0, m, size=m)]])
+    else:
+        k = int(rng.integers(1, n + 1))
+        z = rng.uniform(-5.0, 5.0, size=(m, k)) @ rng.normal(size=(k, n))
+    return polyhedron(z)
+
+
+def assert_witness(P, out):
+    """The hull-witness weights lie on the simplex and combine to the answer."""
+    alpha = out.alpha
+    assert alpha.shape == (P.m,)
+    assert alpha.min() >= 0.0
+    assert abs(alpha.sum() - 1.0) <= 8 * P.m * EPS
+    zmax = float(np.linalg.norm(P.vertices, axis=1).max())
+    if out.status is DualStatus.UNBOUNDED_BELOW:
+        assert np.linalg.norm(alpha @ P.vertices) <= 64 * EPS * zmax
+    else:
+        assert np.linalg.norm(alpha @ P.vertices - out.rho) <= 64 * EPS * zmax
+
+
+class TestActiveSetSolver:
+    @pytest.mark.parametrize(
+        "rows, rho",
+        [
+            (TRIANGLE + [TRIANGLE[0], TRIANGLE[2]], [1.0, 1.0]),  # duplicates
+            (COLLINEAR_PAIR, [1.0, 0.0]),
+            ([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1.0, 1.0]),  # collinear, ray
+            ([[1.0, -1.0], [1.0, 2.0], [1.0, 0.5]], [1.0, 0.0]),  # collinear, line
+            ([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0]], [2.0, 2.0, 0.0]),  # m <= n
+            ([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]], [2 / 3] * 3),
+            (SINGLE_POINT, [3.0, 4.0]),
+        ],
+    )
+    def test_degenerate_and_flat_hulls_solved(self, rows, rho):
+        P = polyhedron(rows)
+        out = solve_dual(P)
+        assert out.status is DualStatus.SOLVED
+        assert_allclose(out.rho, rho, rtol=1e-14, atol=1e-14)
+        assert out.iterations <= 10 * (P.n + 1)
+        assert_witness(P, out)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            SEGMENT_THROUGH_ORIGIN,
+            SEGMENT_THROUGH_ORIGIN * 2,  # duplicates
+            LINE_POINTS,  # collinear, n = 1
+            [[-1.0, -1.0], [1.0, 1.0], [3.0, 3.0]],  # collinear through the origin
+            [[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]],  # m <= n
+            [[0.0, 0.0]],  # a single point, the origin
+            [[0.0, 0.0], [0.0, 0.0]],
+        ],
+    )
+    def test_degenerate_and_flat_hulls_with_origin(self, rows):
+        P = polyhedron(rows)
+        out = solve_dual(P)
+        assert out.status is DualStatus.UNBOUNDED_BELOW
+        assert out.u_star is None and out.rho is None
+        assert_witness(P, out)
+
+    @pytest.mark.parametrize("seed", [140, 626, 1711, 2834, 3913, 5162])
+    def test_nearly_dependent_rows(self, seed):
+        # Flat hulls through the origin up to rounding (140, 626), whose
+        # entering rows lie off the span of ill-conditioned active rows by
+        # more than DEPENDENT_TOL max ||z_i||, and separated hulls on which y
+        # updated step by step drifted off the active rows (the others).
+        P = degenerate_hull(seed)
+        out = solve_dual(P)
+        wolfe = solve_wolfe(P)
+        zmax = float(np.linalg.norm(P.vertices, axis=1).max())
+        inside = float(np.linalg.norm(wolfe.rho)) <= 64 * EPS * zmax
+        assert (out.status is DualStatus.UNBOUNDED_BELOW) == inside
+        if not inside:
+            rel = np.linalg.norm(out.rho - wolfe.rho) / np.linalg.norm(wolfe.rho)
+            assert rel <= 1e-10
+        assert_witness(P, out)
+
+    def test_segment_witness_is_its_midpoint(self):
+        out = solve_dual(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
+        assert_allclose(out.alpha, [0.5, 0.5], rtol=0, atol=0)
+
+    def test_witness_on_separated_hulls_is_scaled_multipliers(self):
+        for seed in range(8):
+            P = separated_polyhedron(seed)
+            out = solve_dual(P)
+            assert_allclose(out.alpha, out.u_star / out.u_star.sum(), rtol=1e-15, atol=0)
+            assert_witness(P, out)
+
+    @pytest.mark.parametrize(
+        "P",
+        [origin_inside_polyhedron(seed) for seed in range(12)]
+        + [tall_inside(seed, 100, 30) for seed in range(3)]
+        + [tall_inside(seed, 1000, 20) for seed in range(3)]
+        + [tall_inside(seed, 2000, 20) for seed in range(2)],
+    )
+    def test_origin_inside_witness(self, P):
+        out = solve_dual(P)
+        assert out.status is DualStatus.UNBOUNDED_BELOW
+        assert_witness(P, out)
+
+    @pytest.mark.parametrize(
+        "P",
+        [tall_separated(seed) for seed in (0, 1, 2, 46)]
+        + [tall_separated(seed, m=2000, margin=0.5) for seed in (0, 1)],
+        ids=["1000x20-s0", "1000x20-s1", "1000x20-s2", "1000x20-s46", "2000x20-s0", "2000x20-s1"],
+    )
+    def test_tall_separated_agree_with_wolfe(self, P):
+        # Seed 46 draws a hull that takes projected-gradient methods
+        # thousands of iterations.
+        out = solve_dual(P)
+        assert out.status is DualStatus.SOLVED
+        rho = solve_wolfe(P).rho
+        assert np.linalg.norm(out.rho - rho) <= 1e-12 * np.linalg.norm(rho)
+        assert out.iterations <= 10 * (P.n + 1)
+        assert_witness(P, out)
+        slack = P.vertices @ out.y_bar - 1.0
+        assert slack.min() >= -1e-13
+        assert abs(float(out.u_star @ slack)) <= 1e-13 * out.u_star.sum()
+        assert np.linalg.norm(2.0 * out.y_bar - out.u_star @ P.vertices) <= 1e-14 * np.linalg.norm(out.y_bar)
+
+    @pytest.mark.parametrize("factor", [2.0**17, 2.0**-14])
+    def test_power_of_two_scaling(self, factor):
+        hulls = [separated_polyhedron(seed) for seed in range(8)]
+        hulls += [origin_inside_polyhedron(seed) for seed in range(8)]
+        hulls += [tall_separated(46), tall_inside(0, 1000, 20)]
+        for P in hulls:
+            base = solve_dual(P)
+            scaled = solve_dual(Polyhedron(P.vertices * factor))
+            assert scaled.status is base.status
+            assert scaled.iterations == base.iterations
+            if base.status is DualStatus.SOLVED:
+                err = np.linalg.norm(scaled.rho - factor * base.rho)
+                assert err <= 4 * EPS * np.linalg.norm(factor * base.rho)
+
+    @pytest.mark.parametrize("ratio, status", [(1.0, "unbounded-below"), (1.0001, "solved")])
+    def test_dependent_entering_row_tolerance(self, ratio, status):
+        # z_0 = (1, 0) enters first; z_1 = (-1, delta) = -z_0 + (0, delta) then
+        # has r = -1 and the part (0, delta) outside the span of z_0, and
+        # max ||z_i|| = 1 to the bit: the threshold is DEPENDENT_TOL (1 + |r|).
+        delta = ratio * 2.0 * DEPENDENT_TOL
+        P = Polyhedron(np.array([[1.0, 0.0], [-1.0, delta]]))
+        out = solve_dual(P)
+        assert out.status.value == status
+        if out.status is DualStatus.UNBOUNDED_BELOW:
+            assert_allclose(out.alpha, [0.5, 0.5], rtol=0, atol=EPS)
+        else:
+            # The segment passes the origin at (delta^2 / 4, delta / 2), to
+            # relative order delta^2.
+            assert_allclose(out.rho, [delta**2 / 4, delta / 2], rtol=1e-12, atol=0)
+
+    def test_budget_counts_steps(self):
+        P = Polyhedron(np.array([[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]]))
+        assert solve_dual(P).iterations == 2
+        with pytest.raises(MaxIterExceeded) as info:
+            solve_dual(P, ToleranceConfig(max_iter=1))
+        err = info.value
+        assert err.iterations == 1
+        assert err.best.shape == (3,) and err.best[0] > 0.0
+        assert err.residual > 0.0
