@@ -258,8 +258,12 @@ def _run_wolfe(P, cfg, verbose=False):
 
 def _run_dual(P, cfg, verbose=False):
     out = solve_dual(P, cfg)
-    inside = out.status is DualStatus.UNBOUNDED_BELOW
-    rho = np.zeros(P.n) if inside else out.rho
+    # The exact witness decides UNBOUNDED_BELOW; a SOLVED answer votes by
+    # distance <= zero_tol, like the other routes.
+    if out.status is DualStatus.UNBOUNDED_BELOW:
+        rho, inside = np.zeros(P.n), True
+    else:
+        rho, inside = out.rho, None
     result = projection_result(
         P, rho, Route.DUAL, out.iterations, cfg, origin_inside=inside
     )
@@ -307,9 +311,9 @@ def detect_zero_membership(
     Votes are the ``origin_inside`` of the wolfe, dual, maximin and
     lcp-primal routes: the simplex QP reaching objective ~0, the dual
     active-set solver's infeasibility witness (convex weights ``alpha`` with
-    ``||alpha @ Z||`` at the rounding level of the vertices), the maximin
-    value ~0, and ray termination of the split-form complementarity
-    problem.  Raises ConflictingCharacterizations on a split
+    ``||alpha @ Z||`` at the rounding level of the vertices) or its solved
+    answer within ``zero_tol`` of the origin, the maximin value ~0, and ray
+    termination of the split-form complementarity problem.  Raises ConflictingCharacterizations on a split
     vote, which is always a numerical-tolerance failure worth surfacing; a
     route's own error, a failed VI check included, propagates.
     """

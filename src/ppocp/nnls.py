@@ -198,4 +198,6 @@ def project_via_nnls(
             "recovered support vector is numerically zero, which signals the "
             "origin inside the hull despite an applicable reduction"
         ) from err
-    return projection_result(P, rho, Route.NNLS, iterations, cfg, origin_inside=False)
+    # The origin-membership vote is distance <= zero_tol, as for the other
+    # routes' answers, so a hull within zero_tol of the origin votes inside.
+    return projection_result(P, rho, Route.NNLS, iterations, cfg)

@@ -160,8 +160,8 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
 
     Raises MaxIterExceeded when the answer needs more than ``cfg.max_iter``
     steps (adds and drops together), with the dual vector ``u = 2 lam`` of
-    the last step as ``best`` and the largest violation ``-min s`` as
-    ``residual``.
+    the last step as ``best``, the entering row's multiplier included, and
+    the largest violation ``-min s`` as ``residual``.
     """
     Z = P.vertices
     m = P.m
@@ -180,12 +180,11 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
         out[rows] = values
         return out
 
-    def give_up(message, violation):
+    def give_up(message, violation, entering, lam_entering):
+        best = weights(2.0 * lam, active)
+        best[entering] += 2.0 * lam_entering
         return MaxIterExceeded(
-            message,
-            best=weights(2.0 * lam, active),
-            residual=violation,
-            iterations=steps,
+            message, best=best, residual=violation, iterations=steps
         )
 
     while True:
@@ -195,14 +194,19 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             break
         if p in active:
             # Only rounding can make an active row the most violated one.
-            raise give_up(f"dual active-set solver stalled at vertex {p}", float(-s[p]))
+            raise give_up(
+                f"dual active-set solver stalled at vertex {p}", float(-s[p]), p, 0.0
+            )
         zp = Z[p]
         sp = float(s[p])
+        lam_p = 0.0  # the entering row's multiplier, built up by partial steps
         while True:
             if steps == cfg.max_iter:
                 raise give_up(
                     f"dual solver did not converge in {cfg.max_iter} active-set steps",
                     float(-s[p]),
+                    p,
+                    lam_p,
                 )
             q = Q.T @ zp
             z = zp - Q @ q
@@ -233,6 +237,7 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             t2 = np.inf if dependent else -sp / curvature
             t = min(t1, t2)
             lam = lam - t * r
+            lam_p += t
             sp += t * curvature
             if t2 <= t1:
                 active.append(p)

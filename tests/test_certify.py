@@ -18,7 +18,7 @@ from ppocp.certify import (
     detect_zero_membership,
     reference_projection,
 )
-from ppocp.core import Polyhedron, Route, projection_result
+from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result
 from ppocp.errors import OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
@@ -130,6 +130,19 @@ class TestDetectZeroMembership:
             assert detect_zero_membership(origin_inside_polyhedron(seed)).inside
             assert not detect_zero_membership(separated_polyhedron(seed)).inside
 
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 5e-9])
+    def test_hull_within_zero_tol_votes_inside(self, gap):
+        # The segment misses the origin by gap <= zero_tol: the dual solves
+        # it exactly, and its vote still follows zero_tol like the others.
+        votes = detect_zero_membership(Polyhedron(np.array([[1.0, gap], [-1.0, gap]])))
+        assert votes.unanimous and votes.inside
+
+    def test_dual_vote_follows_zero_tol(self):
+        P = Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]]))
+        assert certify.ROUTES["dual"](P, ToleranceConfig())[0].origin_inside
+        tight = ToleranceConfig(zero_tol=1e-10)
+        assert not certify.ROUTES["dual"](P, tight)[0].origin_inside
+
 
 class TestCrossCheck:
     def test_triangle_report(self):
@@ -155,6 +168,12 @@ class TestCrossCheck:
 
     def test_origin_inside_consensus(self):
         report = cross_check(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
+        assert report.verdict == "agree"
+        assert all(report.votes.values())
+
+    def test_hull_within_zero_tol_agrees(self):
+        report = cross_check(Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]])))
+        assert report.entries["nnls"].status == "ok"
         assert report.verdict == "agree"
         assert all(report.votes.values())
 

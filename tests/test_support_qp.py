@@ -377,3 +377,16 @@ class TestActiveSetSolver:
         assert err.iterations == 1
         assert err.best.shape == (3,) and err.best[0] > 0.0
         assert err.residual > 0.0
+
+    def test_budget_best_includes_entering_multiplier(self):
+        # z_0 enters first, at y = (1, 0) with lam_0 = 1.  z_1 = 0.5 z_0 +
+        # (0, 0.1) then drops z_0 after a partial step t = 2, at y = (1, 0.2);
+        # a third step adds z_1.
+        P = Polyhedron(np.array([[1.0, 0.0], [0.5, 0.1]]))
+        assert solve_dual(P).iterations == 3
+        with pytest.raises(MaxIterExceeded) as info:
+            solve_dual(P, ToleranceConfig(max_iter=2))
+        best = info.value.best
+        assert_allclose(best, [0.0, 4.0], rtol=1e-15)
+        # Stationarity y = -1/2 C^T u holds at the stopped iterate.
+        assert_allclose(recover_primal(constraint_matrix(P), best), [1.0, 0.2], rtol=1e-15)
