@@ -8,11 +8,13 @@ same criterion, equivalently ``rho`` in the ball-intersection set of
 ``core.in_omega``, as a certificate record, together with a hull witness
 (convex weights reproducing ``rho``) when one is available.
 
-Four independent characterizations decide whether the hull contains the
-origin; they are equivalent theorems, so a split vote is always surfaced as
-an error, never resolved silently.  The reference oracle is deliberately
-low-tech (exact face enumeration for up to four vertices) so that it shares
-no machinery with the routes it arbitrates.
+Four characterizations decide whether the hull contains the origin; they
+are equivalent theorems, so a split vote is always surfaced as an error,
+never resolved silently.  Each answer votes by ``core.projection_result``'s
+one rule: ``||rho|| <= zero_tol``, or an exact witness of the origin
+inside.  The reference oracle is deliberately low-tech (exact face
+enumeration for up to four vertices) so that it shares no machinery with
+the routes it arbitrates.
 """
 
 from __future__ import annotations
@@ -250,20 +252,14 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 
 def _run_wolfe(P, cfg, verbose=False):
     sol = solve_wolfe(P, cfg)
-    result = projection_result(
-        P, sol.rho, Route.WOLFE, sol.iterations, cfg, origin_inside=sol.origin_inside
-    )
+    result = projection_result(P, sol.rho, Route.WOLFE, sol.iterations, cfg)
     return _vi_checked(result, cfg), sol.alpha
 
 
 def _run_dual(P, cfg, verbose=False):
     out = solve_dual(P, cfg)
-    # The exact witness decides UNBOUNDED_BELOW; a SOLVED answer votes by
-    # distance <= zero_tol, like the other routes.
-    if out.status is DualStatus.UNBOUNDED_BELOW:
-        rho, inside = np.zeros(P.n), True
-    else:
-        rho, inside = out.rho, None
+    inside = out.status is DualStatus.UNBOUNDED_BELOW  # an exact witness
+    rho = np.zeros(P.n) if inside else out.rho
     result = projection_result(
         P, rho, Route.DUAL, out.iterations, cfg, origin_inside=inside
     )
@@ -272,10 +268,8 @@ def _run_dual(P, cfg, verbose=False):
 
 def _run_maximin(P, cfg, verbose=False):
     sol = solve_maximin(P, cfg)
-    result = projection_result(
-        P, sol.rho, Route.MAXIMIN, sol.iterations, cfg, origin_inside=sol.origin_inside
-    )
-    return _vi_checked(result, cfg), None
+    result = projection_result(P, sol.rho, Route.MAXIMIN, sol.iterations, cfg)
+    return _vi_checked(result, cfg), sol.alpha
 
 
 def _run_lcp(variant):
@@ -309,13 +303,13 @@ def detect_zero_membership(
     """Poll the four origin-membership characterizations.
 
     Votes are the ``origin_inside`` of the wolfe, dual, maximin and
-    lcp-primal routes: the simplex QP reaching objective ~0, the dual
-    active-set solver's infeasibility witness (convex weights ``alpha`` with
-    ``||alpha @ Z||`` at the rounding level of the vertices) or its solved
-    answer within ``zero_tol`` of the origin, the maximin value ~0, and ray
-    termination of the split-form complementarity problem.  Raises ConflictingCharacterizations on a split
-    vote, which is always a numerical-tolerance failure worth surfacing; a
-    route's own error, a failed VI check included, propagates.
+    lcp-primal routes: each answer within ``zero_tol`` of the origin votes
+    inside, and so do the two exact witnesses, the dual active-set solver's
+    infeasibility witness (convex weights ``alpha`` with ``||alpha @ Z||`` at
+    the rounding level of the vertices) and ray termination of the
+    split-form complementarity problem.  Raises ConflictingCharacterizations
+    on a split vote, which is always a numerical-tolerance failure worth
+    surfacing; a route's own error, a failed VI check included, propagates.
     """
     voters = ("wolfe", "dual", "maximin", "lcp-primal")  # ZeroMembershipVotes order
     votes = ZeroMembershipVotes(*(ROUTES[r](P, cfg)[0].origin_inside for r in voters))

@@ -280,21 +280,29 @@ def projection_result(
     route: Route,
     iterations: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    origin_inside: bool | None = None,
+    origin_inside: bool = False,
 ) -> ProjectionResult:
-    """Assemble a ProjectionResult, computing distance and the VI residual."""
+    """Assemble a ProjectionResult, computing distance and the VI residual.
+
+    This is where every route's origin-membership vote is decided, by one
+    rule: ``distance <= zero_tol``, unless ``origin_inside`` passes an exact
+    witness that the hull holds the origin (the dual's unbounded objective,
+    a Lemke ray).  A non-finite ``rho`` raises InternalInconsistency naming
+    the route.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho)):
+        raise InternalInconsistency(f"{route.value} projection is not finite: {rho}")
     rho = _vector(rho, P.n, "rho")
     distance = float(np.linalg.norm(rho))
     vi_min = float(vi_residuals(P, rho).min())
-    if origin_inside is None:
-        origin_inside = distance <= cfg.zero_tol
     return ProjectionResult(
         rho=rho,
         distance=distance,
         route=route,
         iterations=iterations,
         vi_min=vi_min,
-        origin_inside=bool(origin_inside),
+        origin_inside=bool(origin_inside or distance <= cfg.zero_tol),
     )
 
 

@@ -509,7 +509,8 @@ def extract_projection(
     Ray termination on the primal-split and dual-orthant variants certifies
     an empty feasible set, hence the origin inside the hull; the
     simplex-constrained variant is always solvable, so a ray there is an
-    inconsistency.  The extracted point is returned unchecked; the route
+    inconsistency.  A solved outcome votes by ``core.projection_result``'s
+    distance rule.  The extracted point is returned unchecked; the route
     runners in ``certify`` apply the variational-inequality check.
     """
     route = _ROUTE_OF_VARIANT[L.variant]
@@ -522,20 +523,16 @@ def extract_projection(
             P, np.zeros(P.n), route, O.pivots, cfg, origin_inside=True
         )
 
-    origin_inside = None
     if L.variant is LcpVariant.PRIMAL_SPLIT:
         y = O.v[: P.n] - O.v[P.n : 2 * P.n]  # y = s - s'
         rho = rho_from_ybar(y, cfg.zero_tol)
-        origin_inside = False
     elif L.variant is LcpVariant.WOLFE_KKT:
         alpha = np.maximum(O.v[: P.m], 0.0)
         alpha /= alpha.sum()
         rho = alpha @ P.vertices
-        origin_inside = float(rho @ rho) <= cfg.zero_tol
     else:
         S = constraint_matrix(P)
         y_bar = recover_primal(S, O.v)
         rho = rho_from_ybar(y_bar, cfg.zero_tol)
-        origin_inside = False
 
-    return projection_result(P, rho, route, O.pivots, cfg, origin_inside)
+    return projection_result(P, rho, route, O.pivots, cfg)

@@ -7,13 +7,13 @@ the unit vector pointing toward the projection.  The projection itself is
 then ``c * t(c)``.  When the hull contains the origin the optimal value is
 zero, reached already at ``c = 0``.
 
-The solver runs projected supergradient ascent with a ``1/(G sqrt(k))``
-schedule, tracking the best iterate, then polishes with Wolfe's
-minimum-norm-point algorithm (``core.refine_simplex_minimizer``, shared
-with the wolfe route) started from the best direction's active vertices,
-so the reported value meets the distance identity to near machine
-precision (the ascent phase alone converges far too slowly for that).
-``iterations`` counts ascent steps plus the polish's minor cycles.
+The maximizer is read off the hull's minimum-norm point ``w``: ``c = w/||w||``
+with value ``t = ||w||`` (the distance identity).  ``w`` comes from
+``core.refine_simplex_minimizer`` with the wolfe route's start and cycle
+cap, so both routes get bit-identical weights: their agreement is one solve
+plus one independent check, not two solvers.  The check is what is maximin
+here: ``t = min_i <c, z_i>`` must meet the distance identity.
+``iterations`` counts the kernel's minor cycles.
 """
 
 from __future__ import annotations
@@ -30,21 +30,22 @@ from .core import (
     refine_simplex_minimizer,
     support_value,
 )
+from .errors import MaxIterExceeded
 
 __all__ = ["MaximinSolution", "solve_maximin", "projection_from_maximin", "cone_nonempty"]
-
-_ASCENT_BUDGET = 200
 
 
 @dataclass(frozen=True)
 class MaximinSolution:
-    """Best direction found, its support value, and the recovered projection."""
+    """Best direction found, its support value, the recovered projection and
+    the kernel's convex weights ``alpha`` (a hull witness for ``rho``)."""
 
     c_hat: np.ndarray
     t_value: float
     rho: np.ndarray
     iterations: int
     origin_inside: bool
+    alpha: np.ndarray
 
 
 def projection_from_maximin(
@@ -61,77 +62,50 @@ def projection_from_maximin(
     return np.zeros_like(c_hat)
 
 
-def _origin_inside(n: int, iterations: int) -> MaximinSolution:
-    """The solution when the hull holds the origin: value zero at ``c = 0``."""
-    return MaximinSolution(
-        c_hat=np.zeros(n),
-        t_value=0.0,
-        rho=np.zeros(n),
-        iterations=iterations,
-        origin_inside=True,
-    )
-
-
 def solve_maximin(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> MaximinSolution:
     """Maximize ``min_i <c, z_i>`` over the unit ball.
 
-    Deterministic: ascent starts from the normalized vertex centroid, the
-    supergradient is the lowest-index achieving vertex, and iterates leaving
-    the ball are pulled back radially.
+    The direction is ``c_hat = w/||w||`` at the minimum-norm point ``w`` that
+    ``refine_simplex_minimizer`` finds from the uniform start within
+    ``cfg.max_iter`` major cycles (``c_hat = 0`` when ``w`` is exactly the
+    origin), and ``t_value = min_i <c_hat, z_i>``.  ``origin_inside`` is
+    ``||rho|| <= zero_tol``, the rule every route's answer votes by.
+
+    Raises
+    ------
+    MaxIterExceeded
+        If ``t_value`` misses the distance identity ``t = ||w||``, that is
+        when ``||w|| (||w|| - t_value)`` exceeds ``opt_tol`` (the gap
+        contract of the wolfe route); carries the kernel's weights.
     """
-    z = P.vertices
-    norms = np.linalg.norm(z, axis=1)
-    G = float(norms.max())
-    if G == 0.0:
-        # Every vertex sits at the origin; the hull is {0}.
-        return _origin_inside(P.n, 0)
-
-    centroid = z.mean(axis=0)
-    c_norm = float(np.linalg.norm(centroid))
-    c = centroid / c_norm if c_norm > 0 else np.zeros(P.n)
-
-    best_t = 0.0  # c = 0 is feasible with value 0
-    best_c = np.zeros(P.n)
-    iterations = 0
-    for k in range(1, min(cfg.max_iter, _ASCENT_BUDGET) + 1):
-        iterations += 1
-        t_c, idx = support_value(P, c)
-        if t_c > best_t:
-            best_t, best_c = t_c, c.copy()
-        step = 1.0 / (G * np.sqrt(k))
-        c = c + step * z[idx]
-        norm_c = float(np.linalg.norm(c))
-        if norm_c > 1.0:
-            c = c / norm_c
-
-    # Minimum-norm-point polish seeded from the best direction's active
-    # vertices: the optimality conditions tie the maximizer to the
-    # minimum-norm point of the active set's hull, so the polish closes the
-    # gap the ascent schedule cannot.  On an origin-inside hull best_c = 0
-    # makes every vertex active; the corral still starts from one of them.
-    values = z @ best_c
-    cutoff = best_t + 1e-6 * (1.0 + abs(best_t))
-    weights, polish_steps = refine_simplex_minimizer(z, values <= cutoff)
-    iterations += polish_steps
-
-    w = weights @ z
+    weights, iterations = refine_simplex_minimizer(
+        P.vertices, np.ones(P.m), max_cycles=cfg.max_iter
+    )
+    w = weights @ P.vertices
     w_norm = float(np.linalg.norm(w))
-    if w_norm > cfg.zero_tol:
-        c_hat = w / w_norm
-        t_value, _ = support_value(P, c_hat)
-        if t_value < best_t:
-            # Keep the ascent iterate if the polish somehow did worse.
-            c_hat, t_value = best_c, best_t
-        return MaximinSolution(
-            c_hat=c_hat,
-            t_value=t_value,
-            rho=projection_from_maximin(c_hat, t_value, cfg),
+    c_hat = w / w_norm if w_norm > 0.0 else w
+    t_value, _ = support_value(P, c_hat)
+    gap = w_norm * (w_norm - t_value)
+    if gap > cfg.opt_tol:
+        raise MaxIterExceeded(
+            f"maximin value {t_value:.17g} misses the distance identity "
+            f"t = ||w|| = {w_norm:.17g}: gap {gap:.3e} above {cfg.opt_tol:.1e} "
+            f"after {iterations} iterations",
+            best=weights,
+            residual=gap,
             iterations=iterations,
-            origin_inside=t_value <= cfg.zero_tol,
         )
-    return _origin_inside(P.n, iterations)
+    rho = projection_from_maximin(c_hat, t_value, cfg)
+    return MaximinSolution(
+        c_hat=c_hat,
+        t_value=t_value,
+        rho=rho,
+        iterations=iterations,
+        origin_inside=float(np.linalg.norm(rho)) <= cfg.zero_tol,
+        alpha=weights,
+    )
 
 
 def cone_nonempty(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

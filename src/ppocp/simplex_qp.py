@@ -98,7 +98,8 @@ def solve_wolfe(
         Problem instance.
     cfg : ToleranceConfig
         ``opt_tol`` is the stopping contract on the optimality gap;
-        ``zero_tol`` flags origin membership when the optimum is ~0.
+        ``zero_tol`` flags origin membership when ``||rho|| <= zero_tol``,
+        the rule every route's answer votes by.
     start : array, optional
         Initial weights (defaults to uniform); the corral starts at the
         lowest-norm vertex of their support.  Exposed so tests can verify
@@ -137,6 +138,6 @@ def solve_wolfe(
         phi=phi_val,
         gap=gap,
         iterations=iterations,
-        origin_inside=phi_val <= cfg.zero_tol,
+        origin_inside=float(np.linalg.norm(x)) <= cfg.zero_tol,
         trace=tuple(trace) if record_trace else None,
     )

@@ -51,3 +51,10 @@ def separated_polyhedron(seed, margin=0.5, max_m=12, max_n=8, box=5.0):
     d /= np.linalg.norm(d)
     shift = margin - float(np.min(z @ d))
     return Polyhedron(z + shift * d)
+
+
+def far_vertex_kernel(Z, alpha, max_cycles=None, trace=None):
+    """Stand-in for ``refine_simplex_minimizer`` that stops at the farthest vertex."""
+    weights = np.zeros(len(Z))
+    weights[int(np.argmax(np.linalg.norm(Z, axis=1)))] = 1.0
+    return weights, 1

@@ -212,3 +212,26 @@ class TestCrossCheck:
             report = cross_check(P)
             assert report.verdict == "agree"
             assert np.allclose(report.rho, expected, atol=1e-8)
+
+    def test_hull_just_outside_zero_tol_votes_outside(self):
+        # Distance 1e-5: above zero_tol, below sqrt(zero_tol).  Every route
+        # votes by the distance itself, so none calls the origin inside.
+        P = Polyhedron(np.array([[1.0, 1e-5], [-1.0, 1e-5]]))
+        report = cross_check(P)
+        assert report.verdict == "agree"
+        assert all(e.status == "ok" for e in report.entries.values())
+        assert not any(e.result.origin_inside for e in report.entries.values())
+        assert not solve_wolfe(P).origin_inside
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[[1e-300, 0.0]], [[3e-155]], [[1e-160, 0.0], [0.0, 1e-160]]],
+    )
+    def test_non_finite_projection_is_route_error(self, vertices):
+        # The nnls dual variable overflows at these scales; the route's entry
+        # becomes an error naming it instead of an uncaught exception.
+        with np.errstate(all="ignore"):
+            report = cross_check(Polyhedron(np.array(vertices)))
+        assert report.entries["nnls"].status == "error"
+        assert "nnls" in report.entries["nnls"].error
+        assert report.verdict == "conflict"

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE
+from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE, far_vertex_kernel
 from ppocp import certify, cli
 from ppocp.core import Polyhedron
 
@@ -272,3 +272,63 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+class TestMaximinCertificate:
+    def test_hull_witness_catches_non_optimal_direction(self, tmp_path, capsys, monkeypatch):
+        # Any answer rho = c t(c) with unit c passes the VI check, since
+        # min_i <z_i - rho, rho> = t^2 - t^2 = 0; the kernel's weights do not
+        # combine to it unless c is the optimal direction.
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-5.0, 5.0, size=(12, 4))
+        d = rng.normal(size=4)
+        d /= np.linalg.norm(d)
+        z += (0.5 - float(np.min(z @ d))) * d
+        real = certify.solve_maximin
+
+        def off_direction(P, cfg):
+            sol = real(P, cfg)
+            c = sol.c_hat + 0.05 * np.array([1.0, -1.0, 0.5, 0.0])
+            c /= np.linalg.norm(c)
+            t = float(np.min(P.vertices @ c))
+            assert t > 0.0
+            return dataclasses.replace(sol, c_hat=c, t_value=t, rho=c * t)
+
+        monkeypatch.setattr(certify, "solve_maximin", off_direction)
+        path = write_instance(tmp_path, z.tolist())
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["certificate"]["checks"]}
+        assert checks["vi-min"]["passed"] and checks["omega-ball"]["passed"]
+        assert not checks["hull-witness"]["passed"]
+
+    def test_maximin_prints_passing_hull_witness(self, tmp_path, capsys):
+        path = write_instance(tmp_path, TRIANGLE)
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["passed"] is True
+        assert [c["name"] for c in cert["checks"]][-1] == "hull-witness"
+        assert np.allclose(np.array(cert["alpha_witness"]) @ np.array(TRIANGLE), [1.0, 1.0])
+
+    def test_distance_identity_miss_exits_3(self, tmp_path, capsys, monkeypatch):
+        from ppocp import maximin
+
+        monkeypatch.setattr(maximin, "refine_simplex_minimizer", far_vertex_kernel)
+        path = write_instance(tmp_path, TRIANGLE)
+        code, out, err = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 3
+        assert out == ""
+        assert "distance identity" in err
+
+
+@pytest.mark.parametrize("method", ["nnls", "all"])
+@pytest.mark.parametrize(
+    "vertices", [[[1e-300, 0.0]], [[3e-155]], [[1e-160, 0.0], [0.0, 1e-160]]]
+)
+def test_non_finite_projection_exits_4(tmp_path, capsys, method, vertices):
+    path = write_instance(tmp_path, vertices)
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(capsys, "--input", path, "--method", method)
+    assert code == 4
+    assert "conflict" in err

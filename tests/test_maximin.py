@@ -8,11 +8,14 @@ from conftest import (
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
+    far_vertex_kernel,
     origin_inside_polyhedron,
     random_polyhedron,
     separated_polyhedron,
 )
+from ppocp import maximin
 from ppocp.core import Polyhedron, support_value, vi_residuals
+from ppocp.errors import MaxIterExceeded
 from ppocp.maximin import cone_nonempty, projection_from_maximin, solve_maximin
 from ppocp.simplex_qp import solve_wolfe
 
@@ -111,3 +114,17 @@ class TestConeNonempty:
 
     def test_line_points(self):
         assert not cone_nonempty(Polyhedron(np.array(LINE_POINTS)))
+
+
+class TestSharedKernel:
+    def test_weights_match_wolfe_route_to_the_bit(self):
+        for seed in range(12):
+            for P in (separated_polyhedron(seed), origin_inside_polyhedron(seed)):
+                assert np.array_equal(solve_maximin(P).alpha, solve_wolfe(P).alpha)
+
+    def test_distance_identity_miss_raises(self, monkeypatch):
+        # A kernel answer at the far vertex [2, 2] gives t = sqrt(2) < ||w||.
+        monkeypatch.setattr(maximin, "refine_simplex_minimizer", far_vertex_kernel)
+        with pytest.raises(MaxIterExceeded) as info:
+            solve_maximin(Polyhedron(np.array(TRIANGLE)))
+        assert info.value.residual == pytest.approx(4.0)
