@@ -119,7 +119,6 @@ def _config_from(ns) -> ToleranceConfig:
         opt_tol=ns.tol if ns.tol is not None else defaults.opt_tol,
         zero_tol=ns.zero_tol if ns.zero_tol is not None else defaults.zero_tol,
         max_iter=ns.max_iter if ns.max_iter is not None else defaults.max_iter,
-        unbounded_cap=defaults.unbounded_cap,
     )
 
 

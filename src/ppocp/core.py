@@ -45,21 +45,18 @@ class ToleranceConfig:
     """Numerical thresholds shared by all routes.
 
     feas_tol bounds constraint violations, opt_tol bounds optimality
-    residuals, zero_tol decides when the origin is declared inside the hull,
-    and unbounded_cap bounds the ray of the Lemke ray certificate
-    (``lcp._ray_certificate``); the dual route does not use it.  Thresholds
-    are absolute, so callers working with very large or very small vertex
-    coordinates should scale them accordingly.
+    residuals, and zero_tol decides when the origin is declared inside the
+    hull.  Thresholds are absolute, so callers working with very large or
+    very small vertex coordinates should scale them accordingly.
     """
 
     feas_tol: float = 1e-9
     opt_tol: float = 1e-8
     zero_tol: float = 1e-8
     max_iter: int = 100_000
-    unbounded_cap: float = 1e8
 
     def __post_init__(self):
-        for name in ("feas_tol", "opt_tol", "zero_tol", "max_iter", "unbounded_cap"):
+        for name in ("feas_tol", "opt_tol", "zero_tol", "max_iter"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -24,6 +24,11 @@ origin.
 The engine pivots a dense ``k x (2k+1)`` tableau by one rank-one update per
 pivot, checks the basis invariant in ``O(k)``, breaks exact ratio ties
 lexicographically, and rebuilds the tableau from the data every 8 pivots.
+``lemke_solve`` makes at most two attempts, both on the same perturbed
+right-hand side: ``M`` as given, then ``M`` with a small positive-definite
+shift.  Either attempt's solution is re-solved on its complementary basis
+against the unshifted data and verified there; a shifted solution that
+fails verification may instead certify a ray.
 """
 
 from __future__ import annotations
@@ -101,8 +106,8 @@ class LcpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LCPOutcome:
-    """``pivots`` counts the final escalation attempt; ``pivots_total`` every
-    attempt, abandoned ones included (defaults to ``pivots``)."""
+    """``pivots`` counts the final attempt; ``pivots_total`` both attempts,
+    an abandoned first one included (defaults to ``pivots``)."""
 
     status: LcpStatus
     w: np.ndarray | None
@@ -222,7 +227,7 @@ def _pivot_path(M, q, k, verbose):
     rows that tie exactly on ``rhs / col``.  Every 8 pivots the tableau is
     refactored exactly from the basis to shed accumulated drift.
 
-    Returns ``("solution", (basis, w, v), pivots)``, ``("ray", None,
+    Returns ``("solution", (basis, v), pivots)``, ``("ray", None,
     pivots)``, or ``("cycle", None, pivots)`` when a basis repeats
     (floating-point noise in tied ratio tests can defeat the lexicographic
     rule); raises PivotLimitExceeded past the ``50 k`` safeguard.
@@ -304,7 +309,7 @@ def _pivot_path(M, q, k, verbose):
                 return "cycle", None, pivots
             values = np.zeros(2 * k + 1)
             values[basis] = rhs
-            return "solution", (list(basis), values[:k], values[k : 2 * k]), pivots
+            return "solution", (list(basis), values[k : 2 * k]), pivots
         entering = leaving + k if leaving < k else leaving - k
         key = member.tobytes()
         if key in seen:
@@ -332,15 +337,20 @@ def _solve_on_basis(M, q, basis, k):
     return solution[:k], solution[k:]
 
 
-def _ray_certificate(M, q, v_pert, cap):
+# Iterate-norm cap of the ray certificate: a complementary solution forced
+# beyond this norm counts as none.  Absolute, like every threshold here.
+UNBOUNDED_CAP = 1e8
+
+
+def _ray_certificate(M, q, v_pert):
     """Farkas-style infeasibility check from an exploding regularized run.
 
     A vector ``u >= 0`` with ``M^T u <= delta`` and ``<q, u> = -margin < 0``
     proves that any complementary solution must satisfy
-    ``||v|| >= margin / delta``; when that bound exceeds the iterate-norm cap
-    the problem is reported infeasible, the same convention the dual solver
-    uses for divergence.  The candidate direction is the normalized
-    regularized solution, sharpened by a least-squares solve on its support.
+    ``||v|| >= margin / delta``; when that bound exceeds ``UNBOUNDED_CAP``
+    the problem is reported infeasible.  The candidate direction is the
+    normalized regularized solution, sharpened by a least-squares solve on
+    its support.
     """
     k = M.shape[0]
     total = float(v_pert.sum())
@@ -363,28 +373,7 @@ def _ray_certificate(M, q, v_pert, cap):
     sharp[support] = x
     violation = float(np.linalg.norm(np.maximum(M.T @ sharp, 0.0)))
     margin = -float(q @ sharp)
-    return margin > 0.0 and violation * cap <= margin
-
-
-def _solve_on_support(M, q, w_pert, v_pert, eps_use):
-    """Re-solve using only the clearly positive variables of a perturbed run.
-
-    The perturbed path identifies which complementary variables carry the
-    solution; a least-squares solve of ``M v + q = 0`` on the rows whose
-    ``w`` vanishes then recovers the unperturbed values with conditioning
-    governed by the problem data rather than by a possibly degenerate
-    terminal basis, and ``w = M v + q`` holds by construction.
-    """
-    scale = 1.0 + max(float(np.abs(w_pert).max()), float(np.abs(v_pert).max()))
-    tol_pos = np.sqrt(eps_use) * scale
-    on_v = v_pert > tol_pos
-    zero_rows = ~(w_pert > tol_pos)
-    v = np.zeros_like(v_pert)
-    if on_v.any() and zero_rows.any():
-        sol, *_ = np.linalg.lstsq(M[np.ix_(zero_rows, on_v)], -q[zero_rows], rcond=None)
-        v[on_v] = sol
-    v = np.maximum(v, 0.0)
-    return M @ v + q, v
+    return margin > 0.0 and violation * UNBOUNDED_CAP <= margin
 
 
 def lemke_solve(
@@ -392,17 +381,20 @@ def lemke_solve(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     verbose: bool = False,
 ) -> LCPOutcome:
-    """Complementary pivoting with the all-ones covering vector.
+    """Complementary pivoting with the all-ones covering vector, in two attempts.
 
     The constructions here are heavily degenerate (blocks of exact zeros in
     ``q``, a rank-deficient split form), and floating-point noise in tied
-    ratio tests can derail the pivot path into a spurious ray.  The solver
-    therefore pivots on a deterministically perturbed right-hand side
-    ``q + eps * delta`` with ``delta > 0`` and ``eps`` too small to flip any
-    sign: a perturbed ray still certifies infeasibility of the original
+    ratio tests can derail the pivot path into a spurious ray.  Both
+    attempts therefore pivot on a deterministically perturbed right-hand
+    side ``q + eps * delta`` with ``delta > 0`` and ``eps`` too small to flip
+    any sign: a perturbed ray still certifies infeasibility of the original
     problem, and a perturbed solution hands back its complementary basis, on
-    which the original system is re-solved directly and verified.  Failed
-    verification escalates ``eps`` before giving up.
+    which the original system is re-solved directly and verified.  The
+    first attempt pivots on ``M`` as given; the second, run when the first
+    cycles or fails verification, on ``M`` plus a small positive-definite
+    shift.  Its solution is verified the same way, and one that fails may
+    still certify a ray (``_ray_certificate``).
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)
@@ -419,40 +411,24 @@ def lemke_solve(
     scale_q = 1.0 + float(np.abs(q).max())
     scale_m = 1.0 + float(np.abs(M).max())
     bound = cfg.feas_tol * (1.0 + float(np.linalg.norm(q)))
+    eps_use = min(1e-7 * scale_q, 0.25 * float(-q.min()))
+    q_pert = q + eps_use * delta
 
-    def verified(w, v):
-        residual = float(np.linalg.norm(w - (M @ v + q)))
-        negativity = -min(float(w.min()), float(v.min()), 0.0)
-        return residual <= bound and negativity <= bound, (residual, negativity)
-
-    # Attempts: right-hand-side perturbation alone first (it preserves the
-    # ray/infeasibility semantics exactly), then with a positive-definite
-    # shift of M.  A rank-deficient quadratic block forces the pivot path
-    # through nearly singular bases where rounding derails it; the shifted
-    # problem pivots cleanly and only the support of its solution is kept,
-    # so the values returned are always re-solved and verified against the
-    # unshifted data.
-    attempts = (
-        (1e-7, 0.0),
-        (1e-5, 0.0),
-        (1e-7, 1e-8),
-        (1e-5, 1e-6),
-        (1e-3, 1e-4),
-    )
+    # The unshifted attempt keeps the ray semantics exactly and, in every
+    # corpus measured, answers the separated hulls.  On origin-inside hulls a
+    # rank-deficient quadratic block can steer it through nearly singular
+    # bases into a cycle; the shifted attempt pivots cleanly and answers.
     last_diag = None
     last_error = None
-    spent = 0  # pivots of abandoned attempts
+    spent = 0  # pivots of an abandoned first attempt
 
     def outcome_of(status, w, v, pivots):
         return LCPOutcome(status, w, v, pivots, pivots_total=spent + pivots)
 
-    for eps_rel, reg_rel in attempts:
-        eps_use = min(eps_rel * scale_q, 0.25 * float(-q.min()))
-        M_eff = M if reg_rel == 0.0 else M + (reg_rel * scale_m) * np.eye(k)
+    for shift in (0.0, 1e-8 * scale_m):
+        M_eff = M if shift == 0.0 else M + shift * np.eye(k)
         try:
-            outcome, payload, pivots = _pivot_path(
-                M_eff, q + eps_use * delta, k, verbose
-            )
+            outcome, payload, pivots = _pivot_path(M_eff, q_pert, k, verbose)
         except PivotLimitExceeded as err:
             last_error = err
             spent += err.pivots
@@ -467,26 +443,23 @@ def lemke_solve(
             )
             spent += pivots
             continue
-        basis, w_pert, v_pert = payload
+        basis, v_pert = payload
         w, v = _solve_on_basis(M, q, basis, k)
-        ok, diag = verified(w, v)
-        if ok:
+        residual = float(np.linalg.norm(w - (M @ v + q)))
+        negativity = max(0.0, -min(float(w.min()), float(v.min())))
+        if residual <= bound and negativity <= bound:
             return outcome_of(LcpStatus.SOLUTION, w, v, pivots)
-        w, v = _solve_on_support(M, q, w_pert, v_pert, eps_use)
-        ok, diag2 = verified(w, v)
-        if ok:
-            return outcome_of(LcpStatus.SOLUTION, w, v, pivots)
-        if reg_rel > 0.0 and _ray_certificate(M, q, v_pert, cfg.unbounded_cap):
+        if shift > 0.0 and _ray_certificate(M, q, v_pert):
             # The shifted problem is always solvable, so its exploding
             # solution is what infeasibility of the original looks like.
             return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
-        last_diag = (diag, diag2)
+        last_diag = (residual, negativity)
         spent += pivots
 
     if last_diag is not None:
         raise InternalInconsistency(
-            "complementary solution failed verification at every perturbation "
-            f"level: basis solve {last_diag[0]}, support solve {last_diag[1]}"
+            "complementary solution failed verification: basis solve residual "
+            f"{last_diag[0]:.3e}, negativity {last_diag[1]:.3e}"
         )
     raise last_error
 

@@ -36,7 +36,7 @@ from .core import (
     constraint_matrix,
     projection_result,
 )
-from .errors import MaxIterExceeded, ZeroVector
+from .errors import MaxIterExceeded
 from .support_qp import recover_primal, rho_from_ybar
 
 __all__ = [
@@ -179,9 +179,9 @@ def project_via_nnls(
     Returns None when no valid right-hand side exists (the reduction is
     inapplicable for this instance; callers fall back to other routes).
 
-    Raises ZeroVector if the recovered support vector is numerically zero;
-    an applicable reduction implies the hull misses the origin, so that can
-    only mean the instance sits at the applicability tolerance boundary.
+    Raises ZeroVector if the recovered support vector is numerically zero,
+    which places the hull at least ``1 / zero_tol`` from the origin
+    (``support_qp.invert_support_vector``).
     The result is returned unchecked; the nnls runner in ``certify`` applies
     the variational-inequality check.
     """
@@ -190,14 +190,7 @@ def project_via_nnls(
     if not reduction.applicable:
         return None
     x, iterations = _lawson_hanson(S.C.T, reduction.b, cfg)
-    try:
-        y_star = recover_primal(S, x)
-        rho = rho_from_ybar(y_star, cfg.zero_tol)
-    except ZeroVector as err:
-        raise ZeroVector(
-            "recovered support vector is numerically zero, which signals the "
-            "origin inside the hull despite an applicable reduction"
-        ) from err
+    rho = rho_from_ybar(recover_primal(S, x), cfg.zero_tol)
     # The origin-membership vote is distance <= zero_tol, as for the other
     # routes' answers, so a hull within zero_tol of the origin votes inside.
     return projection_result(P, rho, Route.NNLS, iterations, cfg)

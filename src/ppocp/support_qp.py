@@ -92,12 +92,18 @@ def invert_support_vector(y, zero_tol: float = DEFAULT_TOLERANCES.zero_tol):
 
     This involution exchanges the halfspace set ``D`` with the ball-defined
     set of support vectors, and in particular carries the minimum-norm point
-    of ``D`` to the projection itself.
+    of ``D`` to the projection itself.  Since ``||y|| = 1 / distance`` there,
+    a ``y`` with ``||y|| <= zero_tol`` is refused with ZeroVector: it places
+    the hull at least ``1 / zero_tol`` from the origin.
     """
     y = np.asarray(y, dtype=float)
     norm_sq = float(y @ y)
     if norm_sq <= zero_tol * zero_tol:
-        raise ZeroVector("cannot invert a numerically zero vector")
+        raise ZeroVector(
+            f"support vector has ||y|| = {np.sqrt(norm_sq):.3e} <= zero_tol "
+            f"= {zero_tol:.3e}; as ||y|| = 1/distance, the hull lies at least "
+            f"{1.0 / zero_tol:.3e} from the origin"
+        )
     return y / norm_sq
 
 

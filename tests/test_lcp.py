@@ -11,6 +11,7 @@ from conftest import (
     separated_polyhedron,
 )
 from ppocp.core import Polyhedron, Route, constraint_matrix
+from ppocp import lcp
 from ppocp.errors import InconsistentOutcome, InternalInconsistency
 from ppocp.lcp import (
     _check_complementary_basis,
@@ -27,6 +28,15 @@ from ppocp.lcp import (
 from ppocp.support_qp import dual_objective, solve_dual
 
 ALL_VARIANTS = (LcpVariant.PRIMAL_SPLIT, LcpVariant.WOLFE_KKT, LcpVariant.DUAL_ORTHANT)
+
+
+def _origin_inside_80x20(seed):
+    # The benchmark's origin-inside generator: the first vertex closes a
+    # strictly positive combination of the others.
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-5.0, 5.0, size=(79, 20))
+    lam = rng.uniform(0.2, 1.0, size=80)
+    return Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z]))
 
 
 class TestCanonicalizePrimal:
@@ -174,12 +184,28 @@ class TestLemkeSolve:
         assert_array_equal(out.v, [0.0, 0.0])
 
     def test_pivots_total_counts_abandoned_attempts(self):
-        # The unregularised attempts cycle on this rank-deficient instance
-        # before a shifted one succeeds; pivots counts only that last one.
+        # The unshifted attempt cycles on this rank-deficient instance before
+        # the shifted one succeeds; pivots counts only that last one.
         P = Polyhedron(np.random.default_rng(0).uniform(-5, 5, (200, 50)))
         out = lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT))
         assert out.pivots > 0
         assert out.pivots_total > out.pivots
+
+    def test_gives_up_after_two_attempts(self, monkeypatch):
+        # At box 1e3 this hull fails verification on both attempts; the
+        # solver must give up after the shifted one, not escalate further.
+        P = random_polyhedron(9, box=1e3)
+        calls = []
+        pivot_path = lcp._pivot_path
+
+        def counted(*args):
+            calls.append(args)
+            return pivot_path(*args)
+
+        monkeypatch.setattr(lcp, "_pivot_path", counted)
+        with pytest.raises(InternalInconsistency, match="failed verification"):
+            lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT))
+        assert len(calls) == 2
 
     def test_pivots_total_equals_pivots_on_first_attempt(self):
         L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
@@ -222,6 +248,13 @@ class TestLemkeSolve:
             P = origin_inside_polyhedron(seed)
             out = lemke_solve(build_lcp(P, variant))
             assert out.status is LcpStatus.RAY_TERMINATION
+        if variant is LcpVariant.DUAL_ORTHANT:
+            # 80x20 hulls on which the unshifted attempt cycles and the
+            # shifted attempt's ray certificate must find the ray.
+            for seed in (17, 22, 39):
+                out = lemke_solve(build_lcp(_origin_inside_80x20(seed), variant))
+                assert out.status is LcpStatus.RAY_TERMINATION
+                assert out.pivots_total > out.pivots
 
     def test_wolfe_variant_always_solves(self):
         for seed in range(10):

@@ -42,9 +42,9 @@ class TestInvertSupportVector:
         assert_allclose(invert_support_vector(invert_support_vector(y)), y, rtol=1e-15)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(ZeroVector, match=r"\|\|y\|\| = 0\.000e\+00"):
             invert_support_vector(np.array([0.0, 0.0]))
-        with pytest.raises(ZeroVector):
+        with pytest.raises(ZeroVector, match=r"\|\|y\|\| = 1\.000e-12 <= zero_tol"):
             invert_support_vector(np.array([1e-12, 0.0]))
 
     def test_exchanges_the_two_feasible_sets(self):
