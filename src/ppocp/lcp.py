@@ -24,11 +24,13 @@ origin.
 The engine pivots a dense ``k x (2k+1)`` tableau by one rank-one update per
 pivot, checks the basis invariant in ``O(k)``, breaks exact ratio ties
 lexicographically, and rebuilds the tableau from the data every 8 pivots.
-``lemke_solve`` makes at most two attempts, both on the same perturbed
-right-hand side: ``M`` as given, then ``M`` with a small positive-definite
-shift.  Either attempt's solution is re-solved on its complementary basis
-against the unshifted data and verified there; a shifted solution that
-fails verification may instead certify a ray.
+The rebuild solves only the block of the basis that its basic ``w``
+columns, which are unit vectors, leave open; no rebuild runs once the path
+reaches a solution.  ``lemke_solve`` makes at most two attempts, both on the
+same perturbed right-hand side: ``M`` as given, then ``M`` with a small
+positive-definite shift.  Either attempt's solution is re-solved on its
+complementary basis against the unshifted data and verified there; a
+shifted solution that fails verification may instead certify a ray.
 """
 
 from __future__ import annotations
@@ -218,6 +220,34 @@ def _pivot(T, rhs, row, col):
     T[row, col] = 1.0
 
 
+def _refactor(data, basis, k):
+    """Row-reduce ``data = [I | -M | -d | q]`` to the basis: ``B^-1 data``.
+
+    A basic ``w_j`` column of ``B = data[:, basis]`` is the unit vector
+    ``e_j``, so only the ``p x p`` block ``Y`` of the other basic columns
+    (``v`` and ``z0``), on the rows that no basic ``w`` covers, needs a
+    solve.  Those rows of the result are ``Z = Y^-1 data[rows]``; the row of
+    each basic ``w_j`` follows as ``data[j] - data[j, others] @ Z``.  Returns
+    None when ``Y`` is singular or the result is not finite.
+    """
+    basis = np.asarray(basis)
+    on_w = basis < k
+    rows_w = basis[on_w]
+    others = basis[~on_w]
+    rows = np.ones(k, dtype=bool)
+    rows[rows_w] = False
+    try:
+        Z = np.linalg.solve(data[np.ix_(rows, others)], data[rows])
+    except np.linalg.LinAlgError:
+        return None
+    out = np.empty_like(data)
+    out[~on_w] = Z
+    out[on_w] = data[rows_w] - data[np.ix_(rows_w, others)] @ Z
+    if not np.all(np.isfinite(out)):
+        return None
+    return out
+
+
 def _pivot_path(M, q, k, verbose):
     """Run the complementary pivot sequence on one right-hand side.
 
@@ -225,37 +255,23 @@ def _pivot_path(M, q, k, verbose):
     by an ``O(k)`` check of the complementary-basis invariant.  The leaving
     row is the lexicographic minimum ratio; the full key sort runs only over
     rows that tie exactly on ``rhs / col``.  Every 8 pivots the tableau is
-    refactored exactly from the basis to shed accumulated drift.
+    rebuilt exactly from the basis (``_refactor``) to shed accumulated drift.
 
-    Returns ``("solution", (basis, v), pivots)``, ``("ray", None,
-    pivots)``, or ``("cycle", None, pivots)`` when a basis repeats
-    (floating-point noise in tied ratio tests can defeat the lexicographic
-    rule); raises PivotLimitExceeded past the ``50 k`` safeguard.
+    Returns ``("solution", basis, pivots)`` once ``z0`` leaves, with no
+    rebuild there: the caller solves on the final basis itself.  Otherwise
+    ``("ray", None, pivots)``, or ``("cycle", None, pivots)`` when a basis
+    repeats (floating-point noise in tied ratio tests can defeat the
+    lexicographic rule) or a rebuild fails; raises PivotLimitExceeded past
+    the ``50 k`` safeguard.
     """
-    # Row-reduced system [I | -M | -d] x = q with x = (w, v, z0).
-    original = np.hstack([np.eye(k), -M, -np.ones((k, 1))])
-    T = original.copy()
+    # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q; the
+    # tableau and the right-hand side start as its two parts.
+    data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
+    T = data[:, :-1].copy()
     rhs = q.copy()
     basis = list(range(k))
     z0 = 2 * k
     eps = np.finfo(float).eps
-
-    def refactor() -> bool:
-        # Rebuild the row-reduced form exactly from the basis; long pivot
-        # sequences otherwise accumulate enough drift to steer the path into
-        # numerically singular bases.  Returns False when the basis itself
-        # is too ill-conditioned to continue.
-        nonlocal T, rhs
-        factor = original[:, basis]
-        try:
-            combined = np.linalg.solve(factor, np.column_stack([original, q]))
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(combined)):
-            return False
-        T = np.ascontiguousarray(combined[:, :-1])
-        rhs = combined[:, -1].copy()
-        return True
 
     # Initial pivot: bring the covering variable in where the right-hand side
     # is most negative (lexicographic tie-break), making every row feasible.
@@ -296,20 +312,21 @@ def _pivot_path(M, q, k, verbose):
         _pivot(T, rhs, row, entering)
         basis[row] = entering
         pivots += 1
-        since_refactor += 1
-        if since_refactor >= 8:
-            if not refactor():
-                return "cycle", None, pivots
-            since_refactor = 0
         member = _check_complementary_basis(basis, k)
         if verbose:
             _dump_tableau(basis, T, rhs, k)
         if leaving == z0:
-            if not refactor():
+            return "solution", list(basis), pivots
+        since_refactor += 1
+        if since_refactor >= 8:
+            # Long pivot sequences otherwise accumulate enough drift to steer
+            # the path into numerically singular bases.
+            rebuilt = _refactor(data, basis, k)
+            if rebuilt is None:
                 return "cycle", None, pivots
-            values = np.zeros(2 * k + 1)
-            values[basis] = rhs
-            return "solution", (list(basis), values[k : 2 * k]), pivots
+            T = np.ascontiguousarray(rebuilt[:, :-1])
+            rhs = rebuilt[:, -1].copy()
+            since_refactor = 0
         entering = leaving + k if leaving < k else leaving - k
         key = member.tobytes()
         if key in seen:
@@ -322,7 +339,7 @@ def _pivot_path(M, q, k, verbose):
 
 
 def _solve_on_basis(M, q, basis, k):
-    """Solve the original system on a complementary basis and assemble w, v."""
+    """Solve ``w = M v + q`` on a complementary basis and assemble w, v."""
     basis = np.asarray(basis)
     on_w = basis < k
     cols = np.zeros((k, k))
@@ -394,7 +411,9 @@ def lemke_solve(
     first attempt pivots on ``M`` as given; the second, run when the first
     cycles or fails verification, on ``M`` plus a small positive-definite
     shift.  Its solution is verified the same way, and one that fails may
-    still certify a ray (``_ray_certificate``).
+    still certify a ray (``_ray_certificate``): the certificate reads the
+    ``v`` that solves the shifted, perturbed system on the final basis,
+    computed only then.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)
@@ -428,7 +447,7 @@ def lemke_solve(
     for shift in (0.0, 1e-8 * scale_m):
         M_eff = M if shift == 0.0 else M + shift * np.eye(k)
         try:
-            outcome, payload, pivots = _pivot_path(M_eff, q_pert, k, verbose)
+            outcome, basis, pivots = _pivot_path(M_eff, q_pert, k, verbose)
         except PivotLimitExceeded as err:
             last_error = err
             spent += err.pivots
@@ -443,16 +462,17 @@ def lemke_solve(
             )
             spent += pivots
             continue
-        basis, v_pert = payload
         w, v = _solve_on_basis(M, q, basis, k)
         residual = float(np.linalg.norm(w - (M @ v + q)))
         negativity = max(0.0, -min(float(w.min()), float(v.min())))
         if residual <= bound and negativity <= bound:
             return outcome_of(LcpStatus.SOLUTION, w, v, pivots)
-        if shift > 0.0 and _ray_certificate(M, q, v_pert):
+        if shift > 0.0:
             # The shifted problem is always solvable, so its exploding
             # solution is what infeasibility of the original looks like.
-            return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
+            _, v_pert = _solve_on_basis(M_eff, q_pert, basis, k)
+            if _ray_certificate(M, q, v_pert):
+                return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
         last_diag = (residual, negativity)
         spent += pivots
 
