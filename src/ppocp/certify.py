@@ -11,15 +11,16 @@ same criterion, equivalently ``rho`` in the ball-intersection set of
 Four characterizations decide whether the hull contains the origin; they
 are equivalent theorems, so a split vote is always surfaced as an error,
 never resolved silently.  Each answer votes by ``core.projection_result``'s
-one rule: ``||rho|| <= zero_tol``, or an exact witness of the origin
-inside.  The reference oracle is deliberately low-tech (exact face
-enumeration for up to four vertices) so that it shares no machinery with
-the routes it arbitrates.
+one rule, ``||rho|| <= zero_tol``.  The reference oracle is deliberately
+low-tech (exact face enumeration for up to four vertices) so that it shares
+no machinery with the routes it arbitrates.  Every entry point solves
+``Z / s`` (``core.unit_scale``) and reports in the caller's units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .core import (
     Route,
     ToleranceConfig,
     projection_result,
+    unit_scale,
     vi_residuals,
 )
 from .errors import (
@@ -38,7 +40,7 @@ from .errors import (
     OracleScaleExceeded,
     PpocpError,
 )
-from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
+from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve, vertex_weights
 from .maximin import solve_maximin
 from .nnls import project_via_nnls
 from .simplex_qp import solve_wolfe
@@ -53,6 +55,7 @@ __all__ = [
     "ROUTES",
     "reference_projection",
     "check_optimality",
+    "run_route",
     "detect_zero_membership",
     "cross_check",
 ]
@@ -141,8 +144,6 @@ def _project_enumerate(z):
     number of candidates compared: every vertex, plus each larger face whose
     affine-hull projection has nonnegative weights.
     """
-    from itertools import combinations
-
     m = z.shape[0]
     best = None
     best_norm = np.inf
@@ -190,22 +191,26 @@ def check_optimality(
 ) -> Certificate:
     """Evaluate the optimality criterion at a candidate point.
 
+    Judged on ``Z / s`` as the routes are: ``vi_min`` against ``opt_tol s^2``,
+    the ball excess, witness and ``zero_inside`` against ``opt_tol``,
+    ``feas_tol`` and ``zero_tol`` times ``s``; residuals in the caller's units.
     Failures are recorded in the certificate, never raised: callers decide
     what a failed check means in context.
     """
     rho = np.asarray(rho, dtype=float)
+    U, s = unit_scale(P)
+    r = rho / s
     checks = []
 
-    residuals = vi_residuals(P, rho)
-    vi_min = float(residuals.min())
-    checks.append(CheckRecord("vi-min", vi_min >= -cfg.opt_tol, vi_min))
+    vi_min = float(vi_residuals(U, r).min())
+    checks.append(CheckRecord("vi-min", vi_min >= -cfg.opt_tol, vi_min * s * s))
 
     # Ball form of the membership test for the set containing every valid
     # projection: excess over each ball's radius must be ~nonpositive.
-    centers = P.vertices / 2.0
-    radii = np.linalg.norm(P.vertices, axis=1) / 2.0
-    excess = float((np.linalg.norm(rho - centers, axis=1) - radii).max())
-    checks.append(CheckRecord("omega-ball", excess <= cfg.opt_tol, excess))
+    centers = U.vertices / 2.0
+    radii = np.linalg.norm(U.vertices, axis=1) / 2.0
+    excess = float((np.linalg.norm(r - centers, axis=1) - radii).max())
+    checks.append(CheckRecord("omega-ball", excess <= cfg.opt_tol, excess * s))
 
     witness = None
     if alpha is not None:
@@ -213,18 +218,18 @@ def check_optimality(
         simplex_dev = max(
             float(abs(witness.sum() - 1.0)), float(max(-witness.min(), 0.0))
         )
-        combo_dev = float(np.linalg.norm(witness @ P.vertices - rho))
+        combo_dev = float(np.linalg.norm(witness @ U.vertices - r))
         ok = (
             simplex_dev <= cfg.feas_tol
-            and combo_dev <= cfg.feas_tol * (1.0 + float(np.linalg.norm(rho)))
+            and combo_dev <= cfg.feas_tol * (1.0 + float(np.linalg.norm(r)))
         )
-        checks.append(CheckRecord("hull-witness", ok, max(simplex_dev, combo_dev)))
+        checks.append(CheckRecord("hull-witness", ok, max(simplex_dev, combo_dev) * s))
 
     return Certificate(
         rho=rho,
-        vi_min=vi_min,
+        vi_min=vi_min * s * s,
         alpha_witness=witness,
-        zero_inside=float(np.linalg.norm(rho)) <= cfg.zero_tol,
+        zero_inside=float(np.linalg.norm(r)) <= cfg.zero_tol,
         checks=tuple(checks),
     )
 
@@ -245,9 +250,11 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 
 # Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns
 # ``(ProjectionResult, alpha_witness | None)``, with the result through
-# ``_vi_checked``, or None when the route does not apply.  Runners look the
-# solvers up as module globals at call time, so replacing
-# ``certify.solve_wolfe`` and its peers reaches every caller.
+# ``_vi_checked``, or None when the route does not apply; weights proving the
+# origin inside (the dual's unbounded objective, a Lemke ray) answer with the
+# point they combine to.  Runners look the solvers up as module globals at
+# call time, so replacing ``certify.solve_wolfe`` and its peers reaches every
+# caller.
 
 
 def _run_wolfe(P, cfg, verbose=False):
@@ -258,11 +265,9 @@ def _run_wolfe(P, cfg, verbose=False):
 
 def _run_dual(P, cfg, verbose=False):
     out = solve_dual(P, cfg)
-    inside = out.status is DualStatus.UNBOUNDED_BELOW  # an exact witness
-    rho = np.zeros(P.n) if inside else out.rho
-    result = projection_result(
-        P, rho, Route.DUAL, out.iterations, cfg, origin_inside=inside
-    )
+    inside = out.status is DualStatus.UNBOUNDED_BELOW
+    rho = out.alpha @ P.vertices if inside else out.rho
+    result = projection_result(P, rho, Route.DUAL, out.iterations, cfg)
     return _vi_checked(result, cfg), out.alpha
 
 
@@ -276,7 +281,8 @@ def _run_lcp(variant):
     def runner(P, cfg, verbose=False):
         instance = build_lcp(P, variant)
         outcome = lemke_solve(instance, cfg, verbose=verbose)
-        return _vi_checked(extract_projection(P, instance, outcome, cfg), cfg), None
+        result = extract_projection(P, instance, outcome, cfg)
+        return _vi_checked(result, cfg), vertex_weights(P, instance, outcome)
 
     return runner
 
@@ -284,6 +290,10 @@ def _run_lcp(variant):
 def _run_nnls(P, cfg, verbose=False):
     result = project_via_nnls(P, cfg)
     return None if result is None else (_vi_checked(result, cfg), None)
+
+
+def _run_oracle(P, cfg, verbose=False):
+    return _vi_checked(reference_projection(P, cfg), cfg), None
 
 
 ROUTES = {
@@ -297,22 +307,37 @@ ROUTES = {
 }
 
 
+def _scaled(runner, U, s, cfg, verbose=False):
+    """``runner``'s outcome on the unit instance ``U``, in units ``s`` times larger."""
+    outcome = runner(U, cfg, verbose=verbose)
+    if outcome is None:
+        return None
+    r, witness = outcome
+    r = replace(r, rho=r.rho * s, distance=r.distance * s, vi_min=r.vi_min * s * s)
+    return r, witness
+
+
+def run_route(
+    name: str, P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES, verbose=False
+):
+    """One ``ROUTES`` runner's outcome on ``P``, solved at unit scale."""
+    return _scaled(ROUTES[name], *unit_scale(P), cfg, verbose)
+
+
 def detect_zero_membership(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ZeroMembershipVotes:
-    """Poll the four origin-membership characterizations.
+    """Poll the four origin-membership characterizations, at unit scale.
 
     Votes are the ``origin_inside`` of the wolfe, dual, maximin and
-    lcp-primal routes: each answer within ``zero_tol`` of the origin votes
-    inside, and so do the two exact witnesses, the dual active-set solver's
-    infeasibility witness (convex weights ``alpha`` with ``||alpha @ Z||`` at
-    the rounding level of the vertices) and ray termination of the
-    split-form complementarity problem.  Raises ConflictingCharacterizations
-    on a split vote, which is always a numerical-tolerance failure worth
-    surfacing; a route's own error, a failed VI check included, propagates.
+    lcp-primal routes on ``Z / s``: each answer within ``zero_tol`` of the
+    origin votes inside.  Raises ConflictingCharacterizations on a split
+    vote, which is always a numerical-tolerance failure worth surfacing; a
+    route's own error, a failed VI check included, propagates.
     """
+    U, _ = unit_scale(P)
     voters = ("wolfe", "dual", "maximin", "lcp-primal")  # ZeroMembershipVotes order
-    votes = ZeroMembershipVotes(*(ROUTES[r](P, cfg)[0].origin_inside for r in voters))
+    votes = ZeroMembershipVotes(*(ROUTES[r](U, cfg)[0].origin_inside for r in voters))
     if not votes.unanimous:
         raise ConflictingCharacterizations(
             f"origin-membership characterizations disagree: {votes}", votes=votes
@@ -323,17 +348,19 @@ def detect_zero_membership(
 def cross_check(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ConsensusReport:
-    """Run every applicable route and compare the answers.
+    """Run every applicable route and the oracle at unit scale and compare.
 
     Per-route errors, an answer failing the VI check included, are captured
     in the report rather than aborting the remaining routes.  The verdict is
     ``agree`` only when all successful routes match pairwise within
-    ``1e-6 * (1 + max distance)`` and their origin-membership votes coincide.
+    ``1e-6 (s + max distance)`` and their origin-membership votes coincide.
     """
+    U, s = unit_scale(P)
+    runners = dict(ROUTES, oracle=_run_oracle) if U.m <= 4 else ROUTES
     entries: dict[str, RouteEntry] = {}
-    for name, runner in ROUTES.items():
+    for name, runner in runners.items():
         try:
-            outcome = runner(P, cfg)
+            outcome = _scaled(runner, U, s, cfg)
         except PpocpError as err:
             entries[name] = RouteEntry(status="error", error=str(err))
             continue
@@ -342,27 +369,16 @@ def cross_check(
         else:
             entries[name] = RouteEntry(status="ok", result=outcome[0])
 
-    if P.m <= 4:
-        try:
-            result = _vi_checked(reference_projection(P, cfg), cfg)
-            entries["oracle"] = RouteEntry(status="ok", result=result)
-        except PpocpError as err:
-            entries["oracle"] = RouteEntry(status="error", error=str(err))
-
     good = {name: e.result for name, e in entries.items() if e.status == "ok"}
-    max_dev = 0.0
-    names = list(good)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            dev = float(np.linalg.norm(good[names[i]].rho - good[names[j]].rho))
-            max_dev = max(max_dev, dev)
+    pairs = combinations([r.rho for r in good.values()], 2)
+    max_dev = max((float(np.linalg.norm(a - b)) for a, b in pairs), default=0.0)
 
     votes = {name: result.origin_inside for name, result in good.items()}
     max_distance = max((r.distance for r in good.values()), default=0.0)
     agree = (
         bool(good)
         and all(e.status != "error" for e in entries.values())
-        and max_dev <= 1e-6 * (1.0 + max_distance)
+        and max_dev <= 1e-6 * (s + max_distance)
         and len(set(votes.values())) <= 1
     )
     return ConsensusReport(

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .certify import ROUTES, check_optimality, cross_check
+from .certify import ROUTES, check_optimality, cross_check, run_route
 from .core import Polyhedron, ToleranceConfig, translate
 from .errors import (
     ConflictingCharacterizations,
@@ -265,7 +265,7 @@ def run(argv=None) -> int:
                 return 4
             return 0
 
-        outcome = ROUTES[ns.method](work, cfg, verbose=ns.verbose)
+        outcome = run_route(ns.method, work, cfg, verbose=ns.verbose)
         if outcome is None:
             _emit({"status": "not-applicable"}, ns.output)
             return 0

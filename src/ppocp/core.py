@@ -36,6 +36,7 @@ __all__ = [
     "in_omega",
     "in_D",
     "translate",
+    "unit_scale",
     "projection_result",
 ]
 
@@ -46,8 +47,8 @@ class ToleranceConfig:
 
     feas_tol bounds constraint violations, opt_tol bounds optimality
     residuals, and zero_tol decides when the origin is declared inside the
-    hull.  Thresholds are absolute, so callers working with very large or
-    very small vertex coordinates should scale them accordingly.
+    hull.  The entry points in ``certify`` and the CLI apply them to ``Z / s``
+    (``unit_scale``); solver functions called directly see ``Z`` as given.
     """
 
     feas_tol: float = 1e-9
@@ -212,7 +213,7 @@ def vi_residuals(P: Polyhedron, y) -> np.ndarray:
 
 
 def in_omega(P: Polyhedron, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership in ``{y : <z_i, y> >= ||y||^2 for all i}``.
+    """Membership in ``{y : <z_i, y> >= ||y||^2 for all i}``, thresholds absolute.
 
     The set is equivalently the intersection of the balls of radius
     ``||z_i||/2`` centered at ``z_i/2``; both characterizations are evaluated
@@ -253,9 +254,16 @@ def in_omega(P: Polyhedron, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> boo
 
 
 def in_D(P: Polyhedron, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership in ``{y : <z_i, y> >= 1 for all i}``."""
+    """Membership in ``{y : <z_i, y> >= 1 for all i}``, with ``feas_tol`` absolute."""
     y = _vector(y, P.n)
     return bool((P.vertices @ y >= 1.0 - cfg.feas_tol).all())
+
+
+def _derived(z) -> Polyhedron:
+    """A Polyhedron made from one whose duplicates were already reported."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return Polyhedron(z)
 
 
 def translate(P: Polyhedron, p) -> Polyhedron:
@@ -264,11 +272,21 @@ def translate(P: Polyhedron, p) -> Polyhedron:
     Projecting an arbitrary point ``p`` onto the hull reduces to projecting
     the origin onto the shifted hull and adding ``p`` back.
     """
-    p = _vector(p, P.n, "p")
-    with warnings.catch_warnings():
-        # Duplicates were already reported when P was built.
-        warnings.simplefilter("ignore")
-        return Polyhedron(P.vertices - p)
+    return _derived(P.vertices - _vector(p, P.n, "p"))
+
+
+def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:
+    """``(Polyhedron(Z / s), s)`` with ``s = 2^round(log2 max_i ||z_i||)``.
+
+    ``s`` is exact to divide by, so ``2^k P`` gives the same unit instance
+    with ``s`` times ``2^k``.  Norms are taken on ``Z`` over the binary
+    exponent of its largest entry, safe from overflow and underflow.
+    """
+    z = P.vertices
+    e = int(np.frexp(np.abs(z).max())[1])  # 0 when every vertex is the origin
+    norm = float(np.linalg.norm(np.ldexp(z, -e), axis=1).max())
+    k = min(e + round(float(np.log2(norm))), 1023) if norm > 0.0 else 0
+    return _derived(np.ldexp(z, -k)), float(np.ldexp(1.0, k))
 
 
 def projection_result(
@@ -277,15 +295,12 @@ def projection_result(
     route: Route,
     iterations: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    origin_inside: bool = False,
 ) -> ProjectionResult:
     """Assemble a ProjectionResult, computing distance and the VI residual.
 
     This is where every route's origin-membership vote is decided, by one
-    rule: ``distance <= zero_tol``, unless ``origin_inside`` passes an exact
-    witness that the hull holds the origin (the dual's unbounded objective,
-    a Lemke ray).  A non-finite ``rho`` raises InternalInconsistency naming
-    the route.
+    rule with no exception: ``distance <= zero_tol``.  A non-finite ``rho``
+    raises InternalInconsistency naming the route.
     """
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
@@ -299,7 +314,7 @@ def projection_result(
         route=route,
         iterations=iterations,
         vi_min=vi_min,
-        origin_inside=bool(origin_inside or distance <= cfg.zero_tol),
+        origin_inside=distance <= cfg.zero_tol,
     )
 
 

@@ -15,11 +15,16 @@ A complementarity problem asks for ``w = M v + q`` with ``w, v >= 0`` and
   smallest instance, ``M = B/2`` and ``q = -e``.
 
 All three matrices have positive semidefinite quadratic part (the bilinear
-blocks cancel), which is the class where Lemke's complementary pivoting
-terminates finitely: either with a solution or along an unbounded ray.  Ray
-termination certifies that the underlying feasible set is empty, which for
-the primal-split and dual-orthant variants means the hull contains the
-origin.
+blocks cancel), so they are copositive-plus: Lemke's method ends on a
+solution or on a secondary ray, which proves the problem infeasible (Lemke
+1965; Cottle, Pang & Stone, *The Linear Complementarity Problem*, ch. 4).
+The ray's direction has ``dv >= 0``, ``dw = M dv >= 0``, ``dv^T M dv = 0``
+and ``q^T dv < 0``.  For dual-orthant, ``u = dv`` and ``M = B/2`` give
+``Z^T u = 0``.  For primal-split, ``dv = (ds, ds', u)``, and
+``2 ||ds - ds'||^2 = dv^T M dv = 0`` leaves ``dw``'s first two blocks as
+``-Z^T u >= 0`` and ``Z^T u >= 0``, so ``Z^T u = 0``.  In both ``sum u > 0``
+by ``q^T dv < 0``, so ``u / sum u`` are convex weights combining the
+vertices to the origin.
 
 The engine pivots a dense ``k x (2k+1)`` tableau by one rank-one update per
 pivot, checks the basis invariant in ``O(k)``, breaks exact ratio ties
@@ -29,8 +34,8 @@ columns, which are unit vectors, leave open; no rebuild runs once the path
 reaches a solution.  ``lemke_solve`` makes at most two attempts, both on the
 same perturbed right-hand side: ``M`` as given, then ``M`` with a small
 positive-definite shift.  Either attempt's solution is re-solved on its
-complementary basis against the unshifted data and verified there; a
-shifted solution that fails verification may instead certify a ray.
+complementary basis against the unshifted data and verified there; either
+attempt's ray is returned as its direction.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ __all__ = [
     "canonicalize_primal",
     "build_lcp",
     "lemke_solve",
+    "vertex_weights",
     "extract_projection",
 ]
 
@@ -108,8 +114,9 @@ class LcpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LCPOutcome:
-    """``pivots`` counts the final attempt; ``pivots_total`` both attempts,
-    an abandoned first one included (defaults to ``pivots``)."""
+    """A solution ``(w, v)``, or a ray's direction ``v`` (``w`` None).
+    ``pivots`` counts the final attempt; ``pivots_total`` both attempts, an
+    abandoned first one included (defaults to ``pivots``)."""
 
     status: LcpStatus
     w: np.ndarray | None
@@ -259,10 +266,11 @@ def _pivot_path(M, q, k, verbose):
 
     Returns ``("solution", basis, pivots)`` once ``z0`` leaves, with no
     rebuild there: the caller solves on the final basis itself.  Otherwise
-    ``("ray", None, pivots)``, or ``("cycle", None, pivots)`` when a basis
-    repeats (floating-point noise in tied ratio tests can defeat the
-    lexicographic rule) or a rebuild fails; raises PivotLimitExceeded past
-    the ``50 k`` safeguard.
+    ``("ray", dv, pivots)`` with ``dv`` the ``v`` part of the ray's direction
+    (1 on the entering variable, ``-T[:, entering]`` on the basis), or
+    ``("cycle", None, pivots)`` when a basis repeats (floating-point noise in
+    tied ratio tests can defeat the lexicographic rule) or a rebuild fails;
+    raises PivotLimitExceeded past the ``50 k`` safeguard.
     """
     # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q; the
     # tableau and the right-hand side start as its two parts.
@@ -298,7 +306,10 @@ def _pivot_path(M, q, k, verbose):
         tol = 64.0 * eps * max(1.0, float(np.abs(col).max()))
         cand = np.flatnonzero(col > tol)
         if cand.size == 0:
-            return "ray", None, pivots
+            ray = np.zeros(2 * k + 1)
+            ray[basis] = -col
+            ray[entering] = 1.0
+            return "ray", ray[k : 2 * k], pivots
         # Lexicographic minimum ratio.  The (k+1)-key sort only breaks exact
         # ties on the first key, so it runs on the tied rows alone (on every
         # row when a ratio is NaN, since the minimum is then NaN).
@@ -354,45 +365,6 @@ def _solve_on_basis(M, q, basis, k):
     return solution[:k], solution[k:]
 
 
-# Iterate-norm cap of the ray certificate: a complementary solution forced
-# beyond this norm counts as none.  Absolute, like every threshold here.
-UNBOUNDED_CAP = 1e8
-
-
-def _ray_certificate(M, q, v_pert):
-    """Farkas-style infeasibility check from an exploding regularized run.
-
-    A vector ``u >= 0`` with ``M^T u <= delta`` and ``<q, u> = -margin < 0``
-    proves that any complementary solution must satisfy
-    ``||v|| >= margin / delta``; when that bound exceeds ``UNBOUNDED_CAP``
-    the problem is reported infeasible.  The candidate direction is the
-    normalized regularized solution, sharpened by a least-squares solve on
-    its support.
-    """
-    k = M.shape[0]
-    total = float(v_pert.sum())
-    if total <= 0.0:
-        return False
-    u = np.maximum(v_pert, 0.0) / total
-    support = np.flatnonzero(u > 1e-3 / k)
-    if support.size == 0:
-        return False
-    weight = 1e3 * (1.0 + float(np.abs(M).max()))
-    A = np.vstack([M[support, :].T, weight * np.ones(support.size)])
-    b = np.zeros(k + 1)
-    b[-1] = weight
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    x = np.maximum(x, 0.0)
-    if x.sum() <= 0.0:
-        return False
-    x /= x.sum()
-    sharp = np.zeros(k)
-    sharp[support] = x
-    violation = float(np.linalg.norm(np.maximum(M.T @ sharp, 0.0)))
-    margin = -float(q @ sharp)
-    return margin > 0.0 and violation * UNBOUNDED_CAP <= margin
-
-
 def lemke_solve(
     L: LCPInstance,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -405,15 +377,12 @@ def lemke_solve(
     ratio tests can derail the pivot path into a spurious ray.  Both
     attempts therefore pivot on a deterministically perturbed right-hand
     side ``q + eps * delta`` with ``delta > 0`` and ``eps`` too small to flip
-    any sign: a perturbed ray still certifies infeasibility of the original
-    problem, and a perturbed solution hands back its complementary basis, on
-    which the original system is re-solved directly and verified.  The
-    first attempt pivots on ``M`` as given; the second, run when the first
-    cycles or fails verification, on ``M`` plus a small positive-definite
-    shift.  Its solution is verified the same way, and one that fails may
-    still certify a ray (``_ray_certificate``): the certificate reads the
-    ``v`` that solves the shifted, perturbed system on the final basis,
-    computed only then.
+    any sign.  A ray is returned as its direction, which does not depend on
+    the right-hand side; a solution's complementary basis is re-solved
+    against the original data and verified against the backward-error bound
+    ``feas_tol (1 + ||q|| + max|M| ||v||)``.  The first attempt pivots on
+    ``M`` as given; the second, run when the first cycles or fails
+    verification, on ``M`` plus a small positive-definite shift.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)
@@ -428,60 +397,47 @@ def lemke_solve(
     # Gram-based instances (a smooth progression is not).
     delta = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)
     scale_q = 1.0 + float(np.abs(q).max())
-    scale_m = 1.0 + float(np.abs(M).max())
-    bound = cfg.feas_tol * (1.0 + float(np.linalg.norm(q)))
+    max_m = float(np.abs(M).max())
+    q_norm = float(np.linalg.norm(q))
     eps_use = min(1e-7 * scale_q, 0.25 * float(-q.min()))
     q_pert = q + eps_use * delta
 
-    # The unshifted attempt keeps the ray semantics exactly and, in every
-    # corpus measured, answers the separated hulls.  On origin-inside hulls a
-    # rank-deficient quadratic block can steer it through nearly singular
-    # bases into a cycle; the shifted attempt pivots cleanly and answers.
-    last_diag = None
+    # At unit scale the unshifted attempt answers all but a few origin-inside
+    # hulls, where a rank-deficient quadratic block steers it into a cycle or
+    # a failed verification; the shifted attempt then pivots cleanly.
+    failed = None  # the last failed verification, reported before a cycle
     last_error = None
-    spent = 0  # pivots of an abandoned first attempt
+    spent = 0  # pivots of every attempt so far
 
-    def outcome_of(status, w, v, pivots):
-        return LCPOutcome(status, w, v, pivots, pivots_total=spent + pivots)
-
-    for shift in (0.0, 1e-8 * scale_m):
+    for shift in (0.0, 1e-8 * (1.0 + max_m)):
         M_eff = M if shift == 0.0 else M + shift * np.eye(k)
         try:
-            outcome, basis, pivots = _pivot_path(M_eff, q_pert, k, verbose)
+            outcome, end, pivots = _pivot_path(M_eff, q_pert, k, verbose)
         except PivotLimitExceeded as err:
             last_error = err
             spent += err.pivots
             continue
+        spent += pivots
         if outcome == "ray":
-            # Unreachable for a positive-definite shift, so this is always a
-            # verdict on the original problem.
-            return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
+            return LCPOutcome(LcpStatus.RAY_TERMINATION, None, end, pivots, spent)
         if outcome == "cycle":
             last_error = PivotLimitExceeded(
                 f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
             )
-            spent += pivots
             continue
-        w, v = _solve_on_basis(M, q, basis, k)
+        w, v = _solve_on_basis(M, q, end, k)
         residual = float(np.linalg.norm(w - (M @ v + q)))
         negativity = max(0.0, -min(float(w.min()), float(v.min())))
+        # Backward error: the multipliers of a near-degenerate hull grow like
+        # 1/distance^2, and the residual with them.
+        bound = cfg.feas_tol * (1.0 + q_norm + max_m * float(np.linalg.norm(v)))
         if residual <= bound and negativity <= bound:
-            return outcome_of(LcpStatus.SOLUTION, w, v, pivots)
-        if shift > 0.0:
-            # The shifted problem is always solvable, so its exploding
-            # solution is what infeasibility of the original looks like.
-            _, v_pert = _solve_on_basis(M_eff, q_pert, basis, k)
-            if _ray_certificate(M, q, v_pert):
-                return outcome_of(LcpStatus.RAY_TERMINATION, None, None, pivots)
-        last_diag = (residual, negativity)
-        spent += pivots
-
-    if last_diag is not None:
-        raise InternalInconsistency(
+            return LCPOutcome(LcpStatus.SOLUTION, w, v, pivots, spent)
+        failed = InternalInconsistency(
             "complementary solution failed verification: basis solve residual "
-            f"{last_diag[0]:.3e}, negativity {last_diag[1]:.3e}"
+            f"{residual:.3e}, negativity {negativity:.3e}"
         )
-    raise last_error
+    raise failed or last_error
 
 
 _ROUTE_OF_VARIANT = {
@@ -489,6 +445,19 @@ _ROUTE_OF_VARIANT = {
     LcpVariant.WOLFE_KKT: Route.LCP_WOLFE,
     LcpVariant.DUAL_ORTHANT: Route.LCP_DUAL,
 }
+
+
+def vertex_weights(P: Polyhedron, L: LCPInstance, O: LCPOutcome) -> np.ndarray | None:
+    """Convex weights ``u / sum u``, None when no multiplier in ``u`` is positive.
+
+    ``u`` is ``O.v``'s last ``m`` entries for primal-split, its first ``m``
+    for wolfe-kkt and all of it for dual-orthant, clipped at zero.  They
+    combine the vertices to the origin on a ray and to ``rho`` on a solution.
+    """
+    start = L.k - P.m if L.variant is LcpVariant.PRIMAL_SPLIT else 0
+    u = np.maximum(O.v[start : start + P.m], 0.0)
+    total = float(u.sum())
+    return u / total if total > 0.0 else None
 
 
 def extract_projection(
@@ -499,30 +468,30 @@ def extract_projection(
 ) -> ProjectionResult:
     """Read the projection out of a complementarity outcome.
 
-    Ray termination on the primal-split and dual-orthant variants certifies
-    an empty feasible set, hence the origin inside the hull; the
-    simplex-constrained variant is always solvable, so a ray there is an
-    inconsistency.  A solved outcome votes by ``core.projection_result``'s
-    distance rule.  The extracted point is returned unchecked; the route
-    runners in ``certify`` apply the variational-inequality check.
+    A ray on the primal-split or dual-orthant variant answers with
+    ``alpha @ Z`` for its weights ``alpha`` (``vertex_weights``), and votes
+    by ``core.projection_result``'s rule like any other answer; a ray with
+    no positive multiplier, or any ray of the always-solvable wolfe-kkt
+    variant, is an inconsistency.  The extracted point is returned
+    unchecked; the route runners in ``certify`` apply the
+    variational-inequality check.
     """
     route = _ROUTE_OF_VARIANT[L.variant]
-    if O.status is LcpStatus.RAY_TERMINATION:
-        if L.variant is LcpVariant.WOLFE_KKT:
-            raise InconsistentOutcome(
-                "ray termination on the always-solvable simplex variant"
-            )
-        return projection_result(
-            P, np.zeros(P.n), route, O.pivots, cfg, origin_inside=True
+    ray = O.status is LcpStatus.RAY_TERMINATION
+    if ray and L.variant is LcpVariant.WOLFE_KKT:
+        raise InconsistentOutcome(
+            "ray termination on the always-solvable simplex variant"
         )
-
-    if L.variant is LcpVariant.PRIMAL_SPLIT:
+    if ray or L.variant is LcpVariant.WOLFE_KKT:
+        alpha = vertex_weights(P, L, O)
+        if alpha is None:
+            raise InconsistentOutcome(
+                f"{route.value} {O.status.value} with no positive multiplier"
+            )
+        rho = alpha @ P.vertices
+    elif L.variant is LcpVariant.PRIMAL_SPLIT:
         y = O.v[: P.n] - O.v[P.n : 2 * P.n]  # y = s - s'
         rho = rho_from_ybar(y, cfg.zero_tol)
-    elif L.variant is LcpVariant.WOLFE_KKT:
-        alpha = np.maximum(O.v[: P.m], 0.0)
-        alpha /= alpha.sum()
-        rho = alpha @ P.vertices
     else:
         S = constraint_matrix(P)
         y_bar = recover_primal(S, O.v)

@@ -191,6 +191,4 @@ def project_via_nnls(
         return None
     x, iterations = _lawson_hanson(S.C.T, reduction.b, cfg)
     rho = rho_from_ybar(recover_primal(S, x), cfg.zero_tol)
-    # The origin-membership vote is distance <= zero_tol, as for the other
-    # routes' answers, so a hull within zero_tol of the origin votes inside.
     return projection_result(P, rho, Route.NNLS, iterations, cfg)

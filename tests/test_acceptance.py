@@ -65,26 +65,20 @@ def _run_all_routes(P):
     rec = SweepRecord(P=P)
 
     wolfe = solve_wolfe(P, CFG)
-    rec.results["wolfe"] = projection_result(
-        P, wolfe.rho, Route.WOLFE, wolfe.iterations, CFG, origin_inside=wolfe.origin_inside
-    )
+    rec.results["wolfe"] = projection_result(P, wolfe.rho, Route.WOLFE, wolfe.iterations, CFG)
 
     dual = solve_dual(P, CFG)
     rec.dual_outcome = dual
     if dual.status is DualStatus.SOLVED:
-        rec.results["dual"] = projection_result(
-            P, dual.rho, Route.DUAL, dual.iterations, CFG, origin_inside=False
-        )
+        rec.results["dual"] = projection_result(P, dual.rho, Route.DUAL, dual.iterations, CFG)
     else:
         rec.results["dual"] = projection_result(
-            P, np.zeros(P.n), Route.DUAL, dual.iterations, CFG, origin_inside=True
+            P, dual.alpha @ P.vertices, Route.DUAL, dual.iterations, CFG
         )
 
     mm = solve_maximin(P, CFG)
     rec.maximin_solution = mm
-    rec.results["maximin"] = projection_result(
-        P, mm.rho, Route.MAXIMIN, mm.iterations, CFG, origin_inside=mm.origin_inside
-    )
+    rec.results["maximin"] = projection_result(P, mm.rho, Route.MAXIMIN, mm.iterations, CFG)
 
     for variant, name in (
         (LcpVariant.PRIMAL_SPLIT, "lcp-primal"),

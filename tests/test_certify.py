@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
     LINE_POINTS,
@@ -18,7 +18,7 @@ from ppocp.certify import (
     detect_zero_membership,
     reference_projection,
 )
-from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result
+from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result, unit_scale
 from ppocp.errors import OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
@@ -104,12 +104,94 @@ class TestCheckOptimality:
         assert cert.passed
         assert cert.zero_inside
 
+    def test_judged_at_the_instance_scale(self):
+        # The hull times 2^20 gets the same verdicts as the hull itself, with
+        # residuals in its own units, and the certificate of each route's
+        # answer reports the vi_min that route was checked with.
+        P = separated_polyhedron(3)
+        big = Polyhedron(P.vertices * 2.0**20)
+        report = cross_check(big)
+        assert report.verdict == "agree"
+        for entry in report.entries.values():
+            if entry.status != "ok":
+                continue
+            rho = entry.result.rho
+            cert = check_optimality(big, rho)
+            base = check_optimality(P, rho / 2.0**20)
+            assert cert.passed and base.passed
+            assert cert.vi_min == entry.result.vi_min == base.vi_min * 2.0**40
+            assert cert.zero_inside is base.zero_inside is False
+            vi, ball = cert.checks
+            assert vi.residual == base.checks[0].residual * 2.0**40
+            assert ball.residual == base.checks[1].residual * 2.0**20
+
+    def test_hull_witness_residual_in_caller_units(self):
+        P = Polyhedron(np.array(TRIANGLE) * 2.0**20)
+        alpha = np.array([0.5, 0.5, 0.0])
+        cert = check_optimality(P, alpha @ P.vertices + [2.0**-20, 0.0], alpha=alpha)
+        witness = cert.checks[-1]
+        assert witness.name == "hull-witness" and witness.passed
+        assert witness.residual == pytest.approx(2.0**-20)
+
     def test_bad_witness_recorded_not_raised(self):
         P = Polyhedron(np.array(TRIANGLE))
         cert = check_optimality(P, np.array([1.0, 1.0]), alpha=np.array([1.0, 0.0, 0.0]))
         names = {c.name: c.passed for c in cert.checks}
         assert not names["hull-witness"]
         assert not cert.passed
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P: cross_check(P),
+        lambda P: detect_zero_membership(P),
+        lambda P: check_optimality(P, [3.0, 3.0]),
+        lambda P: certify.run_route("lcp-dual", P),
+    ],
+    ids=["cross_check", "detect_zero_membership", "check_optimality", "run_route"],
+)
+def test_one_unit_instance_per_call(call, monkeypatch):
+    # s = 2^round(log2(6 sqrt 2)) = 8 for the triangle times 3.
+    P = Polyhedron(np.array(TRIANGLE) * 3.0)
+    built = []
+    init = Polyhedron.__post_init__
+
+    def counted(self):
+        init(self)
+        built.append(self.vertices)
+
+    monkeypatch.setattr(Polyhedron, "__post_init__", counted)
+    call(P)
+    assert len(built) == 1
+    assert_array_equal(built[0], P.vertices / 8.0)
+
+
+class TestUnitScale:
+    def test_power_of_two_nearest_the_largest_norm(self):
+        U, s = unit_scale(Polyhedron(np.array([[3.0, 4.0], [1.0, 0.0]])))
+        assert s == 4.0  # log2 5 = 2.32
+        assert_array_equal(U.vertices, [[0.75, 1.0], [0.25, 0.0]])
+
+    def test_origin_only(self):
+        U, s = unit_scale(Polyhedron(np.zeros((1, 3))))
+        assert s == 1.0
+        assert_array_equal(U.vertices, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("k", [-1074, -1000, -500, 500, 1000])
+    def test_extreme_scales_stay_finite(self, k):
+        # Norms would underflow or overflow if taken on the raw coordinates.
+        Z = np.ldexp(np.array([[1.0, 1.0], [0.5, 0.0]]), k)
+        U, s = unit_scale(Polyhedron(Z))
+        assert 0.5 <= np.linalg.norm(U.vertices, axis=1).max() <= 2.0
+        assert_array_equal(U.vertices * s, Z)
+
+    def test_scaled_instance_is_the_same_unit_instance(self):
+        P = random_polyhedron(5)
+        U, s = unit_scale(P)
+        V, t = unit_scale(Polyhedron(P.vertices * 2.0**-37))
+        assert_array_equal(U.vertices, V.vertices)
+        assert t == s * 2.0**-37
 
 
 class TestDetectZeroMembership:
@@ -223,15 +305,43 @@ class TestCrossCheck:
         assert not any(e.result.origin_inside for e in report.entries.values())
         assert not solve_wolfe(P).origin_inside
 
+    @pytest.mark.parametrize("d", [5e-9, 2e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_sliver_never_votes_wrong(self, d):
+        # The segment lies d from the origin: inside by zero_tol only at
+        # 5e-9.  Near-degenerate LCPs have multipliers like 1/d^2, and a
+        # Lemke ray votes through the point its weights combine to.
+        report = cross_check(Polyhedron(np.array([[1.0, d], [-1.0, d]])))
+        assert set(report.votes.values()) == {d <= 1e-8}
+        assert report.pairwise_max_deviation <= 1e-6
+        errors = {k: e.error for k, e in report.entries.items() if e.status == "error"}
+        if d == 1e-7:
+            # lcp-primal's ray has no positive multiplier here, so it gives no
+            # witness and the route errors: a conflict, but no wrong vote.
+            assert list(errors) == ["lcp-primal"]
+            assert "no positive multiplier" in errors["lcp-primal"]
+            assert report.verdict == "conflict"
+        else:
+            assert errors == {}
+            assert report.verdict == "agree"
+
     @pytest.mark.parametrize(
         "vertices",
         [[[1e-300, 0.0]], [[3e-155]], [[1e-160, 0.0], [0.0, 1e-160]]],
     )
-    def test_non_finite_projection_is_route_error(self, vertices):
-        # The nnls dual variable overflows at these scales; the route's entry
-        # becomes an error naming it instead of an uncaught exception.
-        with np.errstate(all="ignore"):
-            report = cross_check(Polyhedron(np.array(vertices)))
+    def test_non_finite_projection_is_route_error(self, vertices, monkeypatch):
+        # At unit scale these tiny hulls solve like any other, nnls included.
+        # A solver answering NaN becomes an error entry naming its route
+        # instead of an uncaught exception.
+        P = Polyhedron(np.array(vertices))
+        report = cross_check(P)
+        assert report.verdict == "agree"
+        assert report.entries["nnls"].status == "ok"
+        monkeypatch.setattr(certify, "project_via_nnls", _nan_answer)
+        report = cross_check(P)
         assert report.entries["nnls"].status == "error"
         assert "nnls" in report.entries["nnls"].error
         assert report.verdict == "conflict"
+
+
+def _nan_answer(P, cfg):
+    return projection_result(P, np.full(P.n, np.nan), Route.NNLS, 1, cfg)

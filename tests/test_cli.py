@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE, far_vertex_kernel
 from ppocp import certify, cli
-from ppocp.core import Polyhedron
+from ppocp.core import Polyhedron, Route, projection_result
 
 # Square and nonsingular, so every route applies, nnls included.
 SQUARE = [[3.0, 1.0], [1.0, 2.0]]
@@ -322,13 +322,34 @@ class TestMaximinCertificate:
         assert "distance identity" in err
 
 
+@pytest.mark.parametrize("method", ["lcp-primal", "lcp-dual"])
+def test_lemke_ray_prints_passing_hull_witness(tmp_path, capsys, method):
+    # The ray's weights combine the vertices to the origin, its answer.
+    path = write_instance(tmp_path, SEGMENT_THROUGH_ORIGIN)
+    code, out, _ = run_cli(capsys, "--input", path, "--method", method)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["origin_inside"] is True
+    assert doc["certificate"]["passed"] is True
+    assert doc["certificate"]["checks"][-1]["name"] == "hull-witness"
+    assert doc["certificate"]["alpha_witness"] == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("method", ["nnls", "all"])
 @pytest.mark.parametrize(
     "vertices", [[[1e-300, 0.0]], [[3e-155]], [[1e-160, 0.0], [0.0, 1e-160]]]
 )
-def test_non_finite_projection_exits_4(tmp_path, capsys, method, vertices):
+def test_non_finite_projection_exits_4(tmp_path, capsys, monkeypatch, method, vertices):
+    # At unit scale these tiny hulls solve like any other (exit 0); an nnls
+    # solver answering NaN is a consistency conflict (exit 4).
     path = write_instance(tmp_path, vertices)
-    with np.errstate(all="ignore"):
-        code, _, err = run_cli(capsys, "--input", path, "--method", method)
+    code, _, _ = run_cli(capsys, "--input", path, "--method", method)
+    assert code == 0
+
+    def nan_answer(P, cfg):
+        return projection_result(P, np.full(P.n, np.nan), Route.NNLS, 1, cfg)
+
+    monkeypatch.setattr(certify, "project_via_nnls", nan_answer)
+    code, _, err = run_cli(capsys, "--input", path, "--method", method)
     assert code == 4
     assert "conflict" in err

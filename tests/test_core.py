@@ -24,7 +24,6 @@ from ppocp.core import (
     translate,
     vi_residuals,
 )
-from ppocp.lcp import UNBOUNDED_CAP
 
 
 class TestPolyhedron:
@@ -63,7 +62,6 @@ class TestToleranceConfig:
         assert cfg.opt_tol == 1e-8
         assert cfg.zero_tol == 1e-8
         assert cfg.max_iter == 100_000
-        assert UNBOUNDED_CAP == 1e8  # the Lemke ray certificate's cap
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

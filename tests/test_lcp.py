@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -10,7 +14,7 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
-from ppocp.core import Polyhedron, Route, constraint_matrix
+from ppocp.core import Polyhedron, Route, constraint_matrix, unit_scale
 from ppocp import lcp
 from ppocp.errors import InconsistentOutcome, InternalInconsistency
 from ppocp.lcp import (
@@ -25,19 +29,35 @@ from ppocp.lcp import (
     canonicalize_primal,
     extract_projection,
     lemke_solve,
+    vertex_weights,
 )
 from ppocp.support_qp import dual_objective, solve_dual
 
 ALL_VARIANTS = (LcpVariant.PRIMAL_SPLIT, LcpVariant.WOLFE_KKT, LcpVariant.DUAL_ORTHANT)
 
 
-def _origin_inside_80x20(seed):
+def _origin_inside(seed, m=80, n=20):
     # The benchmark's origin-inside generator: the first vertex closes a
     # strictly positive combination of the others.
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-5.0, 5.0, size=(79, 20))
-    lam = rng.uniform(0.2, 1.0, size=80)
+    z = rng.uniform(-5.0, 5.0, size=(m - 1, n))
+    lam = rng.uniform(0.2, 1.0, size=m)
     return Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z]))
+
+
+# Prints (pivots, pivots_total) of lcp-wolfe on the unit-scale origin-inside
+# 100x30 hull of seed 70.
+_SEED_70_WOLFE = """
+import numpy as np
+from ppocp.core import Polyhedron, unit_scale
+from ppocp.lcp import LcpVariant, build_lcp, lemke_solve
+rng = np.random.default_rng(70)
+z = rng.uniform(-5.0, 5.0, size=(99, 30))
+lam = rng.uniform(0.2, 1.0, size=100)
+U, _ = unit_scale(Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z])))
+out = lemke_solve(build_lcp(U, LcpVariant.WOLFE_KKT))
+print(out.pivots, out.pivots_total)
+"""
 
 
 def _separated(seed, m, n):
@@ -249,12 +269,25 @@ class TestLemkeSolve:
         assert_array_equal(out.v, [0.0, 0.0])
 
     def test_pivots_total_counts_abandoned_attempts(self):
-        # The unshifted attempt cycles on this rank-deficient instance before
-        # the shifted one succeeds; pivots counts only that last one.
-        P = Polyhedron(np.random.default_rng(0).uniform(-5, 5, (200, 50)))
-        out = lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT))
-        assert out.pivots > 0
-        assert out.pivots_total > out.pivots
+        # At unit scale the unshifted attempt fails verification on this
+        # hull and the shifted one succeeds; pivots counts only that last
+        # one.  Checked at the default BLAS thread count and at one thread.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lcp.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        one_thread = subprocess.run(
+            [sys.executable, "-c", _SEED_70_WOLFE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        U, _ = unit_scale(_origin_inside(70, 100, 30))
+        out = lemke_solve(build_lcp(U, LcpVariant.WOLFE_KKT))
+        assert out.status is LcpStatus.SOLUTION
+        for pivots, total in ((out.pivots, out.pivots_total), map(int, one_thread)):
+            assert pivots > 0
+            assert total > pivots
 
     def test_gives_up_after_two_attempts(self, monkeypatch):
         # At box 1e3 this hull fails verification on both attempts; the
@@ -314,14 +347,18 @@ class TestLemkeSolve:
             out = lemke_solve(build_lcp(P, variant))
             assert out.status is LcpStatus.RAY_TERMINATION
         if variant is LcpVariant.DUAL_ORTHANT:
-            # 80x20 hulls.  On 0, 17 and 22 the unshifted attempt cycles (at
-            # one BLAS thread) and the shifted attempt's ray certificate must
-            # find the ray; on 39 the unshifted attempt finds it.
+            # 80x20 hulls at unit scale: on 0, 17 and 22 the unshifted
+            # attempt cycled at the hulls' own scale; at unit scale it ends
+            # on a ray, as on 39, whose weights combine the vertices to the
+            # origin.
             for seed in (0, 17, 22, 39):
-                out = lemke_solve(build_lcp(_origin_inside_80x20(seed), variant))
+                U, _ = unit_scale(_origin_inside(seed))
+                L = build_lcp(U, variant)
+                out = lemke_solve(L)
                 assert out.status is LcpStatus.RAY_TERMINATION
-                if seed != 39:
-                    assert out.pivots_total > out.pivots
+                assert out.pivots_total == out.pivots
+                alpha = vertex_weights(U, L, out)
+                assert np.linalg.norm(alpha @ U.vertices) <= 1e-14
 
     def test_wolfe_variant_always_solves(self):
         for seed in range(10):
