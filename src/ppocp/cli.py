@@ -239,16 +239,11 @@ def run(argv=None) -> int:
     work = P
     if ns.point is not None:
         shift = np.asarray(ns.point, dtype=float)
-        if len(shift) != P.n:
-            print(
-                f"error: --point needs {P.n} coordinates, got {len(shift)}",
-                file=sys.stderr,
-            )
+        try:
+            work = translate(P, shift)
+        except ValueError as err:
+            print(f"error: --point: {err}", file=sys.stderr)
             return 2
-        if not np.all(np.isfinite(shift)):
-            print("error: --point must be finite", file=sys.stderr)
-            return 2
-        work = translate(P, shift)
 
     try:
         if ns.method == "all":

@@ -91,18 +91,27 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polyhedron:
     """Convex hull of ``m`` vertices in R^n, stored as an (m, n) row matrix.
 
     Vertex order is preserved: row index ``i`` is a stable identifier used in
     every weight vector, residual vector and diagnostic across the package.
-    Duplicate vertices are legal (the math tolerates them) but draw a warning.
+    Duplicate vertices are legal (the math tolerates them) but draw a warning
+    when constructed; instances derived from one (``translate``,
+    ``unit_scale``) run only ``__post_init__``'s checks.
     """
 
     vertices: np.ndarray
 
+    def __init__(self, vertices):
+        object.__setattr__(self, "vertices", vertices)
+        self.__post_init__()
+        if np.unique(self.vertices, axis=0).shape[0] < self.m:
+            warnings.warn("duplicate vertices kept as given", stacklevel=2)
+
     def __post_init__(self):
+        """Check the rows and freeze them; every instance passes here once."""
         z = np.asarray(self.vertices, dtype=float)
         if z.ndim != 2:
             raise ValueError(
@@ -112,8 +121,6 @@ class Polyhedron:
             raise ValueError("need at least one vertex of dimension at least one")
         if not np.all(np.isfinite(z)):
             raise ValueError("vertices must have finite coordinates")
-        if np.unique(z, axis=0).shape[0] < z.shape[0]:
-            warnings.warn("duplicate vertices kept as given", stacklevel=2)
         object.__setattr__(self, "vertices", _readonly(z))
 
     @property
@@ -259,20 +266,25 @@ def in_D(P: Polyhedron, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     return bool((P.vertices @ y >= 1.0 - cfg.feas_tol).all())
 
 
-def _derived(z) -> Polyhedron:
-    """A Polyhedron made from one whose duplicates were already reported."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Polyhedron(z)
+def _derived(z: np.ndarray) -> Polyhedron:
+    """A Polyhedron of rows derived one for one from a built one's, whose
+    duplicates were reported then: only ``__post_init__``'s checks run."""
+    P = object.__new__(Polyhedron)
+    object.__setattr__(P, "vertices", z)
+    P.__post_init__()
+    return P
 
 
 def translate(P: Polyhedron, p) -> Polyhedron:
     """Shift every vertex by ``-p``.
 
     Projecting an arbitrary point ``p`` onto the hull reduces to projecting
-    the origin onto the shifted hull and adding ``p`` back.
+    the origin onto the shifted hull and adding ``p`` back.  Raises
+    ValueError when a shifted coordinate overflows.
     """
-    return _derived(P.vertices - _vector(p, P.n, "p"))
+    p = _vector(p, P.n, "p")
+    with np.errstate(over="ignore"):
+        return _derived(P.vertices - p)
 
 
 def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:

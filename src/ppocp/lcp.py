@@ -8,7 +8,7 @@ A complementarity problem asks for ``w = M v + q`` with ``w, v >= 0`` and
   variables, then its stationarity conditions.  The quadratic-form matrix of
   the split problem is the block matrix ``H = [[I, -I], [-I, I]]``; the
   letter ``D`` is avoided for it here because this package uses ``D``-style
-  naming for the halfspace set itself (see ``support_qp``).
+  naming for the halfspace set itself.
 * ``wolfe-kkt`` (size ``m + 2``): the simplex QP over convex weights, with
   the equality ``sum a = 1`` split into two inequalities.
 * ``dual-orthant`` (size ``m``): the dual QP over the orthant, giving the
@@ -31,11 +31,10 @@ pivot, checks the basis invariant in ``O(k)``, breaks exact ratio ties
 lexicographically, and rebuilds the tableau from the data every 8 pivots.
 The rebuild solves only the block of the basis that its basic ``w``
 columns, which are unit vectors, leave open; no rebuild runs once the path
-reaches a solution.  ``lemke_solve`` makes at most two attempts, both on the
-same perturbed right-hand side: ``M`` as given, then ``M`` with a small
-positive-definite shift.  Either attempt's solution is re-solved on its
-complementary basis against the unshifted data and verified there; either
-attempt's ray is returned as its direction.
+reaches a solution.  ``lemke_solve`` runs one path on a slightly perturbed
+right-hand side.  Every outcome, solution or ray, answers with the point its
+weights ``u / sum u`` combine the vertices to, so the answer lies in the
+hull by construction.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .core import (
     projection_result,
 )
 from .errors import InconsistentOutcome, InternalInconsistency, PivotLimitExceeded
-from .support_qp import recover_primal, rho_from_ybar
 
 __all__ = [
     "LcpVariant",
@@ -114,19 +112,13 @@ class LcpStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LCPOutcome:
-    """A solution ``(w, v)``, or a ray's direction ``v`` (``w`` None).
-    ``pivots`` counts the final attempt; ``pivots_total`` both attempts, an
-    abandoned first one included (defaults to ``pivots``)."""
+    """A solution ``(w, v)``, or a ray's direction ``v`` (``w`` None), and
+    the pivots of the one path that reached it."""
 
     status: LcpStatus
     w: np.ndarray | None
     v: np.ndarray | None
     pivots: int
-    pivots_total: int | None = None
-
-    def __post_init__(self):
-        if self.pivots_total is None:
-            object.__setattr__(self, "pivots_total", self.pivots)
 
 
 def canonicalize_primal(P: Polyhedron) -> CanonicalQP:
@@ -264,13 +256,13 @@ def _pivot_path(M, q, k, verbose):
     rows that tie exactly on ``rhs / col``.  Every 8 pivots the tableau is
     rebuilt exactly from the basis (``_refactor``) to shed accumulated drift.
 
-    Returns ``("solution", basis, pivots)`` once ``z0`` leaves, with no
+    Returns ``(SOLUTION, basis, pivots)`` once ``z0`` leaves, with no
     rebuild there: the caller solves on the final basis itself.  Otherwise
-    ``("ray", dv, pivots)`` with ``dv`` the ``v`` part of the ray's direction
-    (1 on the entering variable, ``-T[:, entering]`` on the basis), or
-    ``("cycle", None, pivots)`` when a basis repeats (floating-point noise in
-    tied ratio tests can defeat the lexicographic rule) or a rebuild fails;
-    raises PivotLimitExceeded past the ``50 k`` safeguard.
+    ``(RAY_TERMINATION, dv, pivots)`` with ``dv`` the ``v`` part of the ray's
+    direction (1 on the entering variable, ``-T[:, entering]`` on the basis).
+    Raises PivotLimitExceeded when a basis repeats (floating-point noise in
+    tied ratio tests can defeat the lexicographic rule), when a rebuild fails,
+    and past the ``50 k`` safeguard.
     """
     # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q; the
     # tableau and the right-hand side start as its two parts.
@@ -282,7 +274,8 @@ def _pivot_path(M, q, k, verbose):
     eps = np.finfo(float).eps
 
     # Initial pivot: bring the covering variable in where the right-hand side
-    # is most negative (lexicographic tie-break), making every row feasible.
+    # is most negative (lexicographic tie-break), making every row feasible:
+    # each becomes q_i - min q, which rounds to no negative number.
     keys = np.column_stack([rhs, T[:, :k]])
     order = np.lexsort(keys.T[::-1])
     row = int(order[0])
@@ -294,9 +287,6 @@ def _pivot_path(M, q, k, verbose):
     member = _check_complementary_basis(basis, k)
     if verbose:
         _dump_tableau(basis, T, rhs, k)
-    if rhs.min() < 0.0:
-        # Can only stem from rounding; every ratio below would be tainted.
-        return "cycle", None, pivots
 
     limit = 50 * k
     seen = {member.tobytes()}
@@ -309,7 +299,7 @@ def _pivot_path(M, q, k, verbose):
             ray = np.zeros(2 * k + 1)
             ray[basis] = -col
             ray[entering] = 1.0
-            return "ray", ray[k : 2 * k], pivots
+            return LcpStatus.RAY_TERMINATION, ray[k : 2 * k], pivots
         # Lexicographic minimum ratio.  The (k+1)-key sort only breaks exact
         # ties on the first key, so it runs on the tied rows alone (on every
         # row when a ratio is NaN, since the minimum is then NaN).
@@ -327,21 +317,25 @@ def _pivot_path(M, q, k, verbose):
         if verbose:
             _dump_tableau(basis, T, rhs, k)
         if leaving == z0:
-            return "solution", list(basis), pivots
+            return LcpStatus.SOLUTION, list(basis), pivots
         since_refactor += 1
         if since_refactor >= 8:
             # Long pivot sequences otherwise accumulate enough drift to steer
             # the path into numerically singular bases.
             rebuilt = _refactor(data, basis, k)
             if rebuilt is None:
-                return "cycle", None, pivots
+                raise PivotLimitExceeded(
+                    f"tableau rebuild failed after {pivots} pivots", pivots=pivots
+                )
             T = np.ascontiguousarray(rebuilt[:, :-1])
             rhs = rebuilt[:, -1].copy()
             since_refactor = 0
         entering = leaving + k if leaving < k else leaving - k
         key = member.tobytes()
         if key in seen:
-            return "cycle", None, pivots
+            raise PivotLimitExceeded(
+                f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
+            )
         seen.add(key)
 
     raise PivotLimitExceeded(
@@ -370,19 +364,19 @@ def lemke_solve(
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     verbose: bool = False,
 ) -> LCPOutcome:
-    """Complementary pivoting with the all-ones covering vector, in two attempts.
+    """Complementary pivoting with the all-ones covering vector, in one path.
 
     The constructions here are heavily degenerate (blocks of exact zeros in
-    ``q``, a rank-deficient split form), and floating-point noise in tied
-    ratio tests can derail the pivot path into a spurious ray.  Both
-    attempts therefore pivot on a deterministically perturbed right-hand
-    side ``q + eps * delta`` with ``delta > 0`` and ``eps`` too small to flip
-    any sign.  A ray is returned as its direction, which does not depend on
-    the right-hand side; a solution's complementary basis is re-solved
-    against the original data and verified against the backward-error bound
-    ``feas_tol (1 + ||q|| + max|M| ||v||)``.  The first attempt pivots on
-    ``M`` as given; the second, run when the first cycles or fails
-    verification, on ``M`` plus a small positive-definite shift.
+    ``q``, a rank-deficient split form), so the path pivots on a perturbed
+    right-hand side ``q + eps * delta``, with a fixed ``delta > 0`` and
+    ``eps = min(1e-8 (1 + max|q|), -min q / 4)``.  That resolves degeneracy
+    only while ``eps`` is small against the basis (Cottle, Pang & Stone,
+    ch. 4): at ``1e-7`` some origin-inside Wolfe-KKT paths ended on bases
+    feasible for the perturbed ``q`` alone.  A ray is returned as its
+    direction; a solution's basis is re-solved against ``q`` and must meet
+    the backward-error bound ``feas_tol (1 + ||q|| + max|M| ||v||)``, or
+    InternalInconsistency is raised.  A cycle, a failed rebuild or the pivot
+    limit raises PivotLimitExceeded.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)
@@ -396,48 +390,25 @@ def lemke_solve(
     # tests stay untied even against the structured rank-deficiency of the
     # Gram-based instances (a smooth progression is not).
     delta = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)
-    scale_q = 1.0 + float(np.abs(q).max())
+    eps_use = min(1e-8 * (1.0 + float(np.abs(q).max())), 0.25 * float(-q.min()))
+    status, end, pivots = _pivot_path(M, q + eps_use * delta, k, verbose)
+    if status is LcpStatus.RAY_TERMINATION:
+        return LCPOutcome(status, None, end, pivots)
+
+    w, v = _solve_on_basis(M, q, end, k)
+    residual = float(np.linalg.norm(w - (M @ v + q)))
+    negativity = max(0.0, -min(float(w.min()), float(v.min())))
+    # Backward error: the multipliers of a near-degenerate hull grow like
+    # 1/distance^2, and the residual with them.
     max_m = float(np.abs(M).max())
     q_norm = float(np.linalg.norm(q))
-    eps_use = min(1e-7 * scale_q, 0.25 * float(-q.min()))
-    q_pert = q + eps_use * delta
-
-    # At unit scale the unshifted attempt answers all but a few origin-inside
-    # hulls, where a rank-deficient quadratic block steers it into a cycle or
-    # a failed verification; the shifted attempt then pivots cleanly.
-    failed = None  # the last failed verification, reported before a cycle
-    last_error = None
-    spent = 0  # pivots of every attempt so far
-
-    for shift in (0.0, 1e-8 * (1.0 + max_m)):
-        M_eff = M if shift == 0.0 else M + shift * np.eye(k)
-        try:
-            outcome, end, pivots = _pivot_path(M_eff, q_pert, k, verbose)
-        except PivotLimitExceeded as err:
-            last_error = err
-            spent += err.pivots
-            continue
-        spent += pivots
-        if outcome == "ray":
-            return LCPOutcome(LcpStatus.RAY_TERMINATION, None, end, pivots, spent)
-        if outcome == "cycle":
-            last_error = PivotLimitExceeded(
-                f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
-            )
-            continue
-        w, v = _solve_on_basis(M, q, end, k)
-        residual = float(np.linalg.norm(w - (M @ v + q)))
-        negativity = max(0.0, -min(float(w.min()), float(v.min())))
-        # Backward error: the multipliers of a near-degenerate hull grow like
-        # 1/distance^2, and the residual with them.
-        bound = cfg.feas_tol * (1.0 + q_norm + max_m * float(np.linalg.norm(v)))
-        if residual <= bound and negativity <= bound:
-            return LCPOutcome(LcpStatus.SOLUTION, w, v, pivots, spent)
-        failed = InternalInconsistency(
+    bound = cfg.feas_tol * (1.0 + q_norm + max_m * float(np.linalg.norm(v)))
+    if residual > bound or negativity > bound:
+        raise InternalInconsistency(
             "complementary solution failed verification: basis solve residual "
             f"{residual:.3e}, negativity {negativity:.3e}"
         )
-    raise failed or last_error
+    return LCPOutcome(status, w, v, pivots)
 
 
 _ROUTE_OF_VARIANT = {
@@ -468,33 +439,24 @@ def extract_projection(
 ) -> ProjectionResult:
     """Read the projection out of a complementarity outcome.
 
-    A ray on the primal-split or dual-orthant variant answers with
-    ``alpha @ Z`` for its weights ``alpha`` (``vertex_weights``), and votes
-    by ``core.projection_result``'s rule like any other answer; a ray with
-    no positive multiplier, or any ray of the always-solvable wolfe-kkt
-    variant, is an inconsistency.  The extracted point is returned
-    unchecked; the route runners in ``certify`` apply the
-    variational-inequality check.
+    Every outcome answers with ``alpha @ Z`` for its weights ``alpha``
+    (``vertex_weights``): the projection at a solution, since each variant's
+    stationarity gives ``rho = Z^T u / sum u``, and the origin, or at least
+    a point of the hull, on a ray.  The answer votes by
+    ``core.projection_result``'s rule like any other.  An outcome with no
+    positive multiplier, or any ray of the always-solvable wolfe-kkt variant,
+    is an inconsistency.  The extracted point is returned unchecked; the
+    route runners in ``certify`` apply the variational-inequality check,
+    which certifies it completely because it lies in the hull.
     """
     route = _ROUTE_OF_VARIANT[L.variant]
-    ray = O.status is LcpStatus.RAY_TERMINATION
-    if ray and L.variant is LcpVariant.WOLFE_KKT:
+    if O.status is LcpStatus.RAY_TERMINATION and L.variant is LcpVariant.WOLFE_KKT:
         raise InconsistentOutcome(
             "ray termination on the always-solvable simplex variant"
         )
-    if ray or L.variant is LcpVariant.WOLFE_KKT:
-        alpha = vertex_weights(P, L, O)
-        if alpha is None:
-            raise InconsistentOutcome(
-                f"{route.value} {O.status.value} with no positive multiplier"
-            )
-        rho = alpha @ P.vertices
-    elif L.variant is LcpVariant.PRIMAL_SPLIT:
-        y = O.v[: P.n] - O.v[P.n : 2 * P.n]  # y = s - s'
-        rho = rho_from_ybar(y, cfg.zero_tol)
-    else:
-        S = constraint_matrix(P)
-        y_bar = recover_primal(S, O.v)
-        rho = rho_from_ybar(y_bar, cfg.zero_tol)
-
-    return projection_result(P, rho, route, O.pivots, cfg)
+    alpha = vertex_weights(P, L, O)
+    if alpha is None:
+        raise InconsistentOutcome(
+            f"{route.value} {O.status.value} with no positive multiplier"
+        )
+    return projection_result(P, alpha @ P.vertices, route, O.pivots, cfg)

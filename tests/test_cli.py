@@ -196,6 +196,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--input", path, "--point", "1")
         assert code == 2
 
+    def test_point_overflow_is_input_error(self, tmp_path, capsys):
+        path = write_instance(tmp_path, [[-1e308, 0.0], [1.0, 1.0]])
+        code, out, err = run_cli(capsys, "--input", path, "--point", "1.7e308", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --point: vertices must have finite coordinates\n"
+
     def test_nonconvergence_exit(self, tmp_path, capsys):
         # The isosceles sliver needs two active-set steps; one is not enough.
         path = write_instance(tmp_path, [[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from conftest import (
     TRIANGLE,
     random_polyhedron,
 )
+from ppocp.certify import cross_check
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
@@ -48,6 +51,16 @@ class TestPolyhedron:
         with pytest.warns(UserWarning, match="duplicate"):
             P = Polyhedron(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert P.m == 2
+
+    def test_duplicates_warn_once_when_constructed(self):
+        # Derived instances (translated, at unit scale) keep the source's
+        # rows, so they report nothing again.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            P = Polyhedron(np.array(TRIANGLE + [TRIANGLE[1]]) * 8.0)
+            assert cross_check(P).verdict == "agree"
+            translate(P, np.array([1.0, 1.0]))
+        assert [str(w.message) for w in caught] == ["duplicate vertices kept as given"]
 
     def test_vertices_are_readonly(self):
         P = Polyhedron(np.array(TRIANGLE))

@@ -14,6 +14,7 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
+from ppocp.certify import cross_check
 from ppocp.core import Polyhedron, Route, constraint_matrix, unit_scale
 from ppocp import lcp
 from ppocp.errors import InconsistentOutcome, InternalInconsistency
@@ -45,18 +46,25 @@ def _origin_inside(seed, m=80, n=20):
     return Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z]))
 
 
-# Prints (pivots, pivots_total) of lcp-wolfe on the unit-scale origin-inside
-# 100x30 hull of seed 70.
-_SEED_70_WOLFE = """
-import numpy as np
-from ppocp.core import Polyhedron, unit_scale
-from ppocp.lcp import LcpVariant, build_lcp, lemke_solve
-rng = np.random.default_rng(70)
-z = rng.uniform(-5.0, 5.0, size=(99, 30))
-lam = rng.uniform(0.2, 1.0, size=100)
-U, _ = unit_scale(Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z])))
-out = lemke_solve(build_lcp(U, LcpVariant.WOLFE_KKT))
-print(out.pivots, out.pivots_total)
+# Counts the pivot paths of dual-orthant on random_polyhedron(37, box=1e3) and
+# prints that count and the error's message.
+_HULL_37_DUAL = """
+import sys
+sys.path.insert(0, {tests!r})
+from conftest import random_polyhedron
+from ppocp import lcp
+from ppocp.errors import InternalInconsistency
+calls = []
+pivot_path = lcp._pivot_path
+def counted(*args):
+    calls.append(args)
+    return pivot_path(*args)
+lcp._pivot_path = counted
+L = lcp.build_lcp(random_polyhedron(37, box=1e3), lcp.LcpVariant.DUAL_ORTHANT)
+try:
+    lcp.lemke_solve(L)
+except InternalInconsistency as err:
+    print(len(calls), err)
 """
 
 
@@ -227,7 +235,7 @@ class TestRefactor:
                     patch.setattr(lcp, "_refactor", _dense_refactor)
                     ref = lemke_solve(L)
                 assert out.status is ref.status is LcpStatus.SOLUTION
-                assert (out.pivots, out.pivots_total) == (ref.pivots, ref.pivots_total)
+                assert out.pivots == ref.pivots
                 assert out.v.tobytes() == ref.v.tobytes()
 
 
@@ -268,31 +276,10 @@ class TestLemkeSolve:
         assert_array_equal(out.w, [1.0, 2.0])
         assert_array_equal(out.v, [0.0, 0.0])
 
-    def test_pivots_total_counts_abandoned_attempts(self):
-        # At unit scale the unshifted attempt fails verification on this
-        # hull and the shifted one succeeds; pivots counts only that last
-        # one.  Checked at the default BLAS thread count and at one thread.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(lcp.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        one_thread = subprocess.run(
-            [sys.executable, "-c", _SEED_70_WOLFE],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.split()
-        U, _ = unit_scale(_origin_inside(70, 100, 30))
-        out = lemke_solve(build_lcp(U, LcpVariant.WOLFE_KKT))
-        assert out.status is LcpStatus.SOLUTION
-        for pivots, total in ((out.pivots, out.pivots_total), map(int, one_thread)):
-            assert pivots > 0
-            assert total > pivots
-
-    def test_gives_up_after_two_attempts(self, monkeypatch):
-        # At box 1e3 this hull fails verification on both attempts; the
-        # solver must give up after the shifted one, not escalate further.
-        P = random_polyhedron(21, box=1e3)
+    def test_origin_inside_wolfe_solves_in_one_path(self, monkeypatch):
+        # Unit-scale origin-inside hulls whose degenerate Wolfe-KKT bases ended
+        # a path perturbed by 1e-7 on a basis feasible only for the perturbed
+        # right-hand side.
         calls = []
         pivot_path = lcp._pivot_path
 
@@ -301,14 +288,38 @@ class TestLemkeSolve:
             return pivot_path(*args)
 
         monkeypatch.setattr(lcp, "_pivot_path", counted)
-        with pytest.raises(InternalInconsistency, match="failed verification"):
-            lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT))
-        assert len(calls) == 2
+        for m, n, seed in (
+            (100, 30, 46),
+            (100, 30, 70),
+            (100, 30, 222),
+            (60, 20, 69),
+            (60, 20, 347),
+            (150, 40, 26),
+        ):
+            P = _origin_inside(seed, m, n)
+            U, _ = unit_scale(P)
+            calls.clear()
+            out = lemke_solve(build_lcp(U, LcpVariant.WOLFE_KKT))
+            assert out.status is LcpStatus.SOLUTION
+            assert len(calls) == 1
+            assert cross_check(P).verdict == "agree"
 
-    def test_pivots_total_equals_pivots_on_first_attempt(self):
-        L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
-        out = lemke_solve(L)
-        assert out.pivots_total == out.pivots
+    def test_gives_up_after_one_path(self):
+        # At box 1e3 this hull fails verification; the solver must give up
+        # after its one path, at one BLAS thread and at two.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lcp.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", _HULL_37_DUAL.format(tests=tests)],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            assert out.startswith("1 complementary solution failed verification")
 
     def test_dual_orthant_triangle(self):
         L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
@@ -347,16 +358,14 @@ class TestLemkeSolve:
             out = lemke_solve(build_lcp(P, variant))
             assert out.status is LcpStatus.RAY_TERMINATION
         if variant is LcpVariant.DUAL_ORTHANT:
-            # 80x20 hulls at unit scale: on 0, 17 and 22 the unshifted
-            # attempt cycled at the hulls' own scale; at unit scale it ends
-            # on a ray, as on 39, whose weights combine the vertices to the
-            # origin.
+            # 80x20 hulls at unit scale: on 0, 17 and 22 the pivot path
+            # cycles at the hulls' own scale; at unit scale it ends on a ray,
+            # as on 39, whose weights combine the vertices to the origin.
             for seed in (0, 17, 22, 39):
                 U, _ = unit_scale(_origin_inside(seed))
                 L = build_lcp(U, variant)
                 out = lemke_solve(L)
                 assert out.status is LcpStatus.RAY_TERMINATION
-                assert out.pivots_total == out.pivots
                 alpha = vertex_weights(U, L, out)
                 assert np.linalg.norm(alpha @ U.vertices) <= 1e-14
 
@@ -422,6 +431,16 @@ class TestExtractProjection:
         )
         with pytest.raises(InconsistentOutcome):
             extract_projection(P, L, broken)
+
+    @pytest.mark.parametrize("d", (1e-6, 1e-5, 1e-4, 1e-3))
+    def test_sliver_answer_is_exact(self, d):
+        # The multipliers grow like 1/d^2; weights read out of them still
+        # combine the two vertices to (0, d).
+        P = Polyhedron(np.array([[1.0, d], [-1.0, d]]))
+        for variant in ALL_VARIANTS:
+            L = build_lcp(P, variant)
+            res = extract_projection(P, L, lemke_solve(L))
+            assert np.abs(res.rho - [0.0, d]).max() <= 1e-15
 
     def test_pairwise_agreement_on_separated_instances(self):
         for seed in range(10):
