@@ -26,12 +26,18 @@ and ``q^T dv < 0``.  For dual-orthant, ``u = dv`` and ``M = B/2`` give
 by ``q^T dv < 0``, so ``u / sum u`` are convex weights combining the
 vertices to the origin.
 
-The engine pivots a dense ``k x (2k+1)`` tableau by one rank-one update per
-pivot, checks the basis invariant in ``O(k)``, breaks exact ratio ties
-lexicographically, and rebuilds the tableau from the data every 8 pivots.
-The rebuild solves only the block of the basis that its basic ``w``
-columns, which are unit vectors, leave open; no rebuild runs once the path
-reaches a solution.  ``lemke_solve`` runs one path on a slightly perturbed
+The engine pivots a dense ``k x (k+1)`` dictionary: the columns of the
+tableau ``[I | -M | -d]`` that belong to the ``k + 1`` nonbasic variables.
+A basic column is a unit vector that no pivot changes, so it is not stored
+(Cottle, Pang & Stone, ch. 4; the revised simplex method rests on the same
+observation).  Each pivot is one rank-one update, after which the entering
+variable's column is overwritten with the leaving variable's.  The engine
+checks the basis invariant in ``O(k)``, breaks exact ratio ties
+lexicographically, and rebuilds the dictionary from the data every 8
+pivots.  The rebuild reduces only the nonbasic columns and ``q``, and
+solves only the block of the basis that its basic ``w`` columns, which are
+unit vectors, leave open; no rebuild runs once the path reaches a
+solution.  ``lemke_solve`` runs one path on a slightly perturbed
 right-hand side.  Every outcome, solution or ray, answers with the point its
 weights ``u / sum u`` combine the vertices to, so the answer lies in the
 hull by construction.
@@ -201,33 +207,40 @@ def _check_complementary_basis(basis, k):
     return member
 
 
-def _pivot(T, rhs, row, col):
-    """Gauss-Jordan pivot on ``T[row, col]``, in place, as one rank-one update.
+def _pivot(D, rhs, row, col):
+    """Pivot the dictionary ``D`` on ``D[row, col]``, in place.
 
-    Every entry receives the same division or product-and-subtraction as
-    row-by-row elimination, so the tableau matches it to the bit (up to the
-    sign of zeros).
+    ``D`` holds the tableau's nonbasic columns only.  The entering column
+    ``col`` is reduced by one rank-one update like every other, then takes
+    the leaving variable's column: its unit column after the same update,
+    ``-factor * (1 / piv)`` with ``1 / piv`` at the pivot row.  Every entry
+    receives the same division or product-and-subtraction as row-by-row
+    elimination of the full tableau, so the result matches it to the bit
+    (up to the sign of zeros).
     """
-    piv = T[row, col]
-    T[row] /= piv
+    piv = D[row, col]
+    D[row] /= piv
     rhs[row] /= piv
-    factor = T[:, col].copy()
+    factor = D[:, col].copy()
     factor[row] = 0.0
-    T -= np.outer(factor, T[row])
+    D -= np.outer(factor, D[row])
     rhs -= factor * rhs[row]
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    inv = 1.0 / piv
+    np.multiply(factor, -inv, out=D[:, col])
+    D[row, col] = inv
 
 
-def _refactor(data, basis, k):
-    """Row-reduce ``data = [I | -M | -d | q]`` to the basis: ``B^-1 data``.
+def _refactor(data, basis, cols, k):
+    """Row-reduce the columns ``cols`` of ``data = [I | -M | -d | q]`` to the
+    basis: ``B^-1 data[:, cols]``.
 
     A basic ``w_j`` column of ``B = data[:, basis]`` is the unit vector
     ``e_j``, so only the ``p x p`` block ``Y`` of the other basic columns
     (``v`` and ``z0``), on the rows that no basic ``w`` covers, needs a
-    solve.  Those rows of the result are ``Z = Y^-1 data[rows]``; the row of
-    each basic ``w_j`` follows as ``data[j] - data[j, others] @ Z``.  Returns
-    None when ``Y`` is singular or the result is not finite.
+    solve.  Those rows of the result are ``Z = Y^-1 data[rows, cols]``; the
+    row of each basic ``w_j`` follows as
+    ``data[j, cols] - data[j, others] @ Z``.  Returns None when ``Y`` is
+    singular or the result is not finite.
     """
     basis = np.asarray(basis)
     on_w = basis < k
@@ -235,64 +248,114 @@ def _refactor(data, basis, k):
     others = basis[~on_w]
     rows = np.ones(k, dtype=bool)
     rows[rows_w] = False
+    selected = data[:, cols]
     try:
-        Z = np.linalg.solve(data[np.ix_(rows, others)], data[rows])
+        Z = np.linalg.solve(data[np.ix_(rows, others)], selected[rows])
     except np.linalg.LinAlgError:
         return None
-    out = np.empty_like(data)
+    out = np.empty_like(selected)
     out[~on_w] = Z
-    out[on_w] = data[rows_w] - data[np.ix_(rows_w, others)] @ Z
+    out[on_w] = selected[rows_w] - data[np.ix_(rows_w, others)] @ Z
     if not np.all(np.isfinite(out)):
         return None
     return out
 
 
+def _full_tableau(D, nonbasic, basis, k):
+    """The ``k x (2k+1)`` tableau: ``D``'s columns and a unit column per basic
+    variable."""
+    T = np.zeros((k, 2 * k + 1))
+    T[:, nonbasic] = D
+    T[np.arange(k), basis] = 1.0
+    return T
+
+
 def _pivot_path(M, q, k, verbose):
     """Run the complementary pivot sequence on one right-hand side.
 
-    Each pivot is one rank-one update of the tableau (``_pivot``), followed
-    by an ``O(k)`` check of the complementary-basis invariant.  The leaving
-    row is the lexicographic minimum ratio; the full key sort runs only over
-    rows that tie exactly on ``rhs / col``.  Every 8 pivots the tableau is
-    rebuilt exactly from the basis (``_refactor``) to shed accumulated drift.
+    The path keeps a ``k x (k+1)`` dictionary ``D``: the tableau's columns of
+    the ``k + 1`` nonbasic variables, ``nonbasic[c]`` being the variable of
+    column ``c`` and ``column[j]`` the column of a nonbasic variable ``j``.
+    A basic column is the unit vector of its row, which no pivot changes, so
+    it is not stored.  Each pivot is one rank-one update of ``D``
+    (``_pivot``), followed by an ``O(k)`` check of the complementary-basis
+    invariant.  The leaving row is the lexicographic minimum ratio; the full
+    key sort runs only over rows that tie exactly on ``rhs / col``.  Every 8
+    pivots the dictionary is rebuilt exactly from the basis (``_refactor``)
+    to shed accumulated drift.
 
     Returns ``(SOLUTION, basis, pivots)`` once ``z0`` leaves, with no
     rebuild there: the caller solves on the final basis itself.  Otherwise
     ``(RAY_TERMINATION, dv, pivots)`` with ``dv`` the ``v`` part of the ray's
-    direction (1 on the entering variable, ``-T[:, entering]`` on the basis).
-    Raises PivotLimitExceeded when a basis repeats (floating-point noise in
-    tied ratio tests can defeat the lexicographic rule), when a rebuild fails,
-    and past the ``50 k`` safeguard.
+    direction (1 on the entering variable, ``-D[:, column[entering]]`` on
+    the basis).  Raises PivotLimitExceeded when a basis repeats
+    (floating-point noise in tied ratio tests can defeat the lexicographic
+    rule), when a rebuild fails, and past the ``50 k`` safeguard.
     """
-    # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q; the
-    # tableau and the right-hand side start as its two parts.
+    # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q.  The
+    # w variables start basic; the dictionary holds the v and z0 columns.
     data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
-    T = data[:, :-1].copy()
+    # The columns a rebuild reduces: the nonbasic variables, then q.  The
+    # pivots update ``nonbasic`` through this view of ``cols``.
+    cols = np.arange(k, 2 * k + 2)
+    nonbasic = cols[:-1]
+    column = np.full(2 * k + 1, -1)
+    column[k:] = np.arange(k + 1)
+    D = data[:, k : 2 * k + 1].copy()
     rhs = q.copy()
-    basis = list(range(k))
+    basis = np.arange(k)
     z0 = 2 * k
     eps = np.finfo(float).eps
 
     # Initial pivot: bring the covering variable in where the right-hand side
-    # is most negative (lexicographic tie-break), making every row feasible:
-    # each becomes q_i - min q, which rounds to no negative number.
-    keys = np.column_stack([rhs, T[:, :k]])
-    order = np.lexsort(keys.T[::-1])
-    row = int(order[0])
-    leaving = basis[row]
-    _pivot(T, rhs, row, z0)
-    basis[row] = z0
-    entering = leaving + k  # complement of the evicted w variable
-    pivots = 1
-    member = _check_complementary_basis(basis, k)
-    if verbose:
-        _dump_tableau(basis, T, rhs, k)
-
+    # is most negative, making every row feasible: each becomes q_i - min q,
+    # which rounds to no negative number.  Among tied rows the last has the
+    # lexicographically least key (rhs_i, e_i).
+    row = int(np.flatnonzero(rhs == rhs.min())[-1])
+    entering, c = z0, k
+    pivots = 0
     limit = 50 * k
-    seen = {member.tobytes()}
-    since_refactor = 0
-    while pivots < limit:
-        col = T[:, entering]
+    seen = set()
+    since_refactor = -1
+    while True:
+        leaving = int(basis[row])
+        _pivot(D, rhs, row, c)
+        basis[row] = entering
+        nonbasic[c] = leaving
+        column[leaving] = c
+        column[entering] = -1
+        pivots += 1
+        member = _check_complementary_basis(basis, k)
+        if verbose:
+            _dump_tableau(basis, _full_tableau(D, nonbasic, basis, k), rhs, k)
+        if leaving == z0:
+            return LcpStatus.SOLUTION, basis, pivots
+        since_refactor += 1
+        if since_refactor >= 8:
+            # Long pivot sequences otherwise accumulate enough drift to steer
+            # the path into numerically singular bases.
+            rebuilt = _refactor(data, basis, cols, k)
+            if rebuilt is None:
+                raise PivotLimitExceeded(
+                    f"tableau rebuild failed after {pivots} pivots", pivots=pivots
+                )
+            D = np.ascontiguousarray(rebuilt[:, :-1])
+            rhs = rebuilt[:, -1].copy()
+            since_refactor = 0
+        key = member.tobytes()
+        if key in seen:
+            raise PivotLimitExceeded(
+                f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
+            )
+        seen.add(key)
+        if pivots >= limit:
+            raise PivotLimitExceeded(
+                f"no complementary solution within {limit} pivots", pivots=pivots
+            )
+
+        entering = leaving + k if leaving < k else leaving - k
+        c = int(column[entering])
+        col = D[:, c]
         tol = 64.0 * eps * max(1.0, float(np.abs(col).max()))
         cand = np.flatnonzero(col > tol)
         if cand.size == 0:
@@ -302,45 +365,21 @@ def _pivot_path(M, q, k, verbose):
             return LcpStatus.RAY_TERMINATION, ray[k : 2 * k], pivots
         # Lexicographic minimum ratio.  The (k+1)-key sort only breaks exact
         # ties on the first key, so it runs on the tied rows alone (on every
-        # row when a ratio is NaN, since the minimum is then NaN).
+        # row when a ratio is NaN, since the minimum is then NaN).  Its keys
+        # are rhs and the w columns: from D for a nonbasic w, and the unit
+        # vector of its row for a basic one.
         first = rhs[cand] / col[cand]
         tied = cand[~(first > first.min())]
         if tied.size > 1:
-            ratios = np.column_stack([rhs[tied], T[tied, :k]]) / col[tied, None]
+            keys = np.zeros((tied.size, k + 1))
+            keys[:, 0] = rhs[tied]
+            free_w = np.flatnonzero(nonbasic < k)
+            keys[:, 1 + nonbasic[free_w]] = D[np.ix_(tied, free_w)]
+            on_w = np.flatnonzero(basis[tied] < k)
+            keys[on_w, 1 + basis[tied[on_w]]] = 1.0
+            ratios = keys / col[tied, None]
             tied = tied[np.lexsort(ratios.T[::-1])]
         row = int(tied[0])
-        leaving = basis[row]
-        _pivot(T, rhs, row, entering)
-        basis[row] = entering
-        pivots += 1
-        member = _check_complementary_basis(basis, k)
-        if verbose:
-            _dump_tableau(basis, T, rhs, k)
-        if leaving == z0:
-            return LcpStatus.SOLUTION, list(basis), pivots
-        since_refactor += 1
-        if since_refactor >= 8:
-            # Long pivot sequences otherwise accumulate enough drift to steer
-            # the path into numerically singular bases.
-            rebuilt = _refactor(data, basis, k)
-            if rebuilt is None:
-                raise PivotLimitExceeded(
-                    f"tableau rebuild failed after {pivots} pivots", pivots=pivots
-                )
-            T = np.ascontiguousarray(rebuilt[:, :-1])
-            rhs = rebuilt[:, -1].copy()
-            since_refactor = 0
-        entering = leaving + k if leaving < k else leaving - k
-        key = member.tobytes()
-        if key in seen:
-            raise PivotLimitExceeded(
-                f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
-            )
-        seen.add(key)
-
-    raise PivotLimitExceeded(
-        f"no complementary solution within {limit} pivots", pivots=pivots
-    )
 
 
 def _solve_on_basis(M, q, basis, k):

@@ -68,6 +68,10 @@ except InternalInconsistency as err:
 """
 
 
+# consensus-medium's hull shapes.
+_MEDIUM_SHAPES = ((60, 20), (100, 30), (20, 40), (40, 60))
+
+
 def _separated(seed, m, n):
     # The benchmark's separated generator: a uniform box shifted along a
     # random unit direction until its nearest vertex is 0.5 away.
@@ -171,17 +175,23 @@ def _pivot_by_rows(T, rhs, row, col):
 class TestPivot:
     @pytest.mark.parametrize("k", (3, 28, 160))
     def test_matches_row_elimination_bit_for_bit(self, k):
+        # The dictionary pivot must reproduce the full tableau's pivot on the
+        # nonbasic columns, the leaving variable's new column and rhs.
         rng = np.random.default_rng(k)
         for _ in range(5):
+            order = rng.permutation(2 * k + 1)
+            basis, nonbasic = order[:k], order[k:]
             T = rng.normal(size=(k, 2 * k + 1))
+            T[:, basis] = np.eye(k)
             rhs = rng.normal(size=k)
-            row, col = int(rng.integers(k)), int(rng.integers(2 * k + 1))
+            row, c = int(rng.integers(k)), int(rng.integers(k + 1))
             zeros = rng.choice(k, size=k // 3, replace=False)
-            T[zeros[zeros != row], col] = 0.0
-            T_ref, rhs_ref = T.copy(), rhs.copy()
-            _pivot(T, rhs, row, col)
-            _pivot_by_rows(T_ref, rhs_ref, row, col)
-            assert_array_equal(T, T_ref)
+            T[zeros[zeros != row], nonbasic[c]] = 0.0
+            D, T_ref, rhs_ref = T[:, nonbasic], T.copy(), rhs.copy()
+            _pivot(D, rhs, row, c)
+            _pivot_by_rows(T_ref, rhs_ref, row, nonbasic[c])
+            nonbasic[c] = basis[row]
+            assert_array_equal(D, T_ref[:, nonbasic])
             assert_array_equal(rhs, rhs_ref)
 
 
@@ -212,31 +222,157 @@ class TestRefactor:
         M = A @ A.T / k + np.eye(k)
         data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), rng.normal(size=(k, 1))])
         for basis in _complementary_bases(k, rng):
-            out = _refactor(data, basis, k)
             ref = _dense_refactor(data, basis, k)
+            # The columns a pivot path rebuilds: the nonbasic ones, shuffled
+            # as pivots leave them, then q.
+            nonbasic = rng.permutation(np.setdiff1d(np.arange(2 * k + 1), basis))
+            cols = np.append(nonbasic, 2 * k + 1)
+            out = _refactor(data, basis, cols, k)
+            assert np.abs(out - ref[:, cols]).max() <= 1e-12 * np.abs(ref).max()
+            # Every column: basic ones come out as unit vectors, a basic w's
+            # exactly.
+            out = _refactor(data, basis, np.arange(2 * k + 2), k)
             assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
-            # Basic columns come out as unit vectors; a basic w's exactly.
             assert_allclose(out[:, basis], np.eye(k), rtol=0.0, atol=1e-12)
             on_w = np.asarray(basis) < k
             assert_array_equal(out[:, np.asarray(basis)[on_w]], np.eye(k)[:, on_w])
 
     def test_singular_basis_is_refused(self):
         data = np.hstack([np.eye(2), -np.ones((2, 2)), -np.ones((2, 1)), np.ones((2, 1))])
-        assert _refactor(data, [2, 3], 2) is None  # v1 and v2 columns coincide
+        # v1 and v2 columns coincide
+        assert _refactor(data, [2, 3], [0, 1, 4, 5], 2) is None
 
     @pytest.mark.parametrize("shape", ((60, 20), (100, 30)))
     def test_answers_match_dense_solve(self, shape, monkeypatch):
+        rebuilds = []
+
+        def dense(data, basis, cols, k):
+            rebuilds.append(basis)
+            return _dense_refactor(data, basis, k)[:, cols]
+
         for seed in range(3):
             P = _separated(seed, *shape)
             for variant in ALL_VARIANTS:
                 L = build_lcp(P, variant)
                 out = lemke_solve(L)
                 with monkeypatch.context() as patch:
-                    patch.setattr(lcp, "_refactor", _dense_refactor)
+                    patch.setattr(lcp, "_refactor", dense)
                     ref = lemke_solve(L)
                 assert out.status is ref.status is LcpStatus.SOLUTION
                 assert out.pivots == ref.pivots
                 assert out.v.tobytes() == ref.v.tobytes()
+        assert rebuilds
+
+
+def _full_tableau_path(M, q, k, verbose):
+    # Reference for lcp._pivot_path: the same pivot rule on the whole
+    # k x (2k+1) tableau, pivoted row by row and rebuilt every 8 pivots by a
+    # dense solve of the whole basis.
+    data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
+    T = data[:, :-1].copy()
+    rhs = q.copy()
+    basis = list(range(k))
+    z0 = 2 * k
+    eps = np.finfo(float).eps
+    row = int(np.lexsort(np.column_stack([rhs, T[:, :k]]).T[::-1])[0])
+    entering = z0
+    pivots, since_refactor, seen = 0, -1, set()
+    while pivots < 50 * k:
+        leaving = basis[row]
+        _pivot_by_rows(T, rhs, row, entering)
+        basis[row] = entering
+        pivots += 1
+        if leaving == z0:
+            return LcpStatus.SOLUTION, list(basis), pivots
+        since_refactor += 1
+        if since_refactor >= 8:
+            rebuilt = _dense_refactor(data, basis, k)
+            T, rhs = rebuilt[:, :-1].copy(), rebuilt[:, -1].copy()
+            since_refactor = 0
+        key = frozenset(basis)
+        assert key not in seen, "reference path revisited a basis"
+        seen.add(key)
+        entering = leaving + k if leaving < k else leaving - k
+        col = T[:, entering]
+        tol = 64.0 * eps * max(1.0, float(np.abs(col).max()))
+        cand = np.flatnonzero(col > tol)
+        if cand.size == 0:
+            ray = np.zeros(2 * k + 1)
+            ray[basis] = -col
+            ray[entering] = 1.0
+            return LcpStatus.RAY_TERMINATION, ray[k : 2 * k], pivots
+        first = rhs[cand] / col[cand]
+        tied = cand[~(first > first.min())]
+        if tied.size > 1:
+            ratios = np.column_stack([rhs[tied], T[tied, :k]]) / col[tied, None]
+            tied = tied[np.lexsort(ratios.T[::-1])]
+        row = int(tied[0])
+    raise AssertionError("reference path reached the pivot limit")
+
+
+class TestFullTableauReference:
+    # The dictionary path keeps the nonbasic columns only; on the benchmark's
+    # hull shapes it must take the full tableau's path to the same basis.
+    @pytest.mark.parametrize(
+        "hull",
+        [("separated", seed, m, n) for m, n in _MEDIUM_SHAPES for seed in range(2)]
+        # Seed 27 has the widest gap over seeds 0-39 between the dense
+        # reference's dual-orthant ray and the block-solve engine's, 1.8e-11
+        # relative, the same at the full-tableau engine this one replaced.
+        + [("inside", seed, 80, 20) for seed in (0, 1, 2, 3, 27)],
+        ids=lambda hull: "{}-{}x{}-{}".format(hull[0], hull[2], hull[3], hull[1]),
+    )
+    def test_same_path_as_full_tableau(self, hull, monkeypatch):
+        kind, seed, m, n = hull
+        make = _separated if kind == "separated" else _origin_inside
+        U, _ = unit_scale(make(seed, m, n))
+        for variant in ALL_VARIANTS:
+            L = build_lcp(U, variant)
+            out = lemke_solve(L)
+            with monkeypatch.context() as patch:
+                patch.setattr(lcp, "_pivot_path", _full_tableau_path)
+                ref = lemke_solve(L)
+            assert out.status is ref.status
+            assert out.pivots == ref.pivots
+            if kind == "inside" and variant is not LcpVariant.WOLFE_KKT:
+                assert out.status is LcpStatus.RAY_TERMINATION
+                scale = np.abs(ref.v).max()
+                assert np.abs(out.v - ref.v).max() <= 1e-10 * scale
+            else:
+                assert out.status is LcpStatus.SOLUTION
+                assert out.w.tobytes() == ref.w.tobytes()
+                assert out.v.tobytes() == ref.v.tobytes()
+
+
+    @pytest.mark.parametrize(
+        "make, seed, variants",
+        [
+            (separated_polyhedron, 1, ("dual-orthant",)),
+            (separated_polyhedron, 2, ("wolfe-kkt", "dual-orthant")),
+            (separated_polyhedron, 8, ("wolfe-kkt", "dual-orthant")),
+            (separated_polyhedron, 14, ("primal-split",)),
+            (separated_polyhedron, 62, ("dual-orthant",)),
+            (random_polyhedron, 1, ("wolfe-kkt", "dual-orthant")),
+            (random_polyhedron, 8, ("wolfe-kkt", "dual-orthant")),
+            (random_polyhedron, 14, ("primal-split",)),
+            (random_polyhedron, 43, ("dual-orthant",)),
+        ],
+        ids=lambda x: getattr(x, "__name__", None) or str(x),
+    )
+    def test_ties_break_as_full_tableau(self, make, seed, variants):
+        # On the unperturbed q many ratio tests tie exactly, and these paths
+        # end before the first rebuild, so the lexicographic keys alone decide
+        # them and the paths agree to the bit.  Dropping either part of the
+        # keys, or reading the nonbasic part from a wrong column of D, changes
+        # some outcome here.
+        U, _ = unit_scale(make(seed))
+        for variant in variants:
+            L = build_lcp(U, LcpVariant(variant))
+            status, end, pivots = lcp._pivot_path(L.M, L.q, L.k, False)
+            ref_status, ref_end, ref_pivots = _full_tableau_path(L.M, L.q, L.k, False)
+            assert ref_pivots <= 8
+            assert (status, pivots) == (ref_status, ref_pivots)
+            assert np.asarray(end).tobytes() == np.asarray(ref_end).tobytes()
 
 
 class TestCheckComplementaryBasis:
@@ -390,6 +526,8 @@ class TestLemkeSolve:
         lemke_solve(L, verbose=True)
         err = capsys.readouterr().err
         assert "z0" in err and "v1" in err
+        rows = [line.split(" | ")[1] for line in err.splitlines() if " | " in line]
+        assert rows and all(len(row.split()) == 2 * L.k + 1 for row in rows)
 
 
 class TestExtractProjection:
