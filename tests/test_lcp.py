@@ -244,10 +244,10 @@ class TestRefactor:
 
     @pytest.mark.parametrize("shape", ((60, 20), (100, 30)))
     def test_answers_match_dense_solve(self, shape, monkeypatch):
-        rebuilds = []
+        rebuilds = dict.fromkeys(ALL_VARIANTS, 0)
 
         def dense(data, basis, cols, k):
-            rebuilds.append(basis)
+            rebuilds[variant] += 1
             return _dense_refactor(data, basis, k)[:, cols]
 
         for seed in range(3):
@@ -261,13 +261,17 @@ class TestRefactor:
                 assert out.status is ref.status is LcpStatus.SOLUTION
                 assert out.pivots == ref.pivots
                 assert out.v.tobytes() == ref.v.tobytes()
-        assert rebuilds
+        # Every variant's paths must reach a rebuild, or the dense reference
+        # is never compared for it.
+        assert all(count >= 1 for count in rebuilds.values()), rebuilds
 
 
 def _full_tableau_path(M, q, k, verbose):
     # Reference for lcp._pivot_path: the same pivot rule on the whole
     # k x (2k+1) tableau, pivoted row by row and rebuilt every 8 pivots by a
-    # dense solve of the whole basis.
+    # dense solve of the whole basis.  The 8 is deliberate and is not
+    # lcp._REBUILD_INTERVAL: against it, TestFullTableauReference also checks
+    # that the engine's longer interval reaches the same outcomes.
     data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
     T = data[:, :-1].copy()
     rhs = q.copy()
@@ -373,6 +377,48 @@ class TestFullTableauReference:
             assert ref_pivots <= 8
             assert (status, pivots) == (ref_status, ref_pivots)
             assert np.asarray(end).tobytes() == np.asarray(ref_end).tobytes()
+
+
+class TestRebuildInterval:
+    # Hull 0 of the 240x80 consensus sweep (153x69; random_polyhedron draws
+    # as scripts/consensus_sweep.make_instance does) at unit scale: drift
+    # over its primal-split path of 799 pivots ends on a wrong ray when the
+    # dictionary is never rebuilt.
+    @pytest.fixture(scope="class")
+    def hull(self):
+        U, _ = unit_scale(random_polyhedron(0, max_m=240, max_n=80))
+        assert U.vertices.shape == (153, 69)
+        return U
+
+    def test_same_outcome_as_every_8_pivots(self, hull, monkeypatch):
+        expected = (
+            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 799),
+            (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION, 190),
+            (LcpVariant.DUAL_ORTHANT, LcpStatus.RAY_TERMINATION, 180),
+        )
+        for variant, status, pivots in expected:
+            L = build_lcp(hull, variant)
+            out = lemke_solve(L)
+            with monkeypatch.context() as patch:
+                patch.setattr(lcp, "_REBUILD_INTERVAL", 8)
+                ref = lemke_solve(L)
+            assert out.status is ref.status is status
+            assert out.pivots == ref.pivots == pivots
+            if status is LcpStatus.SOLUTION:
+                assert out.w.tobytes() == ref.w.tobytes()
+                assert out.v.tobytes() == ref.v.tobytes()
+            else:
+                assert np.abs(out.v - ref.v).max() <= 1e-9 * np.abs(ref.v).max()
+            extract_projection(hull, L, out)
+
+    def test_drift_without_rebuild_is_inconsistent(self, hull, monkeypatch):
+        # Negative control: with no periodic rebuild lcp-primal's path ends on
+        # a ray with no positive multiplier, at one BLAS thread and at two.
+        monkeypatch.setattr(lcp, "_REBUILD_INTERVAL", 10**9)
+        L = build_lcp(hull, LcpVariant.PRIMAL_SPLIT)
+        out = lemke_solve(L)
+        with pytest.raises(InconsistentOutcome, match="no positive multiplier"):
+            extract_projection(hull, L, out)
 
 
 class TestCheckComplementaryBasis:
