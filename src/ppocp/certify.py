@@ -15,6 +15,11 @@ one rule, ``||rho|| <= zero_tol``.  The reference oracle is deliberately
 low-tech (exact face enumeration for up to four vertices) so that it shares
 no machinery with the routes it arbitrates.  Every entry point solves
 ``Z / s`` (``core.unit_scale``) and reports in the caller's units.
+
+The wolfe and maximin routes share Wolfe's minimum-norm-point kernel.
+``cross_check`` and ``detect_zero_membership`` run it once per call, inside
+the wolfe route, and the maximin route checks the weights it returned;
+``run_route`` runs each route's own kernel.
 """
 
 from __future__ import annotations
@@ -37,11 +42,12 @@ from .core import (
 from .errors import (
     ConflictingCharacterizations,
     InconsistentOutcome,
+    MaxIterExceeded,
     OracleScaleExceeded,
     PpocpError,
 )
 from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve, vertex_weights
-from .maximin import solve_maximin
+from .maximin import maximin_from_weights, solve_maximin
 from .nnls import project_via_nnls
 from .simplex_qp import solve_wolfe
 from .support_qp import DualStatus, solve_dual
@@ -254,13 +260,18 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 # origin inside (the dual's unbounded objective, a Lemke ray) answer with the
 # point they combine to.  Runners look the solvers up as module globals at
 # call time, so replacing ``certify.solve_wolfe`` and its peers reaches every
-# caller.
+# caller; in ``cross_check`` and ``detect_zero_membership`` the maximin route
+# calls ``certify.maximin_from_weights`` instead of ``certify.solve_maximin``
+# (``_one_kernel_routes``).
+
+
+def _wolfe_answer(P, sol, cfg):
+    result = projection_result(P, sol.rho, Route.WOLFE, sol.iterations, cfg)
+    return _vi_checked(result, cfg), sol.alpha
 
 
 def _run_wolfe(P, cfg, verbose=False):
-    sol = solve_wolfe(P, cfg)
-    result = projection_result(P, sol.rho, Route.WOLFE, sol.iterations, cfg)
-    return _vi_checked(result, cfg), sol.alpha
+    return _wolfe_answer(P, solve_wolfe(P, cfg), cfg)
 
 
 def _run_dual(P, cfg, verbose=False):
@@ -271,10 +282,13 @@ def _run_dual(P, cfg, verbose=False):
     return _vi_checked(result, cfg), out.alpha
 
 
-def _run_maximin(P, cfg, verbose=False):
-    sol = solve_maximin(P, cfg)
+def _maximin_answer(P, sol, cfg):
     result = projection_result(P, sol.rho, Route.MAXIMIN, sol.iterations, cfg)
     return _vi_checked(result, cfg), sol.alpha
+
+
+def _run_maximin(P, cfg, verbose=False):
+    return _maximin_answer(P, solve_maximin(P, cfg), cfg)
 
 
 def _run_lcp(variant):
@@ -307,6 +321,35 @@ ROUTES = {
 }
 
 
+def _one_kernel_routes():
+    """``ROUTES`` with wolfe and maximin sharing one run of the kernel.
+
+    The wolfe runner keeps the weights and minor-cycle count of the kernel
+    run inside ``solve_wolfe``: the solution's, also when its answer then
+    fails the VI check, or the best iterate a gap miss carries.  The maximin
+    runner checks those with ``maximin_from_weights``; ``solve_maximin``
+    would have run the kernel from the same support to the same weights, so
+    its entry does not change.  Built anew for every call, so nothing is
+    kept across instances; wolfe must run first.
+    """
+    kernel = []
+
+    def wolfe(P, cfg, verbose=False):
+        try:
+            sol = solve_wolfe(P, cfg)
+        except MaxIterExceeded as err:
+            kernel.append((err.best, err.iterations))
+            raise
+        kernel.append((sol.alpha, sol.iterations))
+        return _wolfe_answer(P, sol, cfg)
+
+    def maximin(P, cfg, verbose=False):
+        weights, iterations = kernel[-1]
+        return _maximin_answer(P, maximin_from_weights(P, weights, iterations, cfg), cfg)
+
+    return dict(ROUTES, wolfe=wolfe, maximin=maximin)
+
+
 def _scaled(runner, U, s, cfg, verbose=False):
     """``runner``'s outcome on the unit instance ``U``, in units ``s`` times larger."""
     outcome = runner(U, cfg, verbose=verbose)
@@ -331,13 +374,15 @@ def detect_zero_membership(
 
     Votes are the ``origin_inside`` of the wolfe, dual, maximin and
     lcp-primal routes on ``Z / s``: each answer within ``zero_tol`` of the
-    origin votes inside.  Raises ConflictingCharacterizations on a split
-    vote, which is always a numerical-tolerance failure worth surfacing; a
-    route's own error, a failed VI check included, propagates.
+    origin votes inside.  Maximin checks the weights of wolfe's kernel run
+    instead of running its own.  Raises ConflictingCharacterizations on a
+    split vote, which is always a numerical-tolerance failure worth
+    surfacing; a route's own error, a failed VI check included, propagates.
     """
     U, _ = unit_scale(P)
+    routes = _one_kernel_routes()
     voters = ("wolfe", "dual", "maximin", "lcp-primal")  # ZeroMembershipVotes order
-    votes = ZeroMembershipVotes(*(ROUTES[r](U, cfg)[0].origin_inside for r in voters))
+    votes = ZeroMembershipVotes(*(routes[r](U, cfg)[0].origin_inside for r in voters))
     if not votes.unanimous:
         raise ConflictingCharacterizations(
             f"origin-membership characterizations disagree: {votes}", votes=votes
@@ -351,12 +396,16 @@ def cross_check(
     """Run every applicable route and the oracle at unit scale and compare.
 
     Per-route errors, an answer failing the VI check included, are captured
-    in the report rather than aborting the remaining routes.  The verdict is
-    ``agree`` only when all successful routes match pairwise within
-    ``1e-6 (s + max distance)`` and their origin-membership votes coincide.
+    in the report rather than aborting the remaining routes.  The kernel the
+    wolfe and maximin routes share runs once: maximin checks wolfe's weights.
+    The verdict is ``agree`` only when all successful routes match pairwise
+    within ``1e-6 (s + max distance)`` and their origin-membership votes
+    coincide.
     """
     U, s = unit_scale(P)
-    runners = dict(ROUTES, oracle=_run_oracle) if U.m <= 4 else ROUTES
+    runners = _one_kernel_routes()
+    if U.m <= 4:
+        runners["oracle"] = _run_oracle
     entries: dict[str, RouteEntry] = {}
     for name, runner in runners.items():
         try:

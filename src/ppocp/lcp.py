@@ -49,6 +49,7 @@ hull by construction.
 from __future__ import annotations
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -409,6 +410,20 @@ def _solve_on_basis(M, q, basis, k):
     return solution[:k], solution[k:]
 
 
+@functools.lru_cache(maxsize=None)
+def _covering_perturbation(k: int) -> np.ndarray:
+    """The fixed ``delta`` of size ``k``, drawn once and read-only.
+
+    Fixed-seed draw: deterministic, but generic enough that perturbed ratio
+    tests stay untied even against the structured rank-deficiency of the
+    Gram-based instances (a smooth progression is not).  It depends on ``k``
+    alone, so every instance of that size pivots on the same ``delta``.
+    """
+    delta = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)
+    delta.flags.writeable = False
+    return delta
+
+
 def lemke_solve(
     L: LCPInstance,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -436,10 +451,7 @@ def lemke_solve(
             status=LcpStatus.SOLUTION, w=q.copy(), v=np.zeros(k), pivots=0
         )
 
-    # Fixed-seed draw: deterministic, but generic enough that perturbed ratio
-    # tests stay untied even against the structured rank-deficiency of the
-    # Gram-based instances (a smooth progression is not).
-    delta = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)
+    delta = _covering_perturbation(k)
     eps_use = min(1e-8 * (1.0 + float(np.abs(q).max())), 0.25 * float(-q.min()))
     status, end, pivots = _pivot_path(M, q + eps_use * delta, k, verbose)
     if status is LcpStatus.RAY_TERMINATION:

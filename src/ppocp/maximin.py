@@ -12,8 +12,10 @@ with value ``t = ||w||`` (the distance identity).  ``w`` comes from
 ``core.refine_simplex_minimizer`` with the wolfe route's start and cycle
 cap, so both routes get bit-identical weights: their agreement is one solve
 plus one independent check, not two solvers.  The check is what is maximin
-here: ``t = min_i <c, z_i>`` must meet the distance identity.
-``iterations`` counts the kernel's minor cycles.
+here, ``maximin_from_weights``: ``t = min_i <c, z_i>`` must meet the
+distance identity.  ``solve_maximin`` runs the kernel and then the check;
+``certify.cross_check`` runs the kernel once, in the wolfe route, and hands
+its weights to the check.  ``iterations`` counts the kernel's minor cycles.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from .core import (
 )
 from .errors import MaxIterExceeded
 
-__all__ = ["MaximinSolution", "solve_maximin", "projection_from_maximin", "cone_nonempty"]
+__all__ = [
+    "MaximinSolution",
+    "solve_maximin",
+    "maximin_from_weights",
+    "projection_from_maximin",
+    "cone_nonempty",
+]
 
 
 @dataclass(frozen=True)
@@ -67,22 +75,34 @@ def solve_maximin(
 ) -> MaximinSolution:
     """Maximize ``min_i <c, z_i>`` over the unit ball.
 
-    The direction is ``c_hat = w/||w||`` at the minimum-norm point ``w`` that
-    ``refine_simplex_minimizer`` finds from the uniform start within
-    ``cfg.max_iter`` major cycles (``c_hat = 0`` when ``w`` is exactly the
+    Runs ``refine_simplex_minimizer`` from the uniform start within
+    ``cfg.max_iter`` major cycles and reads the answer off its weights with
+    ``maximin_from_weights``, whose MaxIterExceeded it raises.
+    """
+    weights, iterations = refine_simplex_minimizer(
+        P.vertices, np.ones(P.m), max_cycles=cfg.max_iter
+    )
+    return maximin_from_weights(P, weights, iterations, cfg)
+
+
+def maximin_from_weights(
+    P: Polyhedron, weights, iterations: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> MaximinSolution:
+    """The maximin answer read off the kernel's weights, once they pass its check.
+
+    The direction is ``c_hat = w/||w||`` at ``w = weights @ Z``, meant to be
+    the hull's minimum-norm point (``c_hat = 0`` when ``w`` is exactly the
     origin), and ``t_value = min_i <c_hat, z_i>``.  ``origin_inside`` is
     ``||rho|| <= zero_tol``, the rule every route's answer votes by.
+    ``iterations`` is the kernel's count, reported as the route's.
 
     Raises
     ------
     MaxIterExceeded
         If ``t_value`` misses the distance identity ``t = ||w||``, that is
         when ``||w|| (||w|| - t_value)`` exceeds ``opt_tol`` (the gap
-        contract of the wolfe route); carries the kernel's weights.
+        contract of the wolfe route); carries the weights.
     """
-    weights, iterations = refine_simplex_minimizer(
-        P.vertices, np.ones(P.m), max_cycles=cfg.max_iter
-    )
     w = weights @ P.vertices
     w_norm = float(np.linalg.norm(w))
     c_hat = w / w_norm if w_norm > 0.0 else w

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,11 +9,12 @@ from conftest import (
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
+    far_vertex_kernel,
     origin_inside_polyhedron,
     random_polyhedron,
     separated_polyhedron,
 )
-from ppocp import certify
+from ppocp import certify, maximin, simplex_qp
 from ppocp.certify import (
     check_optimality,
     cross_check,
@@ -19,7 +22,7 @@ from ppocp.certify import (
     reference_projection,
 )
 from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result, unit_scale
-from ppocp.errors import OracleScaleExceeded
+from ppocp.errors import MaxIterExceeded, OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
 
@@ -341,6 +344,149 @@ class TestCrossCheck:
         assert report.entries["nnls"].status == "error"
         assert "nnls" in report.entries["nnls"].error
         assert report.verdict == "conflict"
+
+
+def _entry_as_run_route(name, P):
+    """What ``run_route`` gives for ``name`` on ``P``, as a consensus entry."""
+    try:
+        outcome = certify.run_route(name, P)
+    except MaxIterExceeded as err:
+        return certify.RouteEntry(status="error", error=str(err))
+    if outcome is None:
+        return certify.RouteEntry(status="not-applicable")
+    return certify.RouteEntry(status="ok", result=outcome[0])
+
+
+def _assert_same_entry(a, b):
+    assert (a.status, a.error) == (b.status, b.error)
+    if a.result is not None:
+        assert a.result.rho.tobytes() == b.result.rho.tobytes()
+        assert (a.result.distance, a.result.iterations, a.result.vi_min) == (
+            b.result.distance,
+            b.result.iterations,
+            b.result.vi_min,
+        )
+        assert (a.result.route, a.result.origin_inside) == (
+            b.result.route,
+            b.result.origin_inside,
+        )
+
+
+def _kernel_stub(iterations):
+    """``far_vertex_kernel`` reporting ``iterations`` minor cycles."""
+
+    def kernel(Z, alpha, max_cycles=None, trace=None):
+        return far_vertex_kernel(Z, alpha)[0], iterations
+
+    return kernel
+
+
+class TestOneKernel:
+    """cross_check and detect_zero_membership run the wolfe/maximin kernel once."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        for module in (simplex_qp, maximin):
+            kernel = module.refine_simplex_minimizer
+
+            def counted(*args, _kernel=kernel, _owner=module.__name__, **kwargs):
+                calls.append(_owner)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(module, "refine_simplex_minimizer", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "call, owners",
+        [
+            (cross_check, ["ppocp.simplex_qp"]),
+            (detect_zero_membership, ["ppocp.simplex_qp"]),
+            (lambda P: certify.run_route("wolfe", P), ["ppocp.simplex_qp"]),
+            (lambda P: certify.run_route("maximin", P), ["ppocp.maximin"]),
+        ],
+        ids=["cross_check", "detect_zero_membership", "run_route-wolfe", "run_route-maximin"],
+    )
+    def test_one_kernel_run_per_call(self, kernel_calls, call, owners):
+        hulls = (TRIANGLE, separated_polyhedron(3).vertices, origin_inside_polyhedron(3).vertices)
+        for vertices in hulls:
+            P = Polyhedron(np.array(vertices))
+            kernel_calls.clear()
+            call(P)
+            assert kernel_calls == owners
+
+    def test_entries_match_run_route_to_the_bit(self):
+        for seed in range(8):
+            for P in (
+                separated_polyhedron(seed),
+                origin_inside_polyhedron(seed),
+                separated_polyhedron(seed, max_m=40, max_n=12),
+                origin_inside_polyhedron(seed, max_m=40, max_n=12),
+            ):
+                report = cross_check(P)
+                assert report.verdict == "agree"
+                for name in certify.ROUTES:
+                    _assert_same_entry(report.entries[name], _entry_as_run_route(name, P))
+
+    def test_wolfe_gap_miss_hands_its_best_iterate_to_maximin(self, monkeypatch):
+        # The far vertex [2, 2] misses wolfe's gap contract; maximin checks the
+        # same weights, as its own kernel run would have given them.
+        P = Polyhedron(np.array(TRIANGLE))
+        monkeypatch.setattr(simplex_qp, "refine_simplex_minimizer", _kernel_stub(5))
+        report = cross_check(P)
+        wolfe, mm = report.entries["wolfe"], report.entries["maximin"]
+        assert wolfe.status == "error" and "optimality gap" in wolfe.error
+        assert mm.status == "error" and "distance identity" in mm.error
+        assert "after 5 iterations" in wolfe.error and "after 5 iterations" in mm.error
+        assert report.verdict == "conflict"
+        monkeypatch.setattr(maximin, "refine_simplex_minimizer", _kernel_stub(5))
+        _assert_same_entry(mm, _entry_as_run_route("maximin", P))
+        with pytest.raises(MaxIterExceeded, match="optimality gap"):
+            detect_zero_membership(P)
+
+    def test_wolfe_vi_failure_hands_its_weights_to_maximin(self, monkeypatch):
+        # Twice the true projection [1, 1] fails the VI check; the weights of
+        # the solution still reach maximin, whose entry does not change.
+        P = Polyhedron(np.array(TRIANGLE))
+        real = certify.solve_wolfe
+        handed = []
+
+        def doubled(P, cfg):
+            answer = real(P, cfg)
+            return dataclasses.replace(answer, rho=2.0 * answer.rho)
+
+        def spy(P, weights, iterations, cfg):
+            handed.append((weights, iterations))
+            return maximin.maximin_from_weights(P, weights, iterations, cfg)
+
+        expected = _entry_as_run_route("maximin", P)
+        monkeypatch.setattr(certify, "solve_wolfe", doubled)
+        monkeypatch.setattr(certify, "maximin_from_weights", spy)
+        report = cross_check(P)
+        assert report.entries["wolfe"].status == "error"
+        assert "fails the optimality residual" in report.entries["wolfe"].error
+        _assert_same_entry(report.entries["maximin"], expected)
+        (weights, iterations), = handed
+        assert weights.tobytes() == real(unit_scale(P)[0]).alpha.tobytes()
+        assert iterations == expected.result.iterations
+
+    def test_maximin_checks_the_weights_it_is_handed(self, monkeypatch):
+        # wolfe answers [1, 1] but hands over the far vertex's weights: the
+        # distance identity catches them although wolfe's own answer passed.
+        real = certify.solve_wolfe
+
+        def far_weights(P, cfg):
+            answer = real(P, cfg)
+            return dataclasses.replace(answer, alpha=far_vertex_kernel(P.vertices, None)[0])
+
+        monkeypatch.setattr(certify, "solve_wolfe", far_weights)
+        P = Polyhedron(np.array(TRIANGLE))
+        report = cross_check(P)
+        assert report.entries["wolfe"].status == "ok"
+        assert report.entries["maximin"].status == "error"
+        assert "distance identity" in report.entries["maximin"].error
+        with pytest.raises(MaxIterExceeded, match="distance identity"):
+            detect_zero_membership(P)
 
 
 def _nan_answer(P, cfg):

@@ -69,20 +69,30 @@ class TestProjectionRuns:
         assert json.loads(out)["rho"] == list(report.entries[method].result.rho)
 
     @pytest.mark.parametrize(
-        "solver, route",
-        [("solve_wolfe", "wolfe"), ("solve_dual", "dual"), ("solve_maximin", "maximin")],
+        "solvers, route",
+        [
+            pytest.param(["solve_wolfe"], "wolfe", id="solve_wolfe-wolfe"),
+            pytest.param(["solve_dual"], "dual", id="solve_dual-dual"),
+            # cross_check's maximin entry checks wolfe's kernel weights with
+            # maximin_from_weights; --method maximin runs solve_maximin.
+            pytest.param(
+                ["maximin_from_weights", "solve_maximin"], "maximin", id="solve_maximin-maximin"
+            ),
+        ],
     )
     def test_answer_failing_vi_check_is_rejected(
-        self, tmp_path, capsys, monkeypatch, solver, route
+        self, tmp_path, capsys, monkeypatch, solvers, route
     ):
         # Twice the true projection [1, 1] has vi_min = -4: no route may report it.
-        real = getattr(certify, solver)
+        def doubled(real):
+            def solver(*args):
+                answer = real(*args)
+                return dataclasses.replace(answer, rho=2.0 * answer.rho)
 
-        def doubled(P, cfg):
-            answer = real(P, cfg)
-            return dataclasses.replace(answer, rho=2.0 * answer.rho)
+            return solver
 
-        monkeypatch.setattr(certify, solver, doubled)
+        for name in solvers:
+            monkeypatch.setattr(certify, name, doubled(getattr(certify, name)))
         entry = certify.cross_check(Polyhedron(np.array(TRIANGLE))).entries[route]
         assert entry.status == "error"
         assert route in entry.error

@@ -458,6 +458,23 @@ class TestLemkeSolve:
         assert_array_equal(out.w, [1.0, 2.0])
         assert_array_equal(out.v, [0.0, 0.0])
 
+    @pytest.mark.parametrize("k", [1, 3, 27, 139])
+    def test_covering_perturbation_is_drawn_once_per_size(self, k):
+        delta = lcp._covering_perturbation(k)
+        fresh = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)
+        assert delta.tobytes() == fresh.tobytes()
+        assert delta.flags.writeable is False
+        assert lcp._covering_perturbation(k) is delta
+        with pytest.raises(ValueError):
+            delta[0] = 1.0
+
+    def test_covering_perturbation_values(self):
+        assert lcp._covering_perturbation(3).tolist() == [
+            1.0856491671436244,
+            1.2368105065960997,
+            1.8012744652063968,
+        ]
+
     def test_origin_inside_wolfe_solves_in_one_path(self, monkeypatch):
         # Unit-scale origin-inside hulls whose degenerate Wolfe-KKT bases ended
         # a path perturbed by 1e-7 on a basis feasible only for the perturbed

@@ -16,7 +16,12 @@ from conftest import (
 from ppocp import maximin
 from ppocp.core import Polyhedron, support_value, vi_residuals
 from ppocp.errors import MaxIterExceeded
-from ppocp.maximin import cone_nonempty, projection_from_maximin, solve_maximin
+from ppocp.maximin import (
+    cone_nonempty,
+    maximin_from_weights,
+    projection_from_maximin,
+    solve_maximin,
+)
 from ppocp.simplex_qp import solve_wolfe
 
 
@@ -118,9 +123,21 @@ class TestConeNonempty:
 
 class TestSharedKernel:
     def test_weights_match_wolfe_route_to_the_bit(self):
+        # So cross_check may check wolfe's weights instead of running the
+        # kernel again: from them maximin_from_weights gives solve_maximin.
         for seed in range(12):
             for P in (separated_polyhedron(seed), origin_inside_polyhedron(seed)):
-                assert np.array_equal(solve_maximin(P).alpha, solve_wolfe(P).alpha)
+                wolfe = solve_wolfe(P)
+                own = solve_maximin(P)
+                assert np.array_equal(own.alpha, wolfe.alpha)
+                given = maximin_from_weights(P, wolfe.alpha, wolfe.iterations)
+                for field in ("c_hat", "rho", "alpha"):
+                    assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
+                assert (given.t_value, given.iterations, given.origin_inside) == (
+                    own.t_value,
+                    own.iterations,
+                    own.origin_inside,
+                )
 
     def test_distance_identity_miss_raises(self, monkeypatch):
         # A kernel answer at the far vertex [2, 2] gives t = sqrt(2) < ||w||.
