@@ -4,6 +4,7 @@
 Example:
 
     python scripts/consensus_sweep.py --count 50 --max-m 12 --max-n 8 --seed 0
+    python scripts/consensus_sweep.py --lattice --count 150 --max-m 39 --max-n 7 --seed 1
 
 Prints one line per instance (sizes, worst pairwise deviation, votes) and a
 summary block; exits nonzero when any instance fails to reach consensus.
@@ -26,6 +27,22 @@ def make_instance(seed, max_m, max_n, box):
     return Polyhedron(rng.uniform(-box, box, size=(m, n)))
 
 
+def lattice_instances(seed, count, max_m, max_n, shift):
+    """Integer hulls: coordinates in {-2..2}, shifted by ``shift`` along the
+    first axis, with 3 to ``max_m`` vertices in 2 to ``max_n`` dimensions.
+
+    Exact ties, duplicate vertices and degenerate faces are common here, and
+    float draws never give them.  All hulls come from one stream seeded by
+    ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = rng.integers(3, max_m + 1), rng.integers(2, max_n + 1)
+        z = rng.integers(-2, 3, size=(m, n)).astype(float)
+        z[:, 0] += shift
+        yield Polyhedron(z)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=50)
@@ -33,14 +50,24 @@ def main(argv=None):
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--box", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--lattice", action="store_true", help="integer hulls, see lattice_instances; no --box"
+    )
+    parser.add_argument("--shift", type=float, default=3.0, help="--lattice shift along axis 1")
     args = parser.parse_args(argv)
+    if args.lattice:
+        instances = lattice_instances(args.seed, args.count, args.max_m, args.max_n, args.shift)
+    else:
+        instances = (
+            make_instance(args.seed + i, args.max_m, args.max_n, args.box)
+            for i in range(args.count)
+        )
 
     conflicts = 0
     inside_count = 0
     iteration_totals = {}
     start = time.perf_counter()
-    for i in range(args.count):
-        P = make_instance(args.seed + i, args.max_m, args.max_n, args.box)
+    for i, P in enumerate(instances):
         report = cross_check(P)
         ok = [e for e in report.entries.values() if e.status == "ok"]
         inside = any(report.votes.values())

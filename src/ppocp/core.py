@@ -347,10 +347,12 @@ def refine_simplex_minimizer(
     ``z_j`` joins it.  Each minor cycle solves the affine-hull problem on the
     corral with a bordered least squares system and, when that leaves the
     simplex, steps back to its boundary and drops the vertices whose weight
-    reaches zero.  The corral
-    stays affinely independent, so it never holds more than n + 1 vertices,
-    and ``||x||^2`` falls with every major cycle; its value at each cycle is
-    appended to ``trace`` when one is given.  The stopping threshold and the
+    reaches zero, save ``z_j`` in its first minor cycle unless it blocks the
+    step itself: a short step leaves it a weight too small to tell from
+    rounding, but it still has to stay.  The corral stays affinely
+    independent, so it never holds more than n + 1 vertices, and ``||x||^2``
+    falls with every major cycle; its value at each cycle is appended to
+    ``trace`` when one is given.  The stopping threshold and the
     affine solve both scale with ``max_i ||z_i||^2``, so scaling ``Z`` by a
     power of two leaves the weights unchanged to the bit.
     Returns the weights over all m vertices and the number of minor cycles
@@ -380,6 +382,7 @@ def refine_simplex_minimizer(
             break
         corral = np.append(corral, j)
         lam = np.append(lam, 0.0)
+        entering = True
         while True:
             steps += 1
             Zs = Z[corral]
@@ -405,12 +408,22 @@ def refine_simplex_minimizer(
             lam = (1.0 - theta) * lam + theta * mu
             lam[neg[first]] = 0.0
             keep = lam > 1e-14
+            if entering:
+                # z_j improves on x, so its affine weight mu_j is positive and
+                # its weight theta mu_j is small only when the step is: z_j
+                # stays through this first minor cycle unless it blocks.
+                keep |= corral == j
+                keep[neg[first]] = False
+                entering = False
             corral, lam = corral[keep], lam[keep]
         keep = lam > 0.0
         corral, lam = corral[keep], lam[keep] / lam[keep].sum()
         x = lam @ Z[corral]
         if j not in corral:
-            # Rounding dropped the vertex that was just added: no progress.
+            # z_j blocked its own first step (a negative affine weight, which
+            # exact arithmetic rules out), or a later minor cycle left it no
+            # weight: x made no progress towards it, so stop here and let the
+            # caller's gap check judge x.
             break
     weights = np.zeros(m)
     weights[corral] = lam

@@ -26,24 +26,26 @@ and ``q^T dv < 0``.  For dual-orthant, ``u = dv`` and ``M = B/2`` give
 by ``q^T dv < 0``, so ``u / sum u`` are convex weights combining the
 vertices to the origin.
 
-The engine pivots a dense ``k x (k+1)`` dictionary: the columns of the
-tableau ``[I | -M | -d]`` that belong to the ``k + 1`` nonbasic variables.
-A basic column is a unit vector that no pivot changes, so it is not stored
-(Cottle, Pang & Stone, ch. 4; the revised simplex method rests on the same
-observation).  Each pivot is one rank-one update, after which the entering
-variable's column is overwritten with the leaving variable's.  The engine
-checks the basis invariant in ``O(k)``, breaks exact ratio ties
-lexicographically, and rebuilds the dictionary from the data every 32
-pivots (``_REBUILD_INTERVAL``): every measured unit-scale path keeps the
-pivots and solutions it has at 8, for a quarter of the block solves, each of
-which costs about four times the eight rank-one updates before it.  The
-rebuild reduces only the nonbasic columns and ``q``, and solves only the
-block of the basis that its basic ``w`` columns, which are unit vectors,
-leave open; no rebuild runs once the path reaches a solution.
-``lemke_solve`` runs one path on a slightly perturbed
-right-hand side.  Every outcome, solution or ray, answers with the point its
-weights ``u / sum u`` combine the vertices to, so the answer lies in the
-hull by construction.
+The engine pivots a dense ``k x (k+2)`` dictionary: the columns of the
+tableau ``[I | -M | -d]`` that belong to the ``k + 1`` nonbasic variables,
+then the right-hand side.  A basic column is a unit vector that no pivot
+changes, so it is not stored (Cottle, Pang & Stone, ch. 4; the revised
+simplex method rests on the same observation).  Each pivot is one rank-one
+update, after which the entering variable's column is overwritten with the
+leaving variable's.  The engine guards each pivot in ``O(1)`` (the leaving
+variable is basic, the entering one is not) and checks the basis invariant
+in full, in ``O(k)``, at every rebuild and at the end of the path.  It
+breaks exact ratio ties lexicographically, and rebuilds the dictionary from
+the data every 32 pivots (``_REBUILD_INTERVAL``): every measured unit-scale
+path keeps the pivots and solutions it has at 8, for a quarter of the block
+solves, each of which costs about four times the eight rank-one updates
+before it.  The rebuild reduces only the nonbasic columns and ``q``, and
+solves only the block of the basis that its basic ``w`` columns, which are
+unit vectors, leave open; no rebuild runs once the path reaches a solution.
+``lemke_solve`` runs one path on a slightly perturbed right-hand side.
+Every outcome, solution or ray, answers with the point its weights
+``u / sum u`` combine the vertices to, so the answer lies in the hull by
+construction.
 """
 
 from __future__ import annotations
@@ -214,27 +216,48 @@ def _check_complementary_basis(basis, k):
     return member
 
 
-def _pivot(D, rhs, row, col):
-    """Pivot the dictionary ``D`` on ``D[row, col]``, in place.
+def _swap_members(member, leaving, entering, k):
+    """Move ``leaving`` out of and ``entering`` into the basic membership
+    ``member`` over ``(w, v, z0)``, in ``O(1)``.
 
-    ``D`` holds the tableau's nonbasic columns only.  The entering column
-    ``col`` is reduced by one rank-one update like every other, then takes
-    the leaving variable's column: its unit column after the same update,
-    ``-factor * (1 / piv)`` with ``1 / piv`` at the pivot row.  Every entry
-    receives the same division or product-and-subtraction as row-by-row
-    elimination of the full tableau, so the result matches it to the bit
-    (up to the sign of zeros).
+    Raises unless ``leaving`` is basic and ``entering`` is not.  The pivot
+    path enters ``z0`` first and then always the complement of the variable
+    that left last, so with this guard every basis along it is complementary
+    save the one pair ``z0`` holds open, by induction from the all-``w``
+    start: the invariant ``_check_complementary_basis`` checks in full.
     """
-    piv = D[row, col]
-    D[row] /= piv
-    rhs[row] /= piv
-    factor = D[:, col].copy()
+    if not member[leaving]:
+        raise InternalInconsistency(
+            f"leaving variable {_variable_name(leaving, k)} is not basic"
+        )
+    if member[entering]:
+        raise InternalInconsistency(
+            f"entering variable {_variable_name(entering, k)} is already basic"
+        )
+    member[leaving] = False
+    member[entering] = True
+
+
+def _pivot(T, row, col):
+    """Pivot the dictionary ``T = [D | rhs]`` on ``T[row, col]``, in place.
+
+    ``D`` holds the tableau's nonbasic columns only, and the right-hand side
+    rides along as the last column.  One row division and one rank-one update
+    reduce every column, ``rhs`` included; the entering column ``col`` then
+    takes the leaving variable's column: its unit column after the same
+    update, ``-factor * (1 / piv)`` with ``1 / piv`` at the pivot row.  Every
+    entry receives the same division or product-and-subtraction as row-by-row
+    elimination of the full tableau, so the result matches it to the bit (up
+    to the sign of zeros).
+    """
+    piv = T[row, col]
+    T[row] /= piv
+    factor = T[:, col].copy()
     factor[row] = 0.0
-    D -= np.outer(factor, D[row])
-    rhs -= factor * rhs[row]
+    T -= np.outer(factor, T[row])
     inv = 1.0 / piv
-    np.multiply(factor, -inv, out=D[:, col])
-    D[row, col] = inv
+    np.multiply(factor, -inv, out=T[:, col])
+    T[row, col] = inv
 
 
 def _refactor(data, basis, cols, k):
@@ -260,7 +283,8 @@ def _refactor(data, basis, cols, k):
         Z = np.linalg.solve(data[np.ix_(rows, others)], selected[rows])
     except np.linalg.LinAlgError:
         return None
-    out = np.empty_like(selected)
+    # C order, so that a pivot path adopts the result as its dictionary.
+    out = np.empty(selected.shape)
     out[~on_w] = Z
     out[on_w] = selected[rows_w] - data[np.ix_(rows_w, others)] @ Z
     if not np.all(np.isfinite(out)):
@@ -280,42 +304,53 @@ def _full_tableau(D, nonbasic, basis, k):
 def _pivot_path(M, q, k, verbose):
     """Run the complementary pivot sequence on one right-hand side.
 
-    The path keeps a ``k x (k+1)`` dictionary ``D``: the tableau's columns of
-    the ``k + 1`` nonbasic variables, ``nonbasic[c]`` being the variable of
-    column ``c`` and ``column[j]`` the column of a nonbasic variable ``j``.
-    A basic column is the unit vector of its row, which no pivot changes, so
-    it is not stored.  Each pivot is one rank-one update of ``D``
-    (``_pivot``), followed by an ``O(k)`` check of the complementary-basis
-    invariant.  The leaving row is the lexicographic minimum ratio; the full
+    The path keeps a ``k x (k+2)`` dictionary ``T = [D | rhs]``: the
+    tableau's columns of the ``k + 1`` nonbasic variables, ``nonbasic[c]``
+    being the variable of column ``c`` and ``column[j]`` the column of a
+    nonbasic variable ``j``, then the right-hand side.  A basic column is the
+    unit vector of its row, which no pivot changes, so it is not stored.
+    Each pivot is one rank-one update of ``T`` (``_pivot``), guarded in
+    ``O(1)`` by ``_swap_members``, which keeps the basic membership ``member``
+    up to date.  The leaving row is the lexicographic minimum ratio; the full
     key sort runs only over rows that tie exactly on ``rhs / col``.  Every
     ``_REBUILD_INTERVAL`` (32) pivots the dictionary is rebuilt exactly from
     the basis (``_refactor``) to shed accumulated drift, which with no rebuild
     ends a 799-pivot primal-split path of a 153x69 hull on a ray with no
     positive multiplier, and which 32 sheds as well as 8 on every measured
-    unit-scale path.
+    unit-scale path.  ``_check_complementary_basis`` checks the basis in full
+    at every rebuild and at the end of the path, and there ``member`` must
+    equal the membership it computes from ``basis``.
 
     Returns ``(SOLUTION, basis, pivots)`` once ``z0`` leaves, with no
     rebuild there: the caller solves on the final basis itself.  Otherwise
     ``(RAY_TERMINATION, dv, pivots)`` with ``dv`` the ``v`` part of the ray's
-    direction (1 on the entering variable, ``-D[:, column[entering]]`` on
+    direction (1 on the entering variable, ``-T[:, column[entering]]`` on
     the basis).  Raises PivotLimitExceeded when a basis repeats
     (floating-point noise in tied ratio tests can defeat the lexicographic
     rule), when a rebuild fails, and past the ``50 k`` safeguard.
     """
     # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q.  The
-    # w variables start basic; the dictionary holds the v and z0 columns.
+    # w variables start basic; the dictionary holds the v and z0 columns and
+    # q, the columns a rebuild reduces.  The pivots update ``nonbasic``
+    # through this view of ``cols``.
     data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
-    # The columns a rebuild reduces: the nonbasic variables, then q.  The
-    # pivots update ``nonbasic`` through this view of ``cols``.
     cols = np.arange(k, 2 * k + 2)
     nonbasic = cols[:-1]
     column = np.full(2 * k + 1, -1)
     column[k:] = np.arange(k + 1)
-    D = data[:, k : 2 * k + 1].copy()
-    rhs = q.copy()
+    T = data[:, k:].copy()
+    rhs = T[:, -1]
     basis = np.arange(k)
+    member = np.zeros(2 * k + 1, dtype=bool)
+    member[:k] = True
     z0 = 2 * k
     eps = np.finfo(float).eps
+
+    def checked_member():
+        # The full O(k) check, which must also agree with ``member``.
+        full = _check_complementary_basis(basis, k)
+        if not np.array_equal(full, member):
+            raise InternalInconsistency("basic membership drifted from the basis")
 
     # Initial pivot: bring the covering variable in where the right-hand side
     # is most negative, making every row feasible: each becomes q_i - min q,
@@ -330,29 +365,30 @@ def _pivot_path(M, q, k, verbose):
     interval = _REBUILD_INTERVAL
     while True:
         leaving = int(basis[row])
-        _pivot(D, rhs, row, c)
+        _swap_members(member, leaving, entering, k)
+        _pivot(T, row, c)
         basis[row] = entering
         nonbasic[c] = leaving
         column[leaving] = c
         column[entering] = -1
         pivots += 1
-        member = _check_complementary_basis(basis, k)
         if verbose:
-            _dump_tableau(basis, _full_tableau(D, nonbasic, basis, k), rhs, k)
+            _dump_tableau(basis, _full_tableau(T[:, :-1], nonbasic, basis, k), rhs, k)
         if leaving == z0:
+            checked_member()
             return LcpStatus.SOLUTION, basis, pivots
         since_refactor += 1
         if since_refactor >= interval:
             # Long pivot sequences otherwise accumulate enough drift to steer
             # the path into numerically singular bases; at 32 pivots every
             # measured unit-scale path keeps its outcome at 8.
-            rebuilt = _refactor(data, basis, cols, k)
-            if rebuilt is None:
+            checked_member()
+            T = _refactor(data, basis, cols, k)
+            if T is None:
                 raise PivotLimitExceeded(
                     f"tableau rebuild failed after {pivots} pivots", pivots=pivots
                 )
-            D = np.ascontiguousarray(rebuilt[:, :-1])
-            rhs = rebuilt[:, -1].copy()
+            rhs = T[:, -1]
             since_refactor = 0
         key = member.tobytes()
         if key in seen:
@@ -367,10 +403,11 @@ def _pivot_path(M, q, k, verbose):
 
         entering = leaving + k if leaving < k else leaving - k
         c = int(column[entering])
-        col = D[:, c]
+        col = T[:, c]
         tol = 64.0 * eps * max(1.0, float(np.abs(col).max()))
         cand = np.flatnonzero(col > tol)
         if cand.size == 0:
+            checked_member()
             ray = np.zeros(2 * k + 1)
             ray[basis] = -col
             ray[entering] = 1.0
@@ -378,7 +415,7 @@ def _pivot_path(M, q, k, verbose):
         # Lexicographic minimum ratio.  The (k+1)-key sort only breaks exact
         # ties on the first key, so it runs on the tied rows alone (on every
         # row when a ratio is NaN, since the minimum is then NaN).  Its keys
-        # are rhs and the w columns: from D for a nonbasic w, and the unit
+        # are rhs and the w columns: from T for a nonbasic w, and the unit
         # vector of its row for a basic one.
         first = rhs[cand] / col[cand]
         tied = cand[~(first > first.min())]
@@ -386,7 +423,7 @@ def _pivot_path(M, q, k, verbose):
             keys = np.zeros((tied.size, k + 1))
             keys[:, 0] = rhs[tied]
             free_w = np.flatnonzero(nonbasic < k)
-            keys[:, 1 + nonbasic[free_w]] = D[np.ix_(tied, free_w)]
+            keys[:, 1 + nonbasic[free_w]] = T[np.ix_(tied, free_w)]
             on_w = np.flatnonzero(basis[tied] < k)
             keys[on_w, 1 + basis[tied[on_w]]] = 1.0
             ratios = keys / col[tied, None]

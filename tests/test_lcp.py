@@ -22,6 +22,7 @@ from ppocp.lcp import (
     _check_complementary_basis,
     _pivot,
     _refactor,
+    _swap_members,
     CanonicalQP,
     LCPInstance,
     LcpStatus,
@@ -173,7 +174,10 @@ def _pivot_by_rows(T, rhs, row, col):
 
 
 class TestPivot:
-    @pytest.mark.parametrize("k", (3, 28, 160))
+    # At k = 6 the dictionary [D | rhs] has exactly 8 float64 columns, the
+    # width at which NumPy 2.4.6 computes np.negative(x, out=x) wrongly on a
+    # column.
+    @pytest.mark.parametrize("k", (3, 6, 7, 28, 160))
     def test_matches_row_elimination_bit_for_bit(self, k):
         # The dictionary pivot must reproduce the full tableau's pivot on the
         # nonbasic columns, the leaving variable's new column and rhs.
@@ -187,12 +191,14 @@ class TestPivot:
             row, c = int(rng.integers(k)), int(rng.integers(k + 1))
             zeros = rng.choice(k, size=k // 3, replace=False)
             T[zeros[zeros != row], nonbasic[c]] = 0.0
-            D, T_ref, rhs_ref = T[:, nonbasic], T.copy(), rhs.copy()
-            _pivot(D, rhs, row, c)
+            # C order, as the path holds it: column_stack alone gives F order.
+            dictionary = np.ascontiguousarray(np.column_stack([T[:, nonbasic], rhs]))
+            T_ref, rhs_ref = T.copy(), rhs.copy()
+            _pivot(dictionary, row, c)
             _pivot_by_rows(T_ref, rhs_ref, row, nonbasic[c])
             nonbasic[c] = basis[row]
-            assert_array_equal(D, T_ref[:, nonbasic])
-            assert_array_equal(rhs, rhs_ref)
+            assert_array_equal(dictionary[:, :-1], T_ref[:, nonbasic])
+            assert_array_equal(dictionary[:, -1], rhs_ref)
 
 
 def _dense_refactor(data, basis, k):
@@ -411,6 +417,30 @@ class TestRebuildInterval:
                 assert np.abs(out.v - ref.v).max() <= 1e-9 * np.abs(ref.v).max()
             extract_projection(hull, L, out)
 
+    def test_full_check_at_every_rebuild_and_at_the_end(self, hull, monkeypatch):
+        # Per pivot only the O(1) guard runs; the full O(k) check runs once
+        # per rebuild and once where the path ends, on a ray or a solution.
+        counts = {"check": 0, "rebuild": 0}
+        check, refactor = lcp._check_complementary_basis, lcp._refactor
+
+        def counted_check(*args):
+            counts["check"] += 1
+            return check(*args)
+
+        def counted_refactor(*args):
+            counts["rebuild"] += 1
+            return refactor(*args)
+
+        monkeypatch.setattr(lcp, "_check_complementary_basis", counted_check)
+        monkeypatch.setattr(lcp, "_refactor", counted_refactor)
+        for variant, status, rebuilds in (
+            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 24),
+            (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION, 5),
+        ):
+            counts.update(check=0, rebuild=0)
+            assert lemke_solve(build_lcp(hull, variant)).status is status
+            assert counts == {"check": rebuilds + 1, "rebuild": rebuilds}
+
     def test_drift_without_rebuild_is_inconsistent(self, hull, monkeypatch):
         # Negative control: with no periodic rebuild lcp-primal's path ends on
         # a ray with no positive multiplier, at one BLAS thread and at two.
@@ -445,6 +475,72 @@ class TestCheckComplementaryBasis:
             match=r"0 complementary pairs without a basic member \(expected 1\)",
         ):
             _check_complementary_basis([0, 1, 2, 3, 8], 4)  # every pair and z0
+
+
+class TestSwapMembers:
+    def test_swap_updates_membership(self):
+        member = np.array([True, False, True, False, True, False, False])
+        _swap_members(member, 0, 6, 3)  # w1 leaves, z0 enters
+        assert_array_equal(member, [False, False, True, False, True, False, True])
+
+    def test_leaving_variable_must_be_basic(self):
+        member = np.array([True, False, True, False, True, False, False])
+        with pytest.raises(InternalInconsistency, match="leaving variable v1 is not basic"):
+            _swap_members(member, 3, 6, 3)
+        assert_array_equal(member, [True, False, True, False, True, False, False])
+
+    def test_entering_variable_must_be_nonbasic(self):
+        member = np.array([True, False, True, False, True, False, False])
+        with pytest.raises(InternalInconsistency, match="entering variable v2 is already basic"):
+            _swap_members(member, 0, 4, 3)
+
+    def test_one_wrong_swap_stops_the_path(self, monkeypatch):
+        # Book the third pivot's swap against another basic variable than the
+        # one that left: the guard or a full check must catch it before the
+        # path ends.
+        swap = lcp._swap_members
+        calls = []
+
+        def wrong_third(member, leaving, entering, k):
+            calls.append(leaving)
+            if len(calls) == 3:
+                basic = np.flatnonzero(member)
+                leaving = int(basic[basic != leaving][0])
+            swap(member, leaving, entering, k)
+
+        monkeypatch.setattr(lcp, "_swap_members", wrong_third)
+        U, _ = unit_scale(_separated(0, 60, 20))
+        for variant in ALL_VARIANTS:
+            calls.clear()
+            with pytest.raises(InternalInconsistency):
+                lemke_solve(build_lcp(U, variant))
+            assert len(calls) >= 3
+
+    def test_membership_is_checked_against_the_basis(self, monkeypatch):
+        # Flip the membership of a variable that no pivot of the path touches:
+        # the O(1) guard never sees it, the full check where the path ends
+        # must.
+        swap = lcp._swap_members
+        touched = set()
+
+        def recording(member, leaving, entering, k):
+            touched.update((leaving, entering))
+            swap(member, leaving, entering, k)
+
+        U, _ = unit_scale(_separated(0, 60, 20))
+        L = build_lcp(U, LcpVariant.WOLFE_KKT)
+        monkeypatch.setattr(lcp, "_swap_members", recording)
+        lemke_solve(L)
+        untouched = min(set(range(2 * L.k + 1)) - touched)
+
+        def flipping(member, leaving, entering, k):
+            swap(member, leaving, entering, k)
+            if entering == 2 * k:  # the first pivot
+                member[untouched] = not member[untouched]
+
+        monkeypatch.setattr(lcp, "_swap_members", flipping)
+        with pytest.raises(InternalInconsistency, match="membership drifted"):
+            lemke_solve(L)
 
 
 class TestLemkeSolve:

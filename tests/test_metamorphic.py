@@ -4,7 +4,9 @@ Multiplying the vertices by ``2^k`` reproduces the whole report bit for bit
 in the new units, because every route solves the same unit-scale instance.
 Rotating, permuting or duplicating the vertices, and projecting a point
 with ``--point``, move the answer as the geometry says, within the
-consensus bound ``1e-6 (s + max distance)``.
+consensus bound ``1e-6 (s + max distance)``.  Hulls on the integer lattice,
+whose exact ties and repeated vertices float draws never give, must reach
+agreement.
 """
 
 import contextlib
@@ -42,6 +44,18 @@ def hulls(draw):
     m = draw(st.integers(1, 60))
     n = draw(st.integers(1, 30))
     return _vertices(family, m, n, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def lattice_hulls(draw):
+    # Integer coordinates tie exactly and repeat vertices, which float draws
+    # never do; the shift along the first axis moves the origin out.
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 8))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(-2, 3, size=(m, n))
+    z = z.astype(float)
+    z[:, 0] += draw(st.integers(0, 3))
+    return z
 
 
 def _polyhedron(z):
@@ -122,3 +136,9 @@ def test_point_projects_the_translated_instance(z, seed):
     assert doc["report"]["verdict"] == shifted.verdict
     dev = float(np.linalg.norm(np.array(doc["rho"]) - (shifted.rho + p)))
     assert dev <= _bound(Polyhedron(z - p), shifted)
+
+
+@given(z=lattice_hulls())
+def test_lattice_hulls_agree(z):
+    report = cross_check(_polyhedron(z))
+    assert report.verdict == "agree", {n: e.error for n, e in report.entries.items() if e.error}

@@ -154,3 +154,48 @@ def test_corral_starts_at_lowest_norm_support_vertex():
     weights, steps = refine_simplex_minimizer(Z, np.array([0.5, 0.0, 0.5]))
     assert steps == 0
     np.testing.assert_array_equal(weights, [0.0, 0.0, 1.0])
+
+
+# Draw 138 of ``scripts/consensus_sweep.py --lattice --count 150 --max-m 39
+# --max-n 7 --seed 1``.  The kernel reaches the corral {7, 5, 2} with weights
+# (6.9e-16, 0.444, 0.556) and adds z_4; vertex 7 blocks the first minor step
+# at a length of 6.9e-16, which leaves z_4 a weight of the same size.  Cut
+# together with vertex 7, z_4 used to leave the corral, and the kernel
+# stopped at a gap of 1.67: wolfe and maximin both failed their checks.
+LATTICE_16x5 = np.array(
+    [
+        [2, 1, -1, 1, -1],
+        [3, 1, -2, -2, -2],
+        [1, -2, -1, 0, 1],
+        [3, -1, -2, -1, 2],
+        [1, 0, -1, 0, 2],
+        [1, 1, 2, 0, -2],
+        [2, -2, 0, 1, -1],
+        [2, 0, 0, 0, 1],
+        [5, -1, -1, -1, 1],
+        [4, 1, -1, -2, 2],
+        [2, 1, 2, 1, 2],
+        [5, 0, 1, 2, -2],
+        [1, 0, -2, 0, -1],
+        [3, 0, 1, 2, 0],
+        [4, -2, 0, 1, -2],
+        [4, 2, -1, -2, -2],
+    ],
+    dtype=float,
+)
+
+
+def test_entering_vertex_survives_a_tiny_first_step():
+    from ppocp.certify import cross_check
+
+    Z = LATTICE_16x5
+    P = Polyhedron(Z)
+    weights, _ = refine_simplex_minimizer(Z, np.full(len(Z), 1.0 / len(Z)))
+    x = weights @ Z
+    assert float(x @ x) - float((Z @ x).min()) <= 1e-12
+    ref = nnls_projection(Z)
+    assert np.linalg.norm(solve_wolfe(P).rho - ref) <= 1e-12
+    assert np.linalg.norm(solve_maximin(P).rho - ref) <= 1e-12
+    report = cross_check(P)
+    assert report.verdict == "agree"
+    assert {name: e.status for name, e in report.entries.items()}["wolfe"] == "ok"
