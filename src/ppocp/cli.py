@@ -8,7 +8,8 @@ stable for a fixed input and flag set.
 
 Exit codes: 0 success (including a mathematically inapplicable nnls route),
 2 invalid input or usage, 3 solver non-convergence, 4 any cross-route or
-internal consistency conflict.
+internal consistency conflict, including a printed certificate with a
+failed check.
 
 A ``gen`` subcommand emits random test instances; the environment variable
 ``PPOCP_SEED`` fixes its seed (default 0).
@@ -179,6 +180,15 @@ def _result_payload(result, certificate, shift, report=None) -> dict:
     return payload
 
 
+def _certificate_exit(certificate) -> int:
+    """Exit 0 for a passing printed certificate; else name its failed checks and exit 4."""
+    if certificate.passed:
+        return 0
+    failed = ", ".join(c.name for c in certificate.checks if not c.passed)
+    print(f"error: consistency conflict: certificate fails {failed}", file=sys.stderr)
+    return 4
+
+
 def _render_text(payload, out):
     def emit(key, value):
         if isinstance(value, dict):
@@ -258,7 +268,7 @@ def run(argv=None) -> int:
             if report.verdict != "agree":
                 print("error: cross-route consensus conflict", file=sys.stderr)
                 return 4
-            return 0
+            return _certificate_exit(certificate)
 
         outcome = run_route(ns.method, work, cfg, verbose=ns.verbose)
         if outcome is None:
@@ -267,7 +277,7 @@ def run(argv=None) -> int:
         result, witness = outcome
         certificate = check_optimality(work, result.rho, alpha=witness, cfg=cfg)
         _emit(_result_payload(result, certificate, shift), ns.output)
-        return 0
+        return _certificate_exit(certificate)
     except (MaxIterExceeded, PivotLimitExceeded) as err:
         print(f"error: solver did not converge: {err}", file=sys.stderr)
         return 3

@@ -8,10 +8,10 @@ through ``y = -1/2 C^T x`` and the usual normalization.  The ``1/4`` scaling
 is kept throughout so that the converted quadratic form is ``Q = A^T A``,
 ``p = -1/2 A^T b`` with no stray factors.
 
-Such a ``b`` exists only when ``C b = 2 e`` is consistent: always for
-diagonal or nonsingular square ``C`` (closed-form rules below), and decided
-by the least-squares residual otherwise.  Inconsistency is data, not an
-error; the caller falls back to the other routes.
+Such a ``b`` exists only when ``C b = 2 e`` is consistent, which the
+residual of the minimum-norm least-squares solution decides (``construct_b``);
+nonsingular square ``C`` is always consistent.  Inconsistency is data, not
+an error; the caller falls back to the other routes.
 
 The solver is the Lawson-Hanson active-set method with lowest-index
 tie-breaking on the entering coordinate.  Its inner solves on the passive
@@ -144,26 +144,13 @@ def construct_b(
 ) -> ReductionData:
     """Build a right-hand side with ``C b = 2 e``, deciding whether one exists.
 
-    Square diagonal systems use the entrywise rule ``b_i = 2 / c_ii``;
-    square nonsingular ones invert directly; anything else takes the
-    least-squares solution, with applicability decided by its residual
-    against ``feas_tol * (1 + ||e||)``.
+    ``b`` is the minimum-norm least-squares solution (``numpy.linalg.lstsq``)
+    on every shape, square or not; the reduction applies when its residual
+    is at most ``feas_tol * (1 + ||e||)``.
     """
     C = S.C
     e = S.e
-    m, n = C.shape
-    b = None
-    if m == n:
-        diag = np.diag(C)
-        if np.all(diag != 0.0) and np.array_equal(C, np.diag(diag)):
-            b = 2.0 / diag
-        else:
-            try:
-                b = np.linalg.solve(C, 2.0 * e)
-            except np.linalg.LinAlgError:
-                b = None
-    if b is None:
-        b, *_ = np.linalg.lstsq(C, 2.0 * e, rcond=None)
+    b, *_ = np.linalg.lstsq(C, 2.0 * e, rcond=None)
     residual = float(np.linalg.norm(C @ b - 2.0 * e))
     applicable = residual <= cfg.feas_tol * (1.0 + float(np.linalg.norm(e)))
     return ReductionData(

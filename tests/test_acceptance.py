@@ -27,7 +27,7 @@ from ppocp.core import (
 from ppocp.errors import PpocpError
 from ppocp.lcp import LcpStatus, LcpVariant, build_lcp, extract_projection, lemke_solve
 from ppocp.maximin import solve_maximin
-from ppocp.nnls import NnlsProblem, construct_b, nnls_solve, project_via_nnls
+from ppocp.nnls import NnlsProblem, nnls_solve, project_via_nnls
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import DualStatus, solve_dual
 

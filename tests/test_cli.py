@@ -13,6 +13,11 @@ from ppocp.core import Polyhedron, Route, projection_result
 
 # Square and nonsingular, so every route applies, nnls included.
 SQUARE = [[3.0, 1.0], [1.0, 2.0]]
+NEARLY_COLLINEAR = [
+    [2.7994477098858166, 3.684311544172296, -1.8399501423975915],
+    [0.08064196756289999, 0.9437460251275889, 2.223781739311237],
+    [2.5096758879560017, 3.3922205531855574, -1.4068353475950903],
+]
 
 
 def write_instance(tmp_path, vertices, name="instance.json"):
@@ -247,6 +252,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--input", path, "--method", "all")
         assert code == 4
 
+    def test_failing_single_route_certificate_exit(self, tmp_path, capsys):
+        # The third vertex lies 3.6e-13 (relative) off the line through the
+        # other two. The dual answers a point at distance 0.652 where the
+        # projection is at 2.146, and its weights do not combine to that
+        # point: a known solve_dual fault, which must not pass silently.
+        path = write_instance(tmp_path, NEARLY_COLLINEAR)
+        code, out, err = run_cli(capsys, "--input", path, "--method", "dual")
+        assert code == 4
+        assert err == "error: consistency conflict: certificate fails hull-witness\n"
+        doc = json.loads(out)
+        assert doc["certificate"]["passed"] is False
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "wolfe")
+        assert code == 0
+        assert json.loads(out)["distance"] == pytest.approx(2.1462658991, rel=1e-9)
+
+    def test_failing_consensus_certificate_exit(self, tmp_path, capsys, monkeypatch):
+        real = cli.check_optimality
+
+        def failing(P, rho, alpha=None, cfg=None):
+            cert = real(P, rho, alpha=alpha, cfg=cfg)
+            vi, ball = cert.checks
+            return dataclasses.replace(cert, checks=(vi, dataclasses.replace(ball, passed=False)))
+
+        monkeypatch.setattr(cli, "check_optimality", failing)
+        path = write_instance(tmp_path, TRIANGLE)
+        code, out, err = run_cli(capsys, "--input", path, "--method", "all")
+        assert code == 4
+        assert err == "error: consistency conflict: certificate fails omega-ball\n"
+        doc = json.loads(out)
+        assert doc["report"]["verdict"] == "agree"
+        assert doc["certificate"]["passed"] is False
+
 
 class TestGen:
     def test_gen_is_seeded_by_env(self, capsys, monkeypatch):
@@ -313,8 +350,9 @@ class TestMaximinCertificate:
 
         monkeypatch.setattr(certify, "solve_maximin", off_direction)
         path = write_instance(tmp_path, z.tolist())
-        code, out, _ = run_cli(capsys, "--input", path, "--method", "maximin")
-        assert code == 0
+        code, out, err = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 4
+        assert err == "error: consistency conflict: certificate fails hull-witness\n"
         checks = {c["name"]: c for c in json.loads(out)["certificate"]["checks"]}
         assert checks["vi-min"]["passed"] and checks["omega-ball"]["passed"]
         assert not checks["hull-witness"]["passed"]

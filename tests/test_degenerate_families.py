@@ -1,0 +1,118 @@
+"""Consensus on four degenerate hull families, 50 seeded hulls each.
+
+Every hull has 3 to 39 vertices in 2 to 9 dimensions, and ``cross_check``
+must agree on each one: the routes' answers within the consensus bound and
+their origin-membership votes unanimous.
+"""
+
+import functools
+import warnings
+
+import numpy as np
+import pytest
+
+from ppocp.certify import cross_check
+from ppocp.core import Polyhedron
+
+COUNT = 50
+
+
+def _sizes(rng, min_n=2):
+    return int(rng.integers(3, 40)), int(rng.integers(min_n, 10))
+
+
+def _orthonormal(rng, n, k):
+    q, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    return q
+
+
+def plane_hull(rng, index):
+    """Points on a 2-D affine subspace; every other subspace passes through the origin."""
+    m, n = _sizes(rng, min_n=3)
+    basis = _orthonormal(rng, n, 2)
+    z = rng.uniform(-5.0, 5.0, size=(m, 2)) @ basis.T
+    if index % 2:
+        z += rng.uniform(-5.0, 5.0, size=n)
+    return z
+
+
+def duplicated_hull(rng, index):
+    """Uniform points with some rows repeated, in shuffled order."""
+    m, n = _sizes(rng)
+    base = rng.uniform(-5.0, 5.0, size=(max(2, m // 2), n))
+    repeats = rng.integers(0, len(base), size=m - len(base))
+    return rng.permutation(np.vstack([base, base[repeats]]))
+
+
+def sphere_hull(rng, index):
+    """Points on the unit sphere."""
+    m, n = _sizes(rng)
+    z = rng.normal(size=(m, n))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def facet_hull(rng, index):
+    """The origin in the relative interior of a facet.
+
+    ``k`` facet vertices in the hyperplane ``<d, z> = 0`` are centred on a
+    strictly positive convex combination of themselves, so that combination
+    is the origin; every other vertex lies strictly on the side ``<d, z> > 0``.
+    """
+    m, n = _sizes(rng)
+    d = _orthonormal(rng, n, 1)[:, 0]
+    k = int(rng.integers(2, min(n, m - 1) + 1))
+    facet = rng.uniform(-5.0, 5.0, size=(k, n))
+    facet -= np.outer(facet @ d, d)
+    lam = rng.uniform(0.2, 1.0, size=k)
+    facet -= (lam / lam.sum()) @ facet
+    rest = rng.uniform(-5.0, 5.0, size=(m - k, n))
+    rest += np.outer(rng.uniform(0.1, 5.0, size=m - k) - rest @ d, d)
+    return rng.permutation(np.vstack([facet, rest]))
+
+
+FAMILIES = {
+    "plane": (plane_hull, 11),
+    "duplicated": (duplicated_hull, 12),
+    "sphere": (sphere_hull, 13),
+    "facet": (facet_hull, 14),
+}
+
+
+def _family(name):
+    make, seed = FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    for index in range(COUNT):
+        yield index, make(rng, index)
+
+
+@functools.lru_cache(maxsize=None)
+def _reports(name):
+    with warnings.catch_warnings():
+        # The duplicated family warns on every hull; that warning is tested below.
+        warnings.simplefilter("ignore")
+        return [(index, z.shape, cross_check(Polyhedron(z))) for index, z in _family(name)]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_reaches_consensus(name):
+    conflicts = [(i, shape) for i, shape, r in _reports(name) if r.verdict != "agree"]
+    assert conflicts == []
+
+
+def test_duplicated_family_warns():
+    for _, z in _family("duplicated"):
+        with pytest.warns(UserWarning, match="duplicate vertices"):
+            Polyhedron(z)
+
+
+def test_facet_family_votes_inside():
+    for index, _, report in _reports("facet"):
+        assert report.votes and all(report.votes.values()), (index, report.votes)
+
+
+@pytest.mark.parametrize("name", ["plane", "sphere"])
+def test_family_mixes_inside_and_outside(name):
+    # A family whose hulls all fall on one side of the origin would test
+    # only one kind of answer.
+    inside = sum(any(r.votes.values()) for _, _, r in _reports(name))
+    assert 0 < inside < COUNT

@@ -107,7 +107,7 @@ class TestQpForm:
 
 
 class TestConstructB:
-    def test_diagonal_rule(self):
+    def test_diagonal_fixture(self):
         S = constraint_matrix(Polyhedron(np.array([[10.0, 0.0], [0.0, -5.0]])))
         assert_array_equal(S.C, DIAG_DESIGN)
         red = construct_b(S)
@@ -121,7 +121,7 @@ class TestConstructB:
         assert_allclose(red.b, [-1.0, -1.0])
         assert_allclose(S.C @ red.b, [2.0, 2.0])
 
-    def test_nonsingular_square_rule(self):
+    def test_nonsingular_square_fixture(self):
         # C = [[1, 0], [-1, 1]] comes from vertices (-1, 0) and (1, -1).
         P = Polyhedron(np.array([[-1.0, 0.0], [1.0, -1.0]]))
         S = constraint_matrix(P)
@@ -129,6 +129,25 @@ class TestConstructB:
         assert red.applicable
         assert_allclose(red.b, [2.0, 4.0], rtol=1e-14)
         assert_array_equal(S.C.T, SQUARE_DESIGN)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]],
+            [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 4.0, 5.0 + 2.0**-50]],
+        ],
+    )
+    def test_numerically_singular_square_minimum_norm(self, vertices):
+        # Every b = b0 + t u with u in the near-null direction meets C b = 2e
+        # to rounding; least squares picks the shortest, here of norm sqrt(2).
+        P = Polyhedron(np.array(vertices))
+        S = constraint_matrix(P)
+        red = construct_b(S)
+        assert red.applicable
+        assert_allclose(S.C @ red.b, 2.0 * S.e, atol=1e-13)
+        assert_allclose(np.linalg.norm(red.b), np.sqrt(2.0), rtol=1e-12)
+        res = project_via_nnls(P)
+        assert_allclose(res.rho, solve_wolfe(P).rho, atol=1e-14)
 
     def test_triangle_not_applicable(self):
         red = construct_b(constraint_matrix(Polyhedron(np.array(TRIANGLE))))
