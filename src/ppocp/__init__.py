@@ -1,12 +1,15 @@
 """Euclidean projection of the origin onto a convex hull of points.
 
-Five independent formulations compute the same projection: a quadratic
-program over the weight simplex, a dual quadratic program over the
-nonnegative orthant, a maximin search for the best separating direction,
-three linear-complementarity constructions solved by Lemke pivoting, and a
-nonnegative-least-squares reduction.  Every answer is certified against the
-variational-inequality criterion and the routes are cross-checked against
-each other (and, on tiny instances, a brute-force oracle).
+Seven routes compute the same projection: a quadratic program over the
+weight simplex (wolfe), a dual quadratic program over the nonnegative
+orthant (dual), a maximin search for the best separating direction
+(maximin), three linear-complementarity constructions solved by Lemke
+pivoting (lcp-*), and a nonnegative-least-squares reduction (nnls).  They
+are not seven independent solvers: wolfe and maximin share one kernel and
+one gap inequality, and the three lcp routes share one pivoting engine.
+Every answer is certified against the variational-inequality criterion and
+the routes are cross-checked against each other (and, on tiny instances, a
+brute-force oracle).
 """
 
 from .certify import (
@@ -55,7 +58,6 @@ from .support_qp import (
     dual_objective,
     invert_support_vector,
     recover_primal,
-    rho_from_ybar,
     solve_dual,
 )
 

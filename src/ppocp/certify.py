@@ -328,8 +328,8 @@ def _one_kernel_routes():
     run inside ``solve_wolfe``: the solution's, also when its answer then
     fails the VI check, or the best iterate a gap miss carries.  The maximin
     runner checks those with ``maximin_from_weights``; ``solve_maximin``
-    would have run the kernel from the same support to the same weights, so
-    its entry does not change.  Built anew for every call, so nothing is
+    makes the same kernel call as ``solve_wolfe`` and gets the same weights,
+    so its entry does not change.  Built anew for every call, so nothing is
     kept across instances; wolfe must run first.
     """
     kernel = []

@@ -189,7 +189,7 @@ def _certificate_exit(certificate) -> int:
     return 4
 
 
-def _render_text(payload, out):
+def _render_text(payload):
     def emit(key, value):
         if isinstance(value, dict):
             for k, v in value.items():
@@ -198,17 +198,16 @@ def _render_text(payload, out):
             for i, v in enumerate(value):
                 emit(f"{key}[{i}]", v)
         else:
-            print(f"{key} = {_json_text(value)}", file=out)
+            print(f"{key} = {_json_text(value)}")
 
     emit("", payload)
 
 
-def _emit(payload, fmt: str, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(payload, fmt: str):
     if fmt == "json":
-        print(_json_text(payload), file=out)
+        print(_json_text(payload))
     else:
-        _render_text(payload, out)
+        _render_text(payload)
 
 
 def _run_gen(argv) -> int:
@@ -217,8 +216,9 @@ def _run_gen(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
-    if ns.m < 1 or ns.n < 1 or ns.box <= 0:
-        print("error: need m >= 1, n >= 1, box > 0", file=sys.stderr)
+    # rng.uniform(-box, box) needs the width 2 box to be a finite double.
+    if ns.m < 1 or ns.n < 1 or not 0 < ns.box <= np.finfo(float).max / 2:
+        print("error: need m >= 1, n >= 1, box > 0 and 2 box finite", file=sys.stderr)
         return 2
     seed = int(os.environ.get("PPOCP_SEED", "0"))
     rng = np.random.default_rng(seed)

@@ -49,6 +49,8 @@ class ToleranceConfig:
     residuals, and zero_tol decides when the origin is declared inside the
     hull.  The entry points in ``certify`` and the CLI apply them to ``Z / s``
     (``unit_scale``); solver functions called directly see ``Z`` as given.
+    Every value must be finite and positive: a NaN tolerance fails every
+    comparison and an infinite one passes every check.
     """
 
     feas_tol: float = 1e-9
@@ -58,8 +60,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("feas_tol", "opt_tol", "zero_tol", "max_iter"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -330,52 +332,39 @@ def projection_result(
     )
 
 
-def refine_simplex_minimizer(
-    Z: np.ndarray,
-    alpha,
-    max_cycles: int | None = None,
-    trace: list | None = None,
-) -> tuple[np.ndarray, int]:
+def refine_simplex_minimizer(Z: np.ndarray, max_cycles: int) -> tuple[np.ndarray, int]:
     """Minimize ``||a @ Z||^2`` over the simplex by Wolfe's minimum-norm point.
 
     P. Wolfe, "Finding the nearest point in a polytope" (Math. Prog. 11,
     1976), run on the vertex rows ``Z`` in R^n; the m x m Gram matrix is
-    never formed.  The corral starts at the lowest-norm vertex in the
-    support of ``alpha`` (lowest index on ties).  Each major cycle scans
-    ``j = argmin Z x`` and stops once ``||x||^2 - <z_j, x>`` is at most
-    ``64 eps max_i ||z_i||^2`` or ``z_j`` is already in the corral; otherwise
-    ``z_j`` joins it.  Each minor cycle solves the affine-hull problem on the
-    corral with a bordered least squares system and, when that leaves the
-    simplex, steps back to its boundary and drops the vertices whose weight
-    reaches zero, save ``z_j`` in its first minor cycle unless it blocks the
-    step itself: a short step leaves it a weight too small to tell from
-    rounding, but it still has to stay.  The corral stays affinely
-    independent, so it never holds more than n + 1 vertices, and ``||x||^2``
-    falls with every major cycle; its value at each cycle is appended to
-    ``trace`` when one is given.  The stopping threshold and the
-    affine solve both scale with ``max_i ||z_i||^2``, so scaling ``Z`` by a
-    power of two leaves the weights unchanged to the bit.
+    never formed.  The corral starts at the lowest-norm vertex (lowest
+    index on ties), so the weights depend on ``Z`` and ``max_cycles`` alone
+    and the two routes that make this call get the same answer.  Each major
+    cycle scans ``j = argmin Z x`` and stops once ``||x||^2 - <z_j, x>`` is
+    at most ``64 eps max_i ||z_i||^2`` or ``z_j`` is already in the corral;
+    otherwise ``z_j`` joins it.  Each minor cycle solves the affine-hull
+    problem on the corral with a bordered least squares system and, when
+    that leaves the simplex, steps back to its boundary and drops the
+    vertices whose weight reaches zero, save ``z_j`` in its first minor
+    cycle unless it blocks the step itself: a short step leaves it a weight
+    too small to tell from rounding, but it still has to stay.  The corral
+    stays affinely independent, so it never holds more than n + 1 vertices,
+    and ``||x||^2`` falls with every major cycle.  The stopping threshold
+    and the affine solve both scale with ``max_i ||z_i||^2``, so scaling
+    ``Z`` by a power of two leaves the weights unchanged to the bit.
     Returns the weights over all m vertices and the number of minor cycles
-    taken (at most ``max_cycles`` major cycles run, ``4 m + 8`` by default).
+    taken; at most ``max_cycles`` major cycles run.
     """
     Z = np.asarray(Z, dtype=float)
     m = Z.shape[0]
     sq = np.einsum("ij,ij->i", Z, Z)
     tol = 64.0 * np.finfo(float).eps * float(sq.max())
-    if max_cycles is None:
-        max_cycles = 4 * m + 8
-    a = np.asarray(alpha, dtype=float)
-    candidates = np.flatnonzero(a > 1e-12)
-    if candidates.size == 0:
-        candidates = np.arange(m)
-    corral = candidates[[int(np.argmin(sq[candidates]))]]
+    corral = np.array([int(np.argmin(sq))])
     lam = np.ones(1)
     x = Z[corral[0]].copy()
     steps = 0
     for _ in range(max_cycles):
         xx = float(x @ x)
-        if trace is not None:
-            trace.append(xx)
         w = Z @ x
         j = int(np.argmin(w))
         if xx - float(w[j]) <= tol or j in corral:

@@ -186,12 +186,11 @@ def _variable_name(j: int, k: int) -> str:
     return "z0"
 
 
-def _dump_tableau(basis, T, rhs, k, out=None):
-    out = out if out is not None else sys.stderr
+def _dump_tableau(basis, T, rhs, k):
     for r in range(k):
         entries = " ".join(f"{x: .6g}" for x in T[r])
-        print(f"{_variable_name(basis[r], k):>4s} = {rhs[r]: .6g} | {entries}", file=out)
-    print("-" * 40, file=out)
+        print(f"{_variable_name(basis[r], k):>4s} = {rhs[r]: .6g} | {entries}", file=sys.stderr)
+    print("-" * 40, file=sys.stderr)
 
 
 def _check_complementary_basis(basis, k):

@@ -9,11 +9,13 @@ zero, reached already at ``c = 0``.
 
 The maximizer is read off the hull's minimum-norm point ``w``: ``c = w/||w||``
 with value ``t = ||w||`` (the distance identity).  ``w`` comes from
-``core.refine_simplex_minimizer`` with the wolfe route's start and cycle
-cap, so both routes get bit-identical weights: their agreement is one solve
-plus one independent check, not two solvers.  The check is what is maximin
-here, ``maximin_from_weights``: ``t = min_i <c, z_i>`` must meet the
-distance identity.  ``solve_maximin`` runs the kernel and then the check;
+``core.refine_simplex_minimizer``, called as the wolfe route calls it, so
+both routes get bit-identical weights.  The check is what is maximin here,
+``maximin_from_weights``: ``t = min_i <c, z_i>`` must meet the distance
+identity within ``||w|| (||w|| - t) <= opt_tol``.  That left side equals
+``||w||^2 - min_i <z_i, w>``, the wolfe route's optimality gap, so the two
+routes share one kernel and one gap inequality: their agreement confirms
+neither.  ``solve_maximin`` runs the kernel and then the check;
 ``certify.cross_check`` runs the kernel once, in the wolfe route, and hands
 its weights to the check.  ``iterations`` counts the kernel's minor cycles.
 """
@@ -75,13 +77,11 @@ def solve_maximin(
 ) -> MaximinSolution:
     """Maximize ``min_i <c, z_i>`` over the unit ball.
 
-    Runs ``refine_simplex_minimizer`` from the uniform start within
-    ``cfg.max_iter`` major cycles and reads the answer off its weights with
+    Runs ``refine_simplex_minimizer`` within ``cfg.max_iter`` major cycles,
+    the call ``solve_wolfe`` makes, and reads the answer off its weights with
     ``maximin_from_weights``, whose MaxIterExceeded it raises.
     """
-    weights, iterations = refine_simplex_minimizer(
-        P.vertices, np.ones(P.m), max_cycles=cfg.max_iter
-    )
+    weights, iterations = refine_simplex_minimizer(P.vertices, cfg.max_iter)
     return maximin_from_weights(P, weights, iterations, cfg)
 
 
@@ -100,8 +100,9 @@ def maximin_from_weights(
     ------
     MaxIterExceeded
         If ``t_value`` misses the distance identity ``t = ||w||``, that is
-        when ``||w|| (||w|| - t_value)`` exceeds ``opt_tol`` (the gap
-        contract of the wolfe route); carries the weights.
+        when ``||w|| (||w|| - t_value)``, the wolfe route's gap
+        ``||w||^2 - min_i <z_i, w>`` up to rounding, exceeds ``opt_tol``;
+        carries the weights.
     """
     w = weights @ P.vertices
     w_norm = float(np.linalg.norm(w))

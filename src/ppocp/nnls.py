@@ -37,7 +37,7 @@ from .core import (
     projection_result,
 )
 from .errors import MaxIterExceeded
-from .support_qp import recover_primal, rho_from_ybar
+from .support_qp import invert_support_vector, recover_primal
 
 __all__ = [
     "NnlsProblem",
@@ -177,5 +177,5 @@ def project_via_nnls(
     if not reduction.applicable:
         return None
     x, iterations = _lawson_hanson(S.C.T, reduction.b, cfg)
-    rho = rho_from_ybar(recover_primal(S, x), cfg.zero_tol)
+    rho = invert_support_vector(recover_primal(S, x), cfg.zero_tol)
     return projection_result(P, rho, Route.NNLS, iterations, cfg)

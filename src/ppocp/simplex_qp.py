@@ -44,7 +44,6 @@ class SimplexSolution:
     gap: float
     iterations: int
     origin_inside: bool
-    trace: tuple[float, ...] | None = None
 
 
 def _check_simplex(alpha, m: int, feas_tol: float) -> np.ndarray:
@@ -85,12 +84,12 @@ def optimality_gap(
 
 
 def solve_wolfe(
-    P: Polyhedron,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    start=None,
-    record_trace: bool = False,
+    P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> SimplexSolution:
     """Minimize ``<a, B a>`` over the simplex and recover the projection.
+
+    Runs ``refine_simplex_minimizer`` within ``cfg.max_iter`` major cycles,
+    the call ``solve_maximin`` makes, and checks the gap of its weights.
 
     Parameters
     ----------
@@ -100,29 +99,13 @@ def solve_wolfe(
         ``opt_tol`` is the stopping contract on the optimality gap;
         ``zero_tol`` flags origin membership when ``||rho|| <= zero_tol``,
         the rule every route's answer votes by.
-    start : array, optional
-        Initial weights (defaults to uniform); the corral starts at the
-        lowest-norm vertex of their support.  Exposed so tests can verify
-        that the recovered point is start-independent even when the optimal
-        weights are not unique.
-    record_trace : bool
-        Attach ``||x||^2`` at each major cycle as ``solution.trace``.
 
     Raises
     ------
     MaxIterExceeded
         If the gap contract cannot be met; carries the best iterate.
     """
-    m = P.m
-    if start is None:
-        alpha = np.full(m, 1.0 / m)
-    else:
-        alpha = _check_simplex(start, m, cfg.feas_tol)
-
-    trace: list[float] | None = [] if record_trace else None
-    alpha, iterations = refine_simplex_minimizer(
-        P.vertices, alpha, max_cycles=cfg.max_iter, trace=trace
-    )
+    alpha, iterations = refine_simplex_minimizer(P.vertices, cfg.max_iter)
     x, phi_val, gap = _phi_and_gap(P.vertices, alpha)
     if gap > cfg.opt_tol:
         raise MaxIterExceeded(
@@ -139,5 +122,4 @@ def solve_wolfe(
         gap=gap,
         iterations=iterations,
         origin_inside=float(np.linalg.norm(x)) <= cfg.zero_tol,
-        trace=tuple(trace) if record_trace else None,
     )

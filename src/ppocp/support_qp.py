@@ -45,7 +45,6 @@ __all__ = [
     "dual_gradient",
     "solve_dual",
     "recover_primal",
-    "rho_from_ybar",
 ]
 
 # A vertex row enters the active set while <z_p, y> < 1 - ENTER_TOL
@@ -135,11 +134,6 @@ def recover_primal(S: ConstraintSystem, u) -> np.ndarray:
     """Closed-form primal recovery ``y_bar = -1/2 C^T u``."""
     u = np.asarray(u, dtype=float)
     return -0.5 * (S.C.T @ u)
-
-
-def rho_from_ybar(y_bar, zero_tol: float = DEFAULT_TOLERANCES.zero_tol):
-    """Normalize the minimum-norm element of ``D`` into the projection."""
-    return invert_support_vector(y_bar, zero_tol)
 
 
 def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DualOutcome:

@@ -53,7 +53,7 @@ def separated_polyhedron(seed, margin=0.5, max_m=12, max_n=8, box=5.0):
     return Polyhedron(z + shift * d)
 
 
-def far_vertex_kernel(Z, alpha, max_cycles=None, trace=None):
+def far_vertex_kernel(Z, max_cycles):
     """Stand-in for ``refine_simplex_minimizer`` that stops at the farthest vertex."""
     weights = np.zeros(len(Z))
     weights[int(np.argmax(np.linalg.norm(Z, axis=1)))] = 1.0

@@ -375,8 +375,8 @@ def _assert_same_entry(a, b):
 def _kernel_stub(iterations):
     """``far_vertex_kernel`` reporting ``iterations`` minor cycles."""
 
-    def kernel(Z, alpha, max_cycles=None, trace=None):
-        return far_vertex_kernel(Z, alpha)[0], iterations
+    def kernel(Z, max_cycles):
+        return far_vertex_kernel(Z, max_cycles)[0], iterations
 
     return kernel
 
@@ -477,7 +477,8 @@ class TestOneKernel:
 
         def far_weights(P, cfg):
             answer = real(P, cfg)
-            return dataclasses.replace(answer, alpha=far_vertex_kernel(P.vertices, None)[0])
+            far = far_vertex_kernel(P.vertices, cfg.max_iter)[0]
+            return dataclasses.replace(answer, alpha=far)
 
         monkeypatch.setattr(certify, "solve_wolfe", far_weights)
         P = Polyhedron(np.array(TRIANGLE))

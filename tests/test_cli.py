@@ -218,6 +218,22 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: --point: vertices must have finite coordinates\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--tol", "opt_tol"), ("--feas-tol", "feas_tol"), ("--zero-tol", "zero_tol")],
+    )
+    @pytest.mark.parametrize("method", ["wolfe", "all"])
+    def test_non_finite_tolerance_is_usage_error(
+        self, tmp_path, capsys, method, flag, field, value
+    ):
+        path = write_instance(tmp_path, TRIANGLE)
+        argv = ["--input", path, "--method", method, f"{flag}={value}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} must be finite and positive\n"
+
     def test_nonconvergence_exit(self, tmp_path, capsys):
         # The isosceles sliver needs two active-set steps; one is not enough.
         path = write_instance(tmp_path, [[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]])
@@ -312,6 +328,19 @@ class TestGen:
     def test_gen_rejects_bad_sizes(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--m", "0", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("box", ["nan", "inf", "1e308", "-1", "0"])
+    def test_gen_rejects_box_without_finite_width(self, capsys, box):
+        # rng.uniform(-box, box) raises OverflowError once 2 box overflows.
+        code, out, err = run_cli(capsys, "gen", "--m", "2", "--n", "2", "--box", box)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need m >= 1, n >= 1, box > 0 and 2 box finite\n"
+
+    def test_gen_accepts_the_widest_finite_box(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--m", "2", "--n", "2", "--box", "8e307")
+        assert code == 0
+        assert np.all(np.isfinite(json.loads(out)["vertices"]))
 
 
 def test_import_loads_no_scipy():

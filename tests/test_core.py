@@ -82,6 +82,13 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(max_iter=-1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["feas_tol", "opt_tol", "zero_tol"])
+    def test_rejects_non_finite(self, name, value):
+        # NaN passes a bare ``<= 0`` test; infinity would turn checks off.
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            ToleranceConfig(**{name: value})
+
 
 class TestConstraintMatrix:
     def test_triangle(self):
@@ -266,14 +273,14 @@ class TestTranslate:
 class TestRefineSimplexMinimizer:
     def test_triangle_from_uniform(self):
         Z = Polyhedron(np.array(TRIANGLE)).vertices
-        x, _ = refine_simplex_minimizer(Z, np.full(3, 1.0 / 3.0))
+        x, _ = refine_simplex_minimizer(Z, DEFAULT_TOLERANCES.max_iter)
         assert_allclose(x, [0.5, 0.5, 0.0], atol=1e-12)
 
     def test_never_leaves_simplex(self):
         for seed in range(6):
             P = random_polyhedron(seed)
             B = gram_matrix(P).B
-            x, _ = refine_simplex_minimizer(P.vertices, np.full(P.m, 1.0 / P.m))
+            x, _ = refine_simplex_minimizer(P.vertices, DEFAULT_TOLERANCES.max_iter)
             assert x.min() >= 0.0
             assert abs(x.sum() - 1.0) <= 1e-12
             w = B @ x

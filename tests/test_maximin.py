@@ -139,6 +139,18 @@ class TestSharedKernel:
                     own.origin_inside,
                 )
 
+    def test_distance_identity_is_wolfe_gap(self):
+        # ||w|| (||w|| - t) with t = min_i <z_i, w> / ||w|| is the wolfe gap
+        # ||w||^2 - min_i <z_i, w>: maximin's check is wolfe's, rounded anew.
+        eps = np.finfo(float).eps
+        for seed in range(12):
+            for P in (separated_polyhedron(seed), origin_inside_polyhedron(seed)):
+                wolfe = solve_wolfe(P)
+                mm = solve_maximin(P)
+                w_norm = float(np.linalg.norm(mm.alpha @ P.vertices))
+                scale = float((P.vertices**2).sum(axis=1).max())
+                assert abs(w_norm * (w_norm - mm.t_value) - wolfe.gap) <= 64 * eps * scale
+
     def test_distance_identity_miss_raises(self, monkeypatch):
         # A kernel answer at the far vertex [2, 2] gives t = sqrt(2) < ||w||.
         monkeypatch.setattr(maximin, "refine_simplex_minimizer", far_vertex_kernel)

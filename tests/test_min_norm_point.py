@@ -7,11 +7,17 @@ import scipy.optimize
 import ppocp.core as core
 import ppocp.maximin as maximin
 import ppocp.simplex_qp as simplex_qp
-from ppocp.core import Polyhedron, refine_simplex_minimizer
+from ppocp.core import (
+    DEFAULT_TOLERANCES,
+    Polyhedron,
+    ToleranceConfig,
+    refine_simplex_minimizer,
+)
 from ppocp.maximin import solve_maximin
 from ppocp.simplex_qp import solve_wolfe
 
 SHAPES = [(3, 2), (12, 4), (60, 6), (150, 8), (400, 10)]
+MAX_CYCLES = DEFAULT_TOLERANCES.max_iter  # the cap both routes pass
 
 
 def _separated(rng, m, n, margin=0.5):
@@ -81,7 +87,7 @@ def test_kernel_corral_weights_and_gap(name, Z, monkeypatch):
         return lstsq(K, rhs, rcond=rcond)
 
     monkeypatch.setattr(core.np.linalg, "lstsq", recording_lstsq)
-    weights, steps = refine_simplex_minimizer(Z, np.full(m, 1.0 / m))
+    weights, steps = refine_simplex_minimizer(Z, MAX_CYCLES)
     monkeypatch.undo()
 
     assert steps == len(sizes)
@@ -106,11 +112,33 @@ def test_routes_match_nnls_reference(name, Z):
 @pytest.mark.parametrize("factor", [2.0**17, 2.0**-14])
 def test_kernel_is_scale_equivariant(factor):
     for _, Z in HULLS[::4]:
-        start = np.full(Z.shape[0], 1.0 / Z.shape[0])
-        weights, steps = refine_simplex_minimizer(Z, start)
-        scaled, scaled_steps = refine_simplex_minimizer(Z * factor, start)
+        weights, steps = refine_simplex_minimizer(Z, MAX_CYCLES)
+        scaled, scaled_steps = refine_simplex_minimizer(Z * factor, MAX_CYCLES)
         np.testing.assert_array_equal(scaled, weights)
         assert scaled_steps == steps
+
+
+def test_routes_make_one_kernel_call(monkeypatch):
+    # Both routes call the kernel with the vertices and the cycle cap and
+    # nothing else, so their weights agree by construction.
+    calls = []
+    for module in (simplex_qp, maximin):
+        kernel = module.refine_simplex_minimizer
+
+        def recording(*args, _kernel=kernel, **kwargs):
+            calls.append((args, kwargs))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, "refine_simplex_minimizer", recording)
+    cfg = ToleranceConfig(max_iter=500)
+    for _, Z in HULLS[::7]:
+        P = Polyhedron(Z)
+        for solve in (solve_wolfe, solve_maximin):
+            calls.clear()
+            solve(P, cfg)
+            ((args, kwargs),) = calls
+            assert kwargs == {}
+            assert len(args) == 2 and args[0] is P.vertices and args[1] == cfg.max_iter
 
 
 def test_routes_never_build_the_gram_matrix(monkeypatch):
@@ -147,13 +175,9 @@ def test_corral_starts_at_lowest_norm_support_vertex():
     Z = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     # Vertices 1 and 2 tie as nearest; the lowest index starts the corral,
     # which is already optimal.
-    weights, steps = refine_simplex_minimizer(Z, np.full(3, 1.0 / 3.0))
+    weights, steps = refine_simplex_minimizer(Z, MAX_CYCLES)
     assert steps == 0
     np.testing.assert_array_equal(weights, [0.0, 1.0, 0.0])
-    # Only vertices in the support of the start weights are candidates.
-    weights, steps = refine_simplex_minimizer(Z, np.array([0.5, 0.0, 0.5]))
-    assert steps == 0
-    np.testing.assert_array_equal(weights, [0.0, 0.0, 1.0])
 
 
 # Draw 138 of ``scripts/consensus_sweep.py --lattice --count 150 --max-m 39
@@ -190,7 +214,7 @@ def test_entering_vertex_survives_a_tiny_first_step():
 
     Z = LATTICE_16x5
     P = Polyhedron(Z)
-    weights, _ = refine_simplex_minimizer(Z, np.full(len(Z), 1.0 / len(Z)))
+    weights, _ = refine_simplex_minimizer(Z, MAX_CYCLES)
     x = weights @ Z
     assert float(x @ x) - float((Z @ x).min()) <= 1e-12
     ref = nnls_projection(Z)

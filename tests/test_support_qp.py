@@ -25,7 +25,6 @@ from ppocp.support_qp import (
     dual_objective,
     invert_support_vector,
     recover_primal,
-    rho_from_ybar,
     solve_dual,
 )
 
@@ -55,10 +54,6 @@ class TestInvertSupportVector:
         y_in_omega = np.array([1.0, 1.0])
         assert in_omega(P, y_in_omega)
         assert in_D(P, invert_support_vector(y_in_omega))
-
-    def test_alias_contract(self):
-        y = np.array([0.3, -0.7, 0.1])
-        assert_allclose(rho_from_ybar(y), invert_support_vector(y))
 
 
 class TestDualObjective:
