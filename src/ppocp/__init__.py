@@ -24,7 +24,6 @@ from .certify import (
 from .core import (
     DEFAULT_TOLERANCES,
     ConstraintSystem,
-    GramMatrix,
     Polyhedron,
     ProjectionResult,
     Route,
@@ -48,13 +47,12 @@ from .lcp import (
     extract_projection,
     lemke_solve,
 )
-from .maximin import MaximinSolution, cone_nonempty, projection_from_maximin, solve_maximin
-from .nnls import NnlsProblem, ReductionData, construct_b, nnls_solve, project_via_nnls, qp_form
-from .simplex_qp import SimplexSolution, optimality_gap, phi, solve_wolfe
+from .maximin import MaximinSolution, projection_from_maximin, solve_maximin
+from .nnls import NnlsProblem, ReductionData, construct_b, nnls_solve, project_via_nnls
+from .simplex_qp import SimplexSolution, solve_wolfe
 from .support_qp import (
     DualOutcome,
     DualStatus,
-    dual_gradient,
     dual_objective,
     invert_support_vector,
     recover_primal,

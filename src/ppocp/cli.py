@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .certify import ROUTES, check_optimality, cross_check, run_route
-from .core import Polyhedron, ToleranceConfig, translate
+from .core import DEFAULT_TOLERANCES, Polyhedron, ToleranceConfig, translate
 from .errors import (
     ConflictingCharacterizations,
     InconsistentOutcome,
@@ -61,7 +61,9 @@ def _reject_constant(name):
 
 def _load_instance(path: str) -> Polyhedron:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_constant=_reject_constant)
+        # Integers parse as doubles, so a literal beyond the double range is
+        # infinite, as 1e400 is, and fails the finite-coordinates check.
+        doc = json.load(fh, parse_int=float, parse_constant=_reject_constant)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ValueError('instance file must be an object with a "vertices" key')
     rows = doc["vertices"]
@@ -91,6 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--feas-tol", type=float, help="constraint violation bound")
     parser.add_argument("--zero-tol", type=float, help="origin-membership threshold")
     parser.add_argument("--max-iter", type=int, help="iteration budget")
+    d = DEFAULT_TOLERANCES
+    parser.set_defaults(
+        tol=d.opt_tol, feas_tol=d.feas_tol, zero_tol=d.zero_tol, max_iter=d.max_iter
+    )
     parser.add_argument(
         "--point",
         type=float,
@@ -111,16 +117,6 @@ def _build_gen_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, required=True, help="ambient dimension")
     parser.add_argument("--box", type=float, default=5.0, help="coordinate half-width")
     return parser
-
-
-def _config_from(ns) -> ToleranceConfig:
-    defaults = ToleranceConfig()
-    return ToleranceConfig(
-        feas_tol=ns.feas_tol if ns.feas_tol is not None else defaults.feas_tol,
-        opt_tol=ns.tol if ns.tol is not None else defaults.opt_tol,
-        zero_tol=ns.zero_tol if ns.zero_tol is not None else defaults.zero_tol,
-        max_iter=ns.max_iter if ns.max_iter is not None else defaults.max_iter,
-    )
 
 
 def _certificate_payload(cert) -> dict:
@@ -240,7 +236,9 @@ def run(argv=None) -> int:
 
     try:
         P = _load_instance(ns.input)
-        cfg = _config_from(ns)
+        cfg = ToleranceConfig(
+            feas_tol=ns.feas_tol, opt_tol=ns.tol, zero_tol=ns.zero_tol, max_iter=ns.max_iter
+        )
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ __all__ = [
     "Route",
     "Polyhedron",
     "ConstraintSystem",
-    "GramMatrix",
     "ProjectionResult",
     "constraint_matrix",
     "gram_matrix",
@@ -49,8 +48,9 @@ class ToleranceConfig:
     residuals, and zero_tol decides when the origin is declared inside the
     hull.  The entry points in ``certify`` and the CLI apply them to ``Z / s``
     (``unit_scale``); solver functions called directly see ``Z`` as given.
-    Every value must be finite and positive: a NaN tolerance fails every
-    comparison and an infinite one passes every check.
+    Every tolerance must be finite and positive: a NaN tolerance fails every
+    comparison and an infinite one passes every check.  ``max_iter`` counts
+    cycles, so it must also be an integer, and not a bool.
     """
 
     feas_tol: float = 1e-9
@@ -59,6 +59,8 @@ class ToleranceConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError("max_iter must be an integer")
         for name in ("feas_tol", "opt_tol", "zero_tol", "max_iter"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -147,16 +149,6 @@ class ConstraintSystem:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Matrix of pairwise vertex inner products; symmetric positive semidefinite."""
-
-    B: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "B", _readonly(self.B))
-
-
-@dataclass(frozen=True)
 class ProjectionResult:
     """A route's answer: the projection, its norm, and certificate data."""
 
@@ -185,16 +177,16 @@ def constraint_matrix(P: Polyhedron) -> ConstraintSystem:
     return ConstraintSystem(C=-P.vertices, e=np.ones(P.m))
 
 
-def gram_matrix(P: Polyhedron) -> GramMatrix:
+def gram_matrix(P: Polyhedron) -> np.ndarray:
     """Gram matrix ``B[i, j] = <z_i, z_j>``, symmetric to the bit.
 
     NumPy computes ``Z @ Z.T`` on one buffer with a symmetric rank-k update
     (BLAS ``syrk``) and copies one triangle into the other, so ``B == B.T``
-    holds exactly.
+    holds exactly.  The array is read-only.
     """
     B = P.vertices @ P.vertices.T
     B.flags.writeable = False
-    return GramMatrix(B=B)
+    return B
 
 
 def support_value(P: Polyhedron, c) -> tuple[float, int]:

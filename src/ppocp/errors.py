@@ -19,10 +19,6 @@ class MaxIterExceeded(PpocpError):
         self.iterations = iterations
 
 
-class SimplexViolation(PpocpError):
-    """A weight vector is not on the standard simplex within tolerance."""
-
-
 class ZeroVector(PpocpError):
     """A vector required to be nonzero is numerically zero."""
 

@@ -104,12 +104,6 @@ class CanonicalQP:
     H: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    p: np.ndarray
-
-    def reconstruct_y(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.H.shape[0] // 2
-        return x[:n] - x[n : 2 * n]
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ def canonicalize_primal(P: Polyhedron) -> CanonicalQP:
     H = np.block([[E, -E], [-E, E]])
     C = constraint_matrix(P).C
     A = np.hstack([-C, C])
-    return CanonicalQP(H=H, A=A, b=np.ones(P.m), p=np.zeros(2 * n))
+    return CanonicalQP(H=H, A=A, b=np.ones(P.m))
 
 
 def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
@@ -161,7 +155,7 @@ def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
         q[two_n:] = -qp.b
         return LCPInstance(M=M, q=q, k=k, variant=variant)
     if variant is LcpVariant.WOLFE_KKT:
-        B = gram_matrix(P).B
+        B = gram_matrix(P)
         k = m + 2
         A_hat = np.vstack([np.ones(m), -np.ones(m)])
         M = np.zeros((k, k))
@@ -173,7 +167,7 @@ def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
         q[m + 1] = 1.0
         return LCPInstance(M=M, q=q, k=k, variant=variant)
     if variant is LcpVariant.DUAL_ORTHANT:
-        B = gram_matrix(P).B
+        B = gram_matrix(P)
         return LCPInstance(M=0.5 * B, q=-np.ones(m), k=m, variant=variant)
     raise ValueError(f"unknown variant {variant!r}")
 

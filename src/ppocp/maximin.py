@@ -41,7 +41,6 @@ __all__ = [
     "solve_maximin",
     "maximin_from_weights",
     "projection_from_maximin",
-    "cone_nonempty",
 ]
 
 
@@ -127,12 +126,3 @@ def maximin_from_weights(
         origin_inside=float(np.linalg.norm(rho)) <= cfg.zero_tol,
         alpha=weights,
     )
-
-
-def cone_nonempty(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Whether some direction has every vertex inner product strictly positive.
-
-    The set of such directions is a cone; it is nonempty exactly when the
-    origin lies outside the hull, which the maximin value decides.
-    """
-    return solve_maximin(P, cfg).t_value > cfg.zero_tol

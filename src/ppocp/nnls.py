@@ -43,7 +43,6 @@ __all__ = [
     "NnlsProblem",
     "ReductionData",
     "nnls_solve",
-    "qp_form",
     "construct_b",
     "project_via_nnls",
 ]
@@ -126,17 +125,6 @@ def nnls_solve(N: NnlsProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.
     """
     x, _ = _lawson_hanson(N.A, N.b, cfg)
     return x
-
-
-def qp_form(N: NnlsProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-program data ``Q = A^T A`` and ``p = -1/2 A^T b``.
-
-    For every ``x``, ``1/4 x^T Q x + p^T x`` equals the objective minus the
-    constant ``||b||^2 / 4``.
-    """
-    Q = N.A.T @ N.A
-    p = -0.5 * (N.A.T @ N.b)
-    return Q, p
 
 
 def construct_b(

@@ -3,8 +3,8 @@
 The projection is the point ``sum_i a_i z_i`` minimizing the quadratic form
 ``<a, B a>`` over the standard simplex, where ``B`` is the Gram matrix of the
 vertices.  A weight vector is optimal exactly when every row satisfies
-``(B a)_i >= <a, B a>``; the signed slack of that criterion is the
-``optimality_gap`` exposed here.
+``(B a)_i >= <a, B a>``; ``solve_wolfe`` reports the signed slack of that
+criterion as ``SimplexSolution.gap``.
 
 The solver is Wolfe's minimum-norm-point algorithm
 (``core.refine_simplex_minimizer``), run on the vertex rows in R^n with a
@@ -12,8 +12,8 @@ corral of at most n + 1 vertices.  Its linear oracle is the lowest-index
 vertex minimizing ``<z_i, x>`` at the current point ``x = a @ Z``, and its
 affine-hull solves close the gap to near machine precision so that
 independently computed routes agree tightly.  ``iterations`` counts the
-algorithm's minor cycles.  ``B`` itself is never formed: ``phi`` and
-``optimality_gap`` evaluate ``B a = Z x`` at ``x = a @ Z`` in O(mn).
+algorithm's minor cycles.  ``B`` itself is never formed: the objective
+``phi`` and the gap evaluate ``B a = Z x`` at ``x = a @ Z`` in O(mn).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .core import (
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     refine_simplex_minimizer,
 )
-from .errors import MaxIterExceeded, SimplexViolation
+from .errors import MaxIterExceeded
 
-__all__ = ["SimplexSolution", "phi", "optimality_gap", "solve_wolfe"]
+__all__ = ["SimplexSolution", "solve_wolfe"]
 
 
 @dataclass(frozen=True)
@@ -46,41 +46,11 @@ class SimplexSolution:
     origin_inside: bool
 
 
-def _check_simplex(alpha, m: int, feas_tol: float) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (m,):
-        raise SimplexViolation(f"weight vector must have length {m}")
-    if alpha.min() < -feas_tol or abs(alpha.sum() - 1.0) > feas_tol:
-        raise SimplexViolation(
-            f"weights off the simplex: min {alpha.min():.3e}, "
-            f"sum deviation {alpha.sum() - 1.0:.3e}"
-        )
-    return alpha
-
-
 def _phi_and_gap(Z, alpha) -> tuple[np.ndarray, float, float]:
     """The point ``x = alpha @ Z``, ``<alpha, B alpha> = ||x||^2`` and the gap."""
     x = alpha @ Z
     phi_val = float(x @ x)
     return x, phi_val, phi_val - float((Z @ x).min())
-
-
-def phi(P: Polyhedron, alpha, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Quadratic form ``<alpha, B alpha>``, the squared norm of the combination."""
-    alpha = _check_simplex(alpha, P.m, cfg.feas_tol)
-    return _phi_and_gap(P.vertices, alpha)[1]
-
-
-def optimality_gap(
-    P: Polyhedron, alpha, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> float:
-    """Signed slack ``<alpha, B alpha> - min_i (B alpha)_i``.
-
-    Nonpositive values certify optimality of ``alpha``; callers typically
-    assert the returned value is at most ``opt_tol``.
-    """
-    alpha = _check_simplex(alpha, P.m, cfg.feas_tol)
-    return _phi_and_gap(P.vertices, alpha)[2]
 
 
 def solve_wolfe(

@@ -42,7 +42,6 @@ __all__ = [
     "DEPENDENT_TOL",
     "invert_support_vector",
     "dual_objective",
-    "dual_gradient",
     "solve_dual",
     "recover_primal",
 ]
@@ -122,12 +121,6 @@ def dual_objective(
     u = _check_nonnegative(u, S.C.shape[0], cfg.feas_tol)
     g = S.C.T @ u
     return 0.25 * float(g @ g) - float(S.e @ u)
-
-
-def dual_gradient(S: ConstraintSystem, u) -> np.ndarray:
-    """Gradient ``1/2 C C^T u - e`` of the dual objective."""
-    u = np.asarray(u, dtype=float)
-    return 0.5 * (S.C @ (S.C.T @ u)) - S.e
 
 
 def recover_primal(S: ConstraintSystem, u) -> np.ndarray:

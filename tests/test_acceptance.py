@@ -133,11 +133,11 @@ def test_criterion_1_worked_fixtures():
     with criterion(1, "hand-worked fixtures"):
         start = time.perf_counter()
 
-        B1 = gram_matrix(Polyhedron(np.array([[1.0, 0.0], [2.0, 0.0]]))).B
+        B1 = gram_matrix(Polyhedron(np.array([[1.0, 0.0], [2.0, 0.0]])))
         assert np.array_equal(B1, [[1.0, 2.0], [2.0, 4.0]])
         assert abs(np.linalg.det(B1)) <= 1e-12
 
-        B2 = gram_matrix(Polyhedron(np.array([[-1.0, 0.0], [1.0, 0.0]]))).B
+        B2 = gram_matrix(Polyhedron(np.array([[-1.0, 0.0], [1.0, 0.0]])))
         assert np.array_equal(B2, [[1.0, -1.0], [-1.0, 1.0]])
         assert abs(np.linalg.det(B2)) <= 1e-12
 

@@ -201,6 +201,18 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "1" + "0" * 400, "-1" + "0" * 400], ids=["float", "int", "neg-int"]
+    )
+    def test_out_of_range_number_is_input_error(self, tmp_path, capsys, literal):
+        # JSON parses the integer literal as a Python int past the double range.
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"vertices": [[{literal}, 1.0], [2.0, 3.0]]}}')
+        code, out, err = run_cli(capsys, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: vertices must have finite coordinates\n"
+
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGLE)
         code, _, _ = run_cli(capsys, "--input", path, "--method", "bogus")

@@ -89,6 +89,15 @@ class TestToleranceConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             ToleranceConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, True, np.nan])
+    def test_max_iter_must_be_an_integer(self, value):
+        # A float cap reached range() as a raw TypeError; True passed as 1.
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            ToleranceConfig(max_iter=value)
+
+    def test_max_iter_accepts_numpy_integers(self):
+        assert ToleranceConfig(max_iter=np.int64(3)).max_iter == 3
+
 
 class TestConstraintMatrix:
     def test_triangle(self):
@@ -112,23 +121,23 @@ class TestConstraintMatrix:
 
 class TestGramMatrix:
     def test_collinear_pair_is_singular(self):
-        B = gram_matrix(Polyhedron(np.array(COLLINEAR_PAIR))).B
+        B = gram_matrix(Polyhedron(np.array(COLLINEAR_PAIR)))
         assert_array_equal(B, [[1.0, 2.0], [2.0, 4.0]])
         assert abs(np.linalg.det(B)) <= 1e-12
 
     def test_opposite_pair_is_singular(self):
-        B = gram_matrix(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN))).B
+        B = gram_matrix(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
         assert_array_equal(B, [[1.0, -1.0], [-1.0, 1.0]])
         assert abs(np.linalg.det(B)) <= 1e-12
 
     def test_triangle_inner_products(self):
-        B = gram_matrix(Polyhedron(np.array(TRIANGLE))).B
+        B = gram_matrix(Polyhedron(np.array(TRIANGLE)))
         assert_array_equal(B, [[4.0, 0.0, 4.0], [0.0, 4.0, 4.0], [4.0, 4.0, 8.0]])
 
     def test_matches_constraint_product(self):
         for seed in range(5):
             P = random_polyhedron(seed)
-            B = gram_matrix(P).B
+            B = gram_matrix(P)
             S = constraint_matrix(P)
             assert_allclose(B, S.C @ S.C.T, atol=1e-12)
             assert_array_equal(B, B.T)
@@ -136,7 +145,7 @@ class TestGramMatrix:
     def test_tall_gram_is_exactly_symmetric(self):
         # m well past the m <= 12 instances above, for the BLAS product.
         P = Polyhedron(np.random.default_rng(0).uniform(-5.0, 5.0, size=(600, 20)))
-        B = gram_matrix(P).B
+        B = gram_matrix(P)
         assert_array_equal(B, B.T)
         assert_allclose(B, np.einsum("ik,jk->ij", P.vertices, P.vertices), atol=1e-11)
 
@@ -145,7 +154,7 @@ class TestGramMatrix:
         rng = np.random.default_rng(0)
         for seed in range(10):
             P = random_polyhedron(seed)
-            B = gram_matrix(P).B
+            B = gram_matrix(P)
             C = constraint_matrix(P).C
             for _ in range(100):
                 xi = rng.normal(size=P.m)
@@ -279,7 +288,7 @@ class TestRefineSimplexMinimizer:
     def test_never_leaves_simplex(self):
         for seed in range(6):
             P = random_polyhedron(seed)
-            B = gram_matrix(P).B
+            B = gram_matrix(P)
             x, _ = refine_simplex_minimizer(P.vertices, DEFAULT_TOLERANCES.max_iter)
             assert x.min() >= 0.0
             assert abs(x.sum() - 1.0) <= 1e-12

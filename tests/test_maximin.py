@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
-    LINE_POINTS,
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
@@ -17,7 +16,6 @@ from ppocp import maximin
 from ppocp.core import Polyhedron, support_value, vi_residuals
 from ppocp.errors import MaxIterExceeded
 from ppocp.maximin import (
-    cone_nonempty,
     maximin_from_weights,
     projection_from_maximin,
     solve_maximin,
@@ -108,17 +106,6 @@ class TestSupportConcavity:
         t2, _ = support_value(P, c2)
         mixed, _ = support_value(P, lam * c1 + (1 - lam) * c2)
         assert mixed >= lam * t1 + (1 - lam) * t2 - 1e-10
-
-
-class TestConeNonempty:
-    def test_triangle(self):
-        assert cone_nonempty(Polyhedron(np.array(TRIANGLE)))
-
-    def test_segment(self):
-        assert not cone_nonempty(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
-
-    def test_line_points(self):
-        assert not cone_nonempty(Polyhedron(np.array(LINE_POINTS)))
 
 
 class TestSharedKernel:

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import TRIANGLE, random_polyhedron
 from ppocp.core import Polyhedron, constraint_matrix, vi_residuals
 from ppocp.errors import ZeroVector
-from ppocp.nnls import NnlsProblem, construct_b, nnls_solve, project_via_nnls, qp_form
+from ppocp.nnls import NnlsProblem, construct_b, nnls_solve, project_via_nnls
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import dual_objective
 
 DIAG_DESIGN = np.diag([-10.0, 5.0])
 DIAG_RHS = np.array([-0.2, 0.4])
 SQUARE_DESIGN = np.array([[1.0, -1.0], [0.0, 1.0]])
-SQUARE_RHS = np.array([2.0, 4.0])
 
 
 class TestNnlsSolve:
@@ -74,36 +72,6 @@ class TestNnlsSolve:
             NnlsProblem(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
             NnlsProblem(np.array([[np.nan, 0.0]]), np.zeros(1))
-
-
-class TestQpForm:
-    def test_square_fixture(self):
-        Q, p = qp_form(NnlsProblem(SQUARE_DESIGN, SQUARE_RHS))
-        assert_array_equal(p, [-1.0, -1.0])
-        assert_array_equal(SQUARE_DESIGN.T @ SQUARE_RHS, [2.0, 2.0])
-
-    def test_diagonal_fixture(self):
-        Q, p = qp_form(NnlsProblem(DIAG_DESIGN, DIAG_RHS))
-        assert_array_equal(Q, np.diag([100.0, 25.0]))
-        assert_array_equal(p, [-1.0, -1.0])
-        assert_array_equal(DIAG_DESIGN.T @ DIAG_RHS, [2.0, 2.0])
-
-    def test_zero_design(self):
-        Q, p = qp_form(NnlsProblem(np.zeros((2, 2)), np.zeros(2)))
-        assert_array_equal(Q, np.zeros((2, 2)))
-        assert_array_equal(p, np.zeros(2))
-
-    @given(st.integers(0, 40))
-    def test_objective_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        r = int(rng.integers(1, 7))
-        s = int(rng.integers(1, 7))
-        N = NnlsProblem(rng.normal(size=(r, s)), rng.normal(size=r))
-        Q, p = qp_form(N)
-        x = rng.normal(size=s)
-        lhs = 0.25 * float(x @ Q @ x) + float(p @ x)
-        rhs = 0.25 * float(np.sum((N.A @ x - N.b) ** 2)) - 0.25 * float(N.b @ N.b)
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
 class TestConstructB:

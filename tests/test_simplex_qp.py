@@ -10,8 +10,8 @@ from conftest import (
     random_polyhedron,
 )
 from ppocp.core import Polyhedron, ToleranceConfig, refine_simplex_minimizer
-from ppocp.errors import MaxIterExceeded, SimplexViolation
-from ppocp.simplex_qp import optimality_gap, phi, solve_wolfe
+from ppocp.errors import MaxIterExceeded
+from ppocp.simplex_qp import solve_wolfe
 
 
 def brute_force_simplex_min(vertices, step=1e-3):
@@ -28,52 +28,6 @@ def brute_force_simplex_min(vertices, step=1e-3):
     vals = np.sum(pts * pts, axis=1)
     best = int(np.argmin(vals))
     return np.array([a1[best], a2[best], a3[best]]), float(vals[best])
-
-
-class TestPhi:
-    def test_segment_midpoint_reaches_origin(self):
-        P = Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN))
-        assert phi(P, np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-15)
-
-    def test_single_vertex(self):
-        P = Polyhedron(np.array(SINGLE_POINT))
-        assert phi(P, np.array([1.0])) == 25.0
-
-    def test_triangle_edge_midpoint(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        assert phi(P, np.array([0.5, 0.5, 0.0])) == pytest.approx(2.0, rel=1e-14)
-
-    def test_matches_squared_norm_of_combination(self):
-        rng = np.random.default_rng(3)
-        for seed in range(6):
-            P = random_polyhedron(seed)
-            a = rng.dirichlet(np.ones(P.m))
-            value = phi(P, a)
-            norm_sq = float(np.sum((a @ P.vertices) ** 2))
-            assert abs(value - norm_sq) <= 1e-10 * max(1.0, norm_sq)
-
-    def test_rejects_off_simplex(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        with pytest.raises(SimplexViolation):
-            phi(P, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(SimplexViolation):
-            phi(P, np.array([-0.2, 0.6, 0.6]))
-
-
-class TestOptimalityGap:
-    def test_triangle_optimum_has_zero_gap(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        assert optimality_gap(P, np.array([0.5, 0.5, 0.0])) == pytest.approx(
-            0.0, abs=1e-14
-        )
-
-    def test_single_vertex_always_optimal(self):
-        P = Polyhedron(np.array(SINGLE_POINT))
-        assert optimality_gap(P, np.array([1.0])) == 0.0
-
-    def test_triangle_vertex_weight_not_optimal(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        assert optimality_gap(P, np.array([1.0, 0.0, 0.0])) == pytest.approx(4.0)
 
 
 class TestSolveWolfe:

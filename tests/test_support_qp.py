@@ -21,7 +21,6 @@ from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import (
     DEPENDENT_TOL,
     DualStatus,
-    dual_gradient,
     dual_objective,
     invert_support_vector,
     recover_primal,
@@ -74,21 +73,6 @@ class TestDualObjective:
         S = constraint_matrix(Polyhedron(np.array(TRIANGLE)))
         with pytest.raises(NegativeDualVariable):
             dual_objective(S, np.array([0.5, -0.5, 0.0]))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(8)
-        for seed in range(4):
-            P = random_polyhedron(seed, max_m=6, max_n=4)
-            S = constraint_matrix(P)
-            u = rng.uniform(0.1, 2.0, size=P.m)
-            grad = dual_gradient(S, u)
-            h = 1e-6
-            for i in range(P.m):
-                up, dn = u.copy(), u.copy()
-                up[i] += h
-                dn[i] -= h
-                fd = (dual_objective(S, up) - dual_objective(S, dn)) / (2 * h)
-                assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     @given(st.integers(0, 30), st.floats(0.0, 1.0))
     def test_convexity_probe(self, seed, lam):
