@@ -1,12 +1,15 @@
 """Certificates, origin-membership consensus, and the brute-force oracle.
 
-Every route's answer, and the oracle's, passes one check before it is
-reported: the smallest vertex residual ``<z_i - rho, rho>`` must be at least
-``-10 opt_tol`` (``_vi_checked``), or the answer becomes an
-InconsistentOutcome naming its route.  ``check_optimality`` evaluates the
-same criterion, equivalently ``rho`` in the ball-intersection set of
-``core.in_omega``, as a certificate record, together with a hull witness
-(convex weights reproducing ``rho``) when one is available.
+Every route's answer, and the oracle's, is one ProjectionResult carrying
+its convex weights as ``alpha`` (None for nnls and the oracle).  It passes
+one check, once, on the unit instance before it is reported: the smallest
+vertex residual ``<z_i - rho, rho>`` must be at least ``-10 opt_tol``
+(``_vi_checked``), or the answer becomes an InconsistentOutcome naming its
+route.  ``cross_check`` judges agreement on these unit-scale answers and
+only then converts them to the caller's units.  ``check_optimality``
+evaluates the same criterion, equivalently ``rho`` in the ball-intersection
+set of ``core.in_omega``, as a certificate record, together with a hull
+witness (convex weights reproducing ``rho``) when one is available.
 
 Four characterizations decide whether the hull contains the origin; they
 are equivalent theorems, so a split vote is always surfaced as an error,
@@ -46,7 +49,7 @@ from .errors import (
     OracleScaleExceeded,
     PpocpError,
 )
-from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve, vertex_weights
+from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
 from .maximin import maximin_from_weights, solve_maximin
 from .nnls import project_via_nnls
 from .simplex_qp import solve_wolfe
@@ -254,60 +257,51 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
     return result
 
 
-# Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns
-# ``(ProjectionResult, alpha_witness | None)``, with the result through
-# ``_vi_checked``, or None when the route does not apply; weights proving the
-# origin inside (the dual's unbounded objective, a Lemke ray) answer with the
-# point they combine to.  Runners look the solvers up as module globals at
-# call time, so replacing ``certify.solve_wolfe`` and its peers reaches every
-# caller; in ``cross_check`` and ``detect_zero_membership`` the maximin route
-# calls ``certify.maximin_from_weights`` instead of ``certify.solve_maximin``
+# Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns the
+# route's unchecked ProjectionResult on ``P``, carrying its convex weights as
+# ``alpha`` (None for nnls and the oracle), or None when the route does not
+# apply; weights proving the origin inside (the dual's unbounded objective, a
+# Lemke ray) answer with the point they combine to.  ``_checked`` runs a
+# runner on the unit instance and applies ``_vi_checked``, once per answer.
+# Runners look the solvers up as module globals at call time, so replacing
+# ``certify.solve_wolfe`` and its peers reaches every caller; in
+# ``cross_check`` and ``detect_zero_membership`` the maximin route calls
+# ``certify.maximin_from_weights`` instead of ``certify.solve_maximin``
 # (``_one_kernel_routes``).
 
 
-def _wolfe_answer(P, sol, cfg):
-    result = projection_result(P, sol.rho, Route.WOLFE, sol.iterations, cfg)
-    return _vi_checked(result, cfg), sol.alpha
+def _kernel_answer(P, sol, route, cfg):
+    return projection_result(P, sol.rho, route, sol.iterations, cfg, sol.alpha)
 
 
 def _run_wolfe(P, cfg, verbose=False):
-    return _wolfe_answer(P, solve_wolfe(P, cfg), cfg)
+    return _kernel_answer(P, solve_wolfe(P, cfg), Route.WOLFE, cfg)
 
 
 def _run_dual(P, cfg, verbose=False):
     out = solve_dual(P, cfg)
-    inside = out.status is DualStatus.UNBOUNDED_BELOW
-    rho = out.alpha @ P.vertices if inside else out.rho
-    result = projection_result(P, rho, Route.DUAL, out.iterations, cfg)
-    return _vi_checked(result, cfg), out.alpha
-
-
-def _maximin_answer(P, sol, cfg):
-    result = projection_result(P, sol.rho, Route.MAXIMIN, sol.iterations, cfg)
-    return _vi_checked(result, cfg), sol.alpha
+    rho = out.alpha @ P.vertices if out.status is DualStatus.UNBOUNDED_BELOW else out.rho
+    return projection_result(P, rho, Route.DUAL, out.iterations, cfg, out.alpha)
 
 
 def _run_maximin(P, cfg, verbose=False):
-    return _maximin_answer(P, solve_maximin(P, cfg), cfg)
+    return _kernel_answer(P, solve_maximin(P, cfg), Route.MAXIMIN, cfg)
 
 
 def _run_lcp(variant):
     def runner(P, cfg, verbose=False):
-        instance = build_lcp(P, variant)
-        outcome = lemke_solve(instance, cfg, verbose=verbose)
-        result = extract_projection(P, instance, outcome, cfg)
-        return _vi_checked(result, cfg), vertex_weights(P, instance, outcome)
+        L = build_lcp(P, variant)
+        return extract_projection(P, L, lemke_solve(L, cfg, verbose=verbose), cfg)
 
     return runner
 
 
 def _run_nnls(P, cfg, verbose=False):
-    result = project_via_nnls(P, cfg)
-    return None if result is None else (_vi_checked(result, cfg), None)
+    return project_via_nnls(P, cfg)
 
 
 def _run_oracle(P, cfg, verbose=False):
-    return _vi_checked(reference_projection(P, cfg), cfg), None
+    return reference_projection(P, cfg)
 
 
 ROUTES = {
@@ -341,30 +335,33 @@ def _one_kernel_routes():
             kernel.append((err.best, err.iterations))
             raise
         kernel.append((sol.alpha, sol.iterations))
-        return _wolfe_answer(P, sol, cfg)
+        return _kernel_answer(P, sol, Route.WOLFE, cfg)
 
     def maximin(P, cfg, verbose=False):
-        weights, iterations = kernel[-1]
-        return _maximin_answer(P, maximin_from_weights(P, weights, iterations, cfg), cfg)
+        sol = maximin_from_weights(P, *kernel[-1], cfg)
+        return _kernel_answer(P, sol, Route.MAXIMIN, cfg)
 
     return dict(ROUTES, wolfe=wolfe, maximin=maximin)
 
 
-def _scaled(runner, U, s, cfg, verbose=False):
-    """``runner``'s outcome on the unit instance ``U``, in units ``s`` times larger."""
-    outcome = runner(U, cfg, verbose=verbose)
-    if outcome is None:
-        return None
-    r, witness = outcome
-    r = replace(r, rho=r.rho * s, distance=r.distance * s, vi_min=r.vi_min * s * s)
-    return r, witness
+def _checked(runner, U, cfg, verbose=False) -> ProjectionResult | None:
+    """``runner``'s answer on the unit instance ``U`` through ``_vi_checked``."""
+    result = runner(U, cfg, verbose=verbose)
+    return None if result is None else _vi_checked(result, cfg)
+
+
+def _in_units(r: ProjectionResult, s: float) -> ProjectionResult:
+    """A checked unit-scale answer in units ``s`` times larger."""
+    return replace(r, rho=r.rho * s, distance=r.distance * s, vi_min=r.vi_min * s * s)
 
 
 def run_route(
     name: str, P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES, verbose=False
-):
-    """One ``ROUTES`` runner's outcome on ``P``, solved at unit scale."""
-    return _scaled(ROUTES[name], *unit_scale(P), cfg, verbose)
+) -> ProjectionResult | None:
+    """One ``ROUTES`` runner's checked answer on ``P``, solved at unit scale."""
+    U, s = unit_scale(P)
+    result = _checked(ROUTES[name], U, cfg, verbose)
+    return None if result is None else _in_units(result, s)
 
 
 def detect_zero_membership(
@@ -382,7 +379,7 @@ def detect_zero_membership(
     U, _ = unit_scale(P)
     routes = _one_kernel_routes()
     voters = ("wolfe", "dual", "maximin", "lcp-primal")  # ZeroMembershipVotes order
-    votes = ZeroMembershipVotes(*(routes[r](U, cfg)[0].origin_inside for r in voters))
+    votes = ZeroMembershipVotes(*(_checked(routes[r], U, cfg).origin_inside for r in voters))
     if not votes.unanimous:
         raise ConflictingCharacterizations(
             f"origin-membership characterizations disagree: {votes}", votes=votes
@@ -398,9 +395,10 @@ def cross_check(
     Per-route errors, an answer failing the VI check included, are captured
     in the report rather than aborting the remaining routes.  The kernel the
     wolfe and maximin routes share runs once: maximin checks wolfe's weights.
-    The verdict is ``agree`` only when all successful routes match pairwise
-    within ``1e-6 (s + max distance)`` and their origin-membership votes
-    coincide.
+    The verdict is judged on the unit-scale answers: ``agree`` only when all
+    successful routes match pairwise within ``1e-6 (1 + max distance)`` and
+    their origin-membership votes coincide.  Entries and the deviation are
+    then reported in the caller's units.
     """
     U, s = unit_scale(P)
     runners = _one_kernel_routes()
@@ -409,14 +407,11 @@ def cross_check(
     entries: dict[str, RouteEntry] = {}
     for name, runner in runners.items():
         try:
-            outcome = _scaled(runner, U, s, cfg)
+            result = _checked(runner, U, cfg)
         except PpocpError as err:
             entries[name] = RouteEntry(status="error", error=str(err))
-            continue
-        if outcome is None:
-            entries[name] = RouteEntry(status="not-applicable")
         else:
-            entries[name] = RouteEntry(status="ok", result=outcome[0])
+            entries[name] = RouteEntry("not-applicable" if result is None else "ok", result)
 
     good = {name: e.result for name, e in entries.items() if e.status == "ok"}
     pairs = combinations([r.rho for r in good.values()], 2)
@@ -427,12 +422,14 @@ def cross_check(
     agree = (
         bool(good)
         and all(e.status != "error" for e in entries.values())
-        and max_dev <= 1e-6 * (s + max_distance)
+        and max_dev <= 1e-6 * (1.0 + max_distance)
         and len(set(votes.values())) <= 1
     )
+    for name, result in good.items():
+        entries[name] = RouteEntry(status="ok", result=_in_units(result, s))
     return ConsensusReport(
         entries=entries,
-        pairwise_max_deviation=max_dev,
+        pairwise_max_deviation=max_dev * s,
         votes=votes,
         verdict="agree" if agree else "conflict",
     )

@@ -135,14 +135,19 @@ def _certificate_payload(cert) -> dict:
     return payload
 
 
-def _report_payload(report) -> dict:
+def _shifted(rho, shift):
+    """``rho``, solved on the instance translated by ``--point``, in the original frame."""
+    return rho if shift is None else rho + shift
+
+
+def _report_payload(report, shift) -> dict:
     routes = {}
     for name, entry in report.entries.items():
         if entry.status == "ok":
             r = entry.result
             routes[name] = {
                 "status": "ok",
-                "rho": list(r.rho),
+                "rho": list(_shifted(r.rho, shift)),
                 "distance": r.distance,
                 "iterations": r.iterations,
                 "vi_min": r.vi_min,
@@ -161,18 +166,15 @@ def _report_payload(report) -> dict:
 
 
 def _result_payload(result, certificate, shift, report=None) -> dict:
-    rho = np.asarray(result.rho)
-    if shift is not None:
-        rho = rho + shift
     payload = {
-        "rho": list(rho),
+        "rho": list(_shifted(result.rho, shift)),
         "distance": result.distance,
         "route": result.route.value if report is None else "consensus",
         "origin_inside": result.origin_inside,
         "certificate": _certificate_payload(certificate),
     }
     if report is not None:
-        payload["report"] = _report_payload(report)
+        payload["report"] = _report_payload(report, shift)
     return payload
 
 
@@ -218,7 +220,11 @@ def _run_gen(argv) -> int:
         return 2
     seed = int(os.environ.get("PPOCP_SEED", "0"))
     rng = np.random.default_rng(seed)
-    vertices = rng.uniform(-ns.box, ns.box, size=(ns.m, ns.n))
+    try:
+        vertices = rng.uniform(-ns.box, ns.box, size=(ns.m, ns.n))
+    except (MemoryError, ValueError) as err:  # numpy refuses before touching memory
+        print(f"error: {ns.m} x {ns.n} instance too large: {err}", file=sys.stderr)
+        return 2
     _emit({"vertices": [list(row) for row in vertices]}, "json")
     return 0
 
@@ -239,7 +245,7 @@ def run(argv=None) -> int:
         cfg = ToleranceConfig(
             feas_tol=ns.feas_tol, opt_tol=ns.tol, zero_tol=ns.zero_tol, max_iter=ns.max_iter
         )
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # json recurses per nesting level
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -268,12 +274,11 @@ def run(argv=None) -> int:
                 return 4
             return _certificate_exit(certificate)
 
-        outcome = run_route(ns.method, work, cfg, verbose=ns.verbose)
-        if outcome is None:
+        result = run_route(ns.method, work, cfg, verbose=ns.verbose)
+        if result is None:
             _emit({"status": "not-applicable"}, ns.output)
             return 0
-        result, witness = outcome
-        certificate = check_optimality(work, result.rho, alpha=witness, cfg=cfg)
+        certificate = check_optimality(work, result.rho, alpha=result.alpha, cfg=cfg)
         _emit(_result_payload(result, certificate, shift), ns.output)
         return _certificate_exit(certificate)
     except (MaxIterExceeded, PivotLimitExceeded) as err:

@@ -150,7 +150,8 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A route's answer: the projection, its norm, and certificate data."""
+    """A route's answer: the projection, its norm, certificate data, and the
+    convex vertex weights ``alpha`` reproducing it (None for nnls, the oracle)."""
 
     rho: np.ndarray
     distance: float
@@ -158,9 +159,12 @@ class ProjectionResult:
     iterations: int
     vi_min: float
     origin_inside: bool = False
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _readonly(self.rho))
+        if self.alpha is not None:
+            object.__setattr__(self, "alpha", _readonly(self.alpha))
 
 
 def _vector(y, n: int, name: str = "y") -> np.ndarray:
@@ -301,6 +305,7 @@ def projection_result(
     route: Route,
     iterations: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    alpha=None,
 ) -> ProjectionResult:
     """Assemble a ProjectionResult, computing distance and the VI residual.
 
@@ -321,6 +326,7 @@ def projection_result(
         iterations=iterations,
         vi_min=vi_min,
         origin_inside=distance <= cfg.zero_tol,
+        alpha=alpha,
     )
 
 

@@ -532,14 +532,14 @@ def extract_projection(
     """Read the projection out of a complementarity outcome.
 
     Every outcome answers with ``alpha @ Z`` for its weights ``alpha``
-    (``vertex_weights``): the projection at a solution, since each variant's
-    stationarity gives ``rho = Z^T u / sum u``, and the origin, or at least
-    a point of the hull, on a ray.  The answer votes by
-    ``core.projection_result``'s rule like any other.  An outcome with no
-    positive multiplier, or any ray of the always-solvable wolfe-kkt variant,
-    is an inconsistency.  The extracted point is returned unchecked; the
-    route runners in ``certify`` apply the variational-inequality check,
-    which certifies it completely because it lies in the hull.
+    (``vertex_weights``), which the result carries: the projection at a
+    solution, as each variant's stationarity gives ``rho = Z^T u / sum u``,
+    and the origin, or at least a point of the hull, on a ray.  The answer
+    votes by ``core.projection_result``'s rule like any other.  An outcome
+    with no positive multiplier, or any ray of the always-solvable wolfe-kkt
+    variant, is an inconsistency.  The point is returned unchecked;
+    ``certify`` applies the variational-inequality check, which certifies it
+    completely because it lies in the hull.
     """
     route = _ROUTE_OF_VARIANT[L.variant]
     if O.status is LcpStatus.RAY_TERMINATION and L.variant is LcpVariant.WOLFE_KKT:
@@ -551,4 +551,4 @@ def extract_projection(
         raise InconsistentOutcome(
             f"{route.value} {O.status.value} with no positive multiplier"
         )
-    return projection_result(P, alpha @ P.vertices, route, O.pivots, cfg)
+    return projection_result(P, alpha @ P.vertices, route, O.pivots, cfg, alpha)

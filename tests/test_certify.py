@@ -224,9 +224,9 @@ class TestDetectZeroMembership:
 
     def test_dual_vote_follows_zero_tol(self):
         P = Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]]))
-        assert certify.ROUTES["dual"](P, ToleranceConfig())[0].origin_inside
+        assert certify.ROUTES["dual"](P, ToleranceConfig()).origin_inside
         tight = ToleranceConfig(zero_tol=1e-10)
-        assert not certify.ROUTES["dual"](P, tight)[0].origin_inside
+        assert not certify.ROUTES["dual"](P, tight).origin_inside
 
 
 class TestCrossCheck:
@@ -264,10 +264,16 @@ class TestCrossCheck:
 
     def test_random_instances_agree(self):
         for seed in range(25):
-            report = cross_check(random_polyhedron(seed))
+            P = random_polyhedron(seed)
+            report = cross_check(P)
             assert report.verdict == "agree", {
                 k: (v.status, v.error) for k, v in report.entries.items()
             }
+            for name, entry in report.entries.items():
+                if entry.status != "ok" or name in ("nnls", "oracle"):
+                    continue
+                checks = check_optimality(P, entry.result.rho, entry.result.alpha).checks
+                assert [c.passed for c in checks if c.name == "hull-witness"] == [True], name
 
     def test_oracle_answer_failing_vi_check_is_error(self, monkeypatch):
         # Twice the true projection [1, 1] has vi_min = -4.
@@ -349,12 +355,12 @@ class TestCrossCheck:
 def _entry_as_run_route(name, P):
     """What ``run_route`` gives for ``name`` on ``P``, as a consensus entry."""
     try:
-        outcome = certify.run_route(name, P)
+        result = certify.run_route(name, P)
     except MaxIterExceeded as err:
         return certify.RouteEntry(status="error", error=str(err))
-    if outcome is None:
+    if result is None:
         return certify.RouteEntry(status="not-applicable")
-    return certify.RouteEntry(status="ok", result=outcome[0])
+    return certify.RouteEntry(status="ok", result=result)
 
 
 def _assert_same_entry(a, b):
@@ -370,6 +376,10 @@ def _assert_same_entry(a, b):
             b.result.route,
             b.result.origin_inside,
         )
+        if a.result.alpha is None:
+            assert b.result.alpha is None
+        else:
+            assert a.result.alpha.tobytes() == b.result.alpha.tobytes()
 
 
 def _kernel_stub(iterations):

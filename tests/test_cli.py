@@ -213,6 +213,15 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: vertices must have finite coordinates\n"
 
+    def test_too_deep_nesting_is_input_error(self, tmp_path, capsys):
+        # Deeper than the JSON decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_method_is_usage_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGLE)
         code, _, _ = run_cli(capsys, "--input", path, "--method", "bogus")
@@ -340,6 +349,20 @@ class TestGen:
     def test_gen_rejects_bad_sizes(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--m", "0", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [("4294967296", "4294967296"), ("1000000000000", "1000000")],
+        ids=["too-big", "out-of-memory"],
+    )
+    def test_gen_rejects_sizes_beyond_memory(self, capsys, m, n):
+        # numpy refuses both before touching memory: the first size overflows
+        # its byte count, the second fails to allocate 6.9 EiB.
+        code, out, err = run_cli(capsys, "gen", "--m", m, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {m} x {n} instance too large: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("box", ["nan", "inf", "1e308", "-1", "0"])
     def test_gen_rejects_box_without_finite_width(self, capsys, box):

@@ -1,12 +1,14 @@
 """Metamorphic properties of ``cross_check`` on hulls up to 60 x 30.
 
 Multiplying the vertices by ``2^k`` reproduces the whole report bit for bit
-in the new units, because every route solves the same unit-scale instance.
+in the new units, because every route solves the same unit-scale instance,
+and its verdict at any finite scale, because the verdict is judged there.
 Rotating, permuting or duplicating the vertices, and projecting a point
 with ``--point``, move the answer as the geometry says, within the
-consensus bound ``1e-6 (s + max distance)``.  Hulls on the integer lattice,
-whose exact ties and repeated vertices float draws never give, must reach
-agreement.
+consensus bound: ``1e-6 (1 + max distance)`` judged at unit scale, which is
+``1e-6 (s + max distance)`` in the caller's units.  Hulls on the integer
+lattice, whose exact ties and repeated vertices float draws never give, must
+reach agreement.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -103,6 +106,36 @@ def test_power_of_two_scaling_is_exact(z, k):
         assert (b.iterations, b.origin_inside) == (a.iterations, a.origin_inside), name
 
 
+SCALE_HULLS = {
+    "triangle": np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]),
+    "separated": _vertices("separated", 9, 4, 3),
+    "inside": _vertices("inside", 9, 4, 3),
+}
+
+
+@pytest.mark.parametrize("k", [600, 900, 996, -1000])
+@pytest.mark.parametrize("hull", list(SCALE_HULLS))
+def test_verdict_holds_at_any_finite_scale(hull, k):
+    # Past s = 2^511 the caller-unit vi_min overflows, so the test above
+    # stays at |k| <= 60; verdict, votes and statuses must hold anyway.
+    z = SCALE_HULLS[hull]
+    base = cross_check(Polyhedron(z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = cross_check(Polyhedron(np.ldexp(z, k)))
+    assert (scaled.verdict, scaled.votes) == (base.verdict, base.votes)
+    assert {n: e.status for n, e in scaled.entries.items()} == {
+        n: e.status for n, e in base.entries.items()
+    }
+    if k < 0:
+        return  # caller-unit answers may round into the subnormal range
+    assert scaled.pairwise_max_deviation == np.ldexp(base.pairwise_max_deviation, k)
+    for name, entry in base.entries.items():
+        if entry.result is not None:
+            rho = scaled.entries[name].result.rho
+            assert rho.tobytes() == np.ldexp(entry.result.rho, k).tobytes(), name
+
+
 @given(z=hulls(), seed=st.integers(0, 2**32 - 1))
 def test_rotation_rotates_the_answer(z, seed):
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(z.shape[1],) * 2))
@@ -136,6 +169,9 @@ def test_point_projects_the_translated_instance(z, seed):
     assert doc["report"]["verdict"] == shifted.verdict
     dev = float(np.linalg.norm(np.array(doc["rho"]) - (shifted.rho + p)))
     assert dev <= _bound(Polyhedron(z - p), shifted)
+    for name, route in doc["report"]["routes"].items():
+        if route["status"] == "ok":  # every route prints in the headline's frame
+            assert route["rho"] == list(shifted.entries[name].result.rho + p), name
 
 
 @given(z=lattice_hulls())
