@@ -5,6 +5,7 @@ Example:
 
     python scripts/consensus_sweep.py --count 50 --max-m 12 --max-n 8 --seed 0
     python scripts/consensus_sweep.py --lattice --count 150 --max-m 39 --max-n 7 --seed 1
+    python scripts/consensus_sweep.py --family near-dependent --count 400 --seed 2026
 
 Prints one line per instance (sizes, worst pairwise deviation, votes) and a
 summary block; exits nonzero when any instance fails to reach consensus.
@@ -43,6 +44,47 @@ def lattice_instances(seed, count, max_m, max_n, shift):
         yield Polyhedron(z)
 
 
+def near_dependent_instances(seed, count, box):
+    """Square hulls, m = n in 2 to 6, whose last vertex nearly depends on
+    the others: it is one of them, their centroid or a random convex
+    combination of them, plus a Gaussian offset of scale ``10**U(-16, -9)``.
+    The others are uniform in ``[-box, box]``.  All hulls come from one
+    stream seeded by ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        z = rng.uniform(-box, box, size=(n - 1, n))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            w = np.eye(n - 1)[rng.integers(n - 1)]
+        elif kind == 1:
+            w = np.full(n - 1, 1.0 / (n - 1))
+        else:
+            w = rng.dirichlet(np.ones(n - 1))
+        near = w @ z + 10.0 ** rng.uniform(-16, -9) * rng.normal(size=n)
+        yield Polyhedron(np.vstack([z, near]))
+
+
+def twelve_decade_instances(seed, count, box):
+    """Origin-inside hulls whose vertex norms span 12 decades: 3 to 39
+    vertices in 3 to 9 dimensions, the first closing a strictly positive
+    combination through the origin (as ``perfbench/workloads.origin_inside``),
+    then each row scaled by ``10**U(-6, 6)``.  All hulls come from one stream
+    seeded by ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(3, 40)), int(rng.integers(3, 10))
+        z = rng.uniform(-box, box, size=(m - 1, n))
+        lam = rng.uniform(0.2, 1.0, size=m)
+        z = np.vstack([-(lam[1:] @ z) / lam[0], z])
+        yield Polyhedron(z * 10.0 ** rng.uniform(-6.0, 6.0, size=(m, 1)))
+
+
+FAMILIES = {"near-dependent": near_dependent_instances, "twelve-decade": twelve_decade_instances}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=50)
@@ -54,8 +96,13 @@ def main(argv=None):
         "--lattice", action="store_true", help="integer hulls, see lattice_instances; no --box"
     )
     parser.add_argument("--shift", type=float, default=3.0, help="--lattice shift along axis 1")
+    parser.add_argument(
+        "--family", choices=FAMILIES, help="degenerate hulls that still conflict; uses --box"
+    )
     args = parser.parse_args(argv)
-    if args.lattice:
+    if args.family:
+        instances = FAMILIES[args.family](args.seed, args.count, args.box)
+    elif args.lattice:
         instances = lattice_instances(args.seed, args.count, args.max_m, args.max_n, args.shift)
     else:
         instances = (

@@ -7,8 +7,8 @@ orthant (dual), a maximin search for the best separating direction
 pivoting (lcp-*), and a nonnegative-least-squares reduction (nnls).  They
 are not seven independent solvers: wolfe and maximin share one kernel and
 one gap inequality, and the three lcp routes share one pivoting engine.
-Every answer is certified against the variational-inequality criterion and
-the routes are cross-checked against each other (and, on tiny instances, a
+Every answer is the point of its convex weights, so it lies in the hull, and
+is certified against the variational-inequality criterion; the routes are cross-checked against each other (and, on tiny instances, a
 brute-force oracle).
 """
 
@@ -47,7 +47,7 @@ from .lcp import (
     extract_projection,
     lemke_solve,
 )
-from .maximin import MaximinSolution, projection_from_maximin, solve_maximin
+from .maximin import MaximinSolution, solve_maximin
 from .nnls import NnlsProblem, ReductionData, construct_b, nnls_solve, project_via_nnls
 from .simplex_qp import SimplexSolution, solve_wolfe
 from .support_qp import (

@@ -1,15 +1,17 @@
 """Certificates, origin-membership consensus, and the brute-force oracle.
 
-Every route's answer, and the oracle's, is one ProjectionResult carrying
-its convex weights as ``alpha`` (None for nnls and the oracle).  It passes
-one check, once, on the unit instance before it is reported: the smallest
-vertex residual ``<z_i - rho, rho>`` must be at least ``-10 opt_tol``
-(``_vi_checked``), or the answer becomes an InconsistentOutcome naming its
-route.  ``cross_check`` judges agreement on these unit-scale answers and
-only then converts them to the caller's units.  ``check_optimality``
-evaluates the same criterion, equivalently ``rho`` in the ball-intersection
-set of ``core.in_omega``, as a certificate record, together with a hull
-witness (convex weights reproducing ``rho``) when one is available.
+Every route's answer, and the oracle's, is one ProjectionResult built from
+its convex weights ``alpha`` as the point ``rho = alpha @ Z``, which lies in
+the hull.  It passes one check, once, on the unit instance before it is
+reported: the smallest vertex residual ``<z_i - rho, rho>`` must be at least
+``-10 opt_tol`` (``_vi_checked``), or the answer becomes an
+InconsistentOutcome naming its route.  A point of the hull that meets the
+variational inequality is the projection, so this check is complete.
+``cross_check`` judges agreement on these unit-scale answers and only then
+converts them to the caller's units.  ``check_optimality`` evaluates the
+same criterion, equivalently ``rho`` in the ball-intersection set of
+``core.in_omega``, as a certificate record, together with a hull witness
+(convex weights reproducing ``rho``) when it is given one.
 
 Four characterizations decide whether the hull contains the origin; they
 are equivalent theorems, so a split vote is always surfaced as an error,
@@ -39,6 +41,7 @@ from .core import (
     Route,
     ToleranceConfig,
     projection_result,
+    simplex_deviation,
     unit_scale,
     vi_residuals,
 )
@@ -53,7 +56,7 @@ from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
 from .maximin import maximin_from_weights, solve_maximin
 from .nnls import project_via_nnls
 from .simplex_qp import solve_wolfe
-from .support_qp import DualStatus, solve_dual
+from .support_qp import solve_dual
 
 __all__ = [
     "CheckRecord",
@@ -149,9 +152,9 @@ def _project_enumerate(z):
     combination of an affinely independent subset, whose (then unique)
     weights the least-squares solve reproduces, so it is always among the
     candidates.  Grid search at any fixed step cannot reach the residual
-    tolerances the certificates demand.  Returns the projection and the
-    number of candidates compared: every vertex, plus each larger face whose
-    affine-hull projection has nonnegative weights.
+    tolerances the certificates demand.  Returns the nearest candidate's m
+    weights and the number of candidates compared: every vertex, plus each
+    larger face whose affine-hull projection has nonnegative weights.
     """
     m = z.shape[0]
     best = None
@@ -161,7 +164,7 @@ def _project_enumerate(z):
         for subset in combinations(range(m), size):
             zs = z[list(subset)]
             if size == 1:
-                cand = zs[0]
+                bary = np.ones(1)
             else:
                 base = zs[0]
                 V = (zs[1:] - base).T
@@ -169,12 +172,13 @@ def _project_enumerate(z):
                 bary = np.concatenate([[1.0 - s.sum()], s])
                 if bary.min() < -1e-12:
                     continue
-                cand = base + V @ s
             evaluations += 1
+            cand = bary @ zs
             norm_sq = float(cand @ cand)
             if norm_sq < best_norm:
                 best_norm = norm_sq
-                best = cand
+                best = np.zeros(m)
+                best[list(subset)] = bary
     return best, evaluations
 
 
@@ -188,8 +192,8 @@ def reference_projection(
     """
     if P.m > 4:
         raise OracleScaleExceeded(f"oracle handles at most 4 vertices, got {P.m}")
-    rho, evaluations = _project_enumerate(P.vertices)
-    return projection_result(P, rho, Route.ORACLE, evaluations, cfg)
+    alpha, evaluations = _project_enumerate(P.vertices)
+    return projection_result(P, alpha, Route.ORACLE, evaluations, cfg)
 
 
 def check_optimality(
@@ -224,9 +228,7 @@ def check_optimality(
     witness = None
     if alpha is not None:
         witness = np.asarray(alpha, dtype=float)
-        simplex_dev = max(
-            float(abs(witness.sum() - 1.0)), float(max(-witness.min(), 0.0))
-        )
+        simplex_dev = simplex_deviation(witness)
         combo_dev = float(np.linalg.norm(witness @ U.vertices - r))
         ok = (
             simplex_dev <= cfg.feas_tol
@@ -258,11 +260,11 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 
 
 # Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns the
-# route's unchecked ProjectionResult on ``P``, carrying its convex weights as
-# ``alpha`` (None for nnls and the oracle), or None when the route does not
-# apply; weights proving the origin inside (the dual's unbounded objective, a
-# Lemke ray) answer with the point they combine to.  ``_checked`` runs a
-# runner on the unit instance and applies ``_vi_checked``, once per answer.
+# route's unchecked ProjectionResult on ``P``, built from its convex weights
+# alone, or None when the route does not apply; weights proving the origin
+# inside (the dual's unbounded objective, a Lemke ray) answer with the point
+# they combine to, as all weights do.  ``_checked`` runs a runner on the unit
+# instance and applies ``_vi_checked``, once per answer.
 # Runners look the solvers up as module globals at call time, so replacing
 # ``certify.solve_wolfe`` and its peers reaches every caller; in
 # ``cross_check`` and ``detect_zero_membership`` the maximin route calls
@@ -270,22 +272,20 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 # (``_one_kernel_routes``).
 
 
-def _kernel_answer(P, sol, route, cfg):
-    return projection_result(P, sol.rho, route, sol.iterations, cfg, sol.alpha)
+def _answer(P, sol, route, cfg):
+    return projection_result(P, sol.alpha, route, sol.iterations, cfg)
 
 
 def _run_wolfe(P, cfg, verbose=False):
-    return _kernel_answer(P, solve_wolfe(P, cfg), Route.WOLFE, cfg)
+    return _answer(P, solve_wolfe(P, cfg), Route.WOLFE, cfg)
 
 
 def _run_dual(P, cfg, verbose=False):
-    out = solve_dual(P, cfg)
-    rho = out.alpha @ P.vertices if out.status is DualStatus.UNBOUNDED_BELOW else out.rho
-    return projection_result(P, rho, Route.DUAL, out.iterations, cfg, out.alpha)
+    return _answer(P, solve_dual(P, cfg), Route.DUAL, cfg)
 
 
 def _run_maximin(P, cfg, verbose=False):
-    return _kernel_answer(P, solve_maximin(P, cfg), Route.MAXIMIN, cfg)
+    return _answer(P, solve_maximin(P, cfg), Route.MAXIMIN, cfg)
 
 
 def _run_lcp(variant):
@@ -335,11 +335,11 @@ def _one_kernel_routes():
             kernel.append((err.best, err.iterations))
             raise
         kernel.append((sol.alpha, sol.iterations))
-        return _kernel_answer(P, sol, Route.WOLFE, cfg)
+        return _answer(P, sol, Route.WOLFE, cfg)
 
     def maximin(P, cfg, verbose=False):
         sol = maximin_from_weights(P, *kernel[-1], cfg)
-        return _kernel_answer(P, sol, Route.MAXIMIN, cfg)
+        return _answer(P, sol, Route.MAXIMIN, cfg)
 
     return dict(ROUTES, wolfe=wolfe, maximin=maximin)
 

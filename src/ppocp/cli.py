@@ -33,7 +33,6 @@ from .errors import (
     MaxIterExceeded,
     PivotLimitExceeded,
     PpocpError,
-    ZeroVector,
 )
 
 METHODS = (*ROUTES, "all")
@@ -51,7 +50,8 @@ def _json_text(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        # A non-finite float (a residual past the double range) is JSON null.
+        return format(float(obj), ".17g") if np.isfinite(obj) else "null"
     return json.dumps(obj)
 
 
@@ -266,7 +266,7 @@ def run(argv=None) -> int:
             if headline is None:
                 print("error: every route failed", file=sys.stderr)
                 return 4
-            certificate = check_optimality(work, headline.rho, cfg=cfg)
+            certificate = check_optimality(work, headline.rho, alpha=headline.alpha, cfg=cfg)
             payload = _result_payload(headline, certificate, shift, report=report)
             _emit(payload, ns.output)
             if report.verdict != "agree":
@@ -288,7 +288,6 @@ def run(argv=None) -> int:
         ConflictingCharacterizations,
         InternalInconsistency,
         InconsistentOutcome,
-        ZeroVector,
     ) as err:
         print(f"error: consistency conflict: {err}", file=sys.stderr)
         return 4

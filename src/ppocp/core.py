@@ -36,6 +36,7 @@ __all__ = [
     "in_D",
     "translate",
     "unit_scale",
+    "simplex_deviation",
     "projection_result",
 ]
 
@@ -150,21 +151,20 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A route's answer: the projection, its norm, certificate data, and the
-    convex vertex weights ``alpha`` reproducing it (None for nnls, the oracle)."""
+    """A route's answer: the convex vertex weights ``alpha``, the point
+    ``rho = alpha @ Z`` they combine to, its norm and certificate data."""
 
     rho: np.ndarray
     distance: float
     route: Route
     iterations: int
     vi_min: float
-    origin_inside: bool = False
-    alpha: np.ndarray | None = None
+    origin_inside: bool
+    alpha: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "rho", _readonly(self.rho))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", _readonly(self.alpha))
+        object.__setattr__(self, "alpha", _readonly(self.alpha))
 
 
 def _vector(y, n: int, name: str = "y") -> np.ndarray:
@@ -299,24 +299,31 @@ def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:
     return _derived(np.ldexp(z, -k)), float(np.ldexp(1.0, k))
 
 
+def simplex_deviation(alpha: np.ndarray) -> float:
+    """How far weights are from the simplex: ``max(|sum - 1|, -min)``."""
+    return max(abs(float(alpha.sum()) - 1.0), -float(alpha.min()), 0.0)
+
+
 def projection_result(
     P: Polyhedron,
-    rho,
+    alpha,
     route: Route,
     iterations: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    alpha=None,
 ) -> ProjectionResult:
-    """Assemble a ProjectionResult, computing distance and the VI residual.
+    """The answer ``rho = alpha @ Z`` of convex weights, with distance and VI residual.
 
-    This is where every route's origin-membership vote is decided, by one
-    rule with no exception: ``distance <= zero_tol``.  A non-finite ``rho``
-    raises InternalInconsistency naming the route.
+    Every route's origin-membership vote is decided here, by one rule with
+    no exception: ``distance <= zero_tol``.  Weights of the wrong shape, not
+    finite or off the simplex by over ``feas_tol`` raise InternalInconsistency.
     """
-    rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho)):
-        raise InternalInconsistency(f"{route.value} projection is not finite: {rho}")
-    rho = _vector(rho, P.n, "rho")
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (P.m,):
+        raise InternalInconsistency(f"{route.value} gave {alpha.shape} weights for {P.m} vertices")
+    deviation = simplex_deviation(alpha)
+    if not deviation <= cfg.feas_tol:  # a NaN deviation fails too
+        raise InternalInconsistency(f"{route.value} weights are off the simplex by {deviation:.3e}")
+    rho = alpha @ P.vertices
     distance = float(np.linalg.norm(rho))
     vi_min = float(vi_residuals(P, rho).min())
     return ProjectionResult(

@@ -531,10 +531,10 @@ def extract_projection(
 ) -> ProjectionResult:
     """Read the projection out of a complementarity outcome.
 
-    Every outcome answers with ``alpha @ Z`` for its weights ``alpha``
-    (``vertex_weights``), which the result carries: the projection at a
-    solution, as each variant's stationarity gives ``rho = Z^T u / sum u``,
-    and the origin, or at least a point of the hull, on a ray.  The answer
+    Every outcome answers with its weights ``alpha`` (``vertex_weights``),
+    whose point ``alpha @ Z`` is the projection at a solution, as each
+    variant's stationarity gives ``rho = Z^T u / sum u``, and the origin, or
+    at least a point of the hull, on a ray.  The answer
     votes by ``core.projection_result``'s rule like any other.  An outcome
     with no positive multiplier, or any ray of the always-solvable wolfe-kkt
     variant, is an inconsistency.  The point is returned unchecked;
@@ -551,4 +551,4 @@ def extract_projection(
         raise InconsistentOutcome(
             f"{route.value} {O.status.value} with no positive multiplier"
         )
-    return projection_result(P, alpha @ P.vertices, route, O.pivots, cfg, alpha)
+    return projection_result(P, alpha, route, O.pivots, cfg)

@@ -3,9 +3,8 @@
 The function ``t(c) = min_i <c, z_i>`` is the worst vertex inner product in
 direction ``c``; maximizing it over the unit ball gives exactly the distance
 from the origin to the hull, attained (when that distance is positive) at
-the unit vector pointing toward the projection.  The projection itself is
-then ``c * t(c)``.  When the hull contains the origin the optimal value is
-zero, reached already at ``c = 0``.
+the unit vector pointing toward the projection.  When the hull contains the
+origin the optimal value is zero, reached already at ``c = 0``.
 
 The maximizer is read off the hull's minimum-norm point ``w``: ``c = w/||w||``
 with value ``t = ||w||`` (the distance identity).  ``w`` comes from
@@ -15,9 +14,11 @@ both routes get bit-identical weights.  The check is what is maximin here,
 identity within ``||w|| (||w|| - t) <= opt_tol``.  That left side equals
 ``||w||^2 - min_i <z_i, w>``, the wolfe route's optimality gap, so the two
 routes share one kernel and one gap inequality: their agreement confirms
-neither.  ``solve_maximin`` runs the kernel and then the check;
-``certify.cross_check`` runs the kernel once, in the wolfe route, and hands
-its weights to the check.  ``iterations`` counts the kernel's minor cycles.
+neither.  The answer is the weights' point ``w`` itself, which lies in the
+hull; ``t`` is the lower end of the distance bracket ``[t, ||w||]``.
+``solve_maximin`` runs the kernel and then the check; ``certify.cross_check``
+runs the kernel once, in the wolfe route, and hands its weights to the
+check.  ``iterations`` counts the kernel's minor cycles.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ __all__ = [
     "MaximinSolution",
     "solve_maximin",
     "maximin_from_weights",
-    "projection_from_maximin",
 ]
 
 
 @dataclass(frozen=True)
 class MaximinSolution:
-    """Best direction found, its support value, the recovered projection and
-    the kernel's convex weights ``alpha`` (a hull witness for ``rho``)."""
+    """Best direction found, its support value, the kernel's convex weights
+    ``alpha`` and their point ``rho = alpha @ Z``, the projection."""
 
     c_hat: np.ndarray
     t_value: float
@@ -55,20 +55,6 @@ class MaximinSolution:
     iterations: int
     origin_inside: bool
     alpha: np.ndarray
-
-
-def projection_from_maximin(
-    c_hat, t_value: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Recover the projection from a maximin solution.
-
-    A positive optimal value scales the direction; a zero value means the
-    origin lies in the hull and projects onto itself.
-    """
-    c_hat = np.asarray(c_hat, dtype=float)
-    if t_value > cfg.zero_tol:
-        return c_hat * t_value
-    return np.zeros_like(c_hat)
 
 
 def solve_maximin(
@@ -89,11 +75,12 @@ def maximin_from_weights(
 ) -> MaximinSolution:
     """The maximin answer read off the kernel's weights, once they pass its check.
 
-    The direction is ``c_hat = w/||w||`` at ``w = weights @ Z``, meant to be
-    the hull's minimum-norm point (``c_hat = 0`` when ``w`` is exactly the
-    origin), and ``t_value = min_i <c_hat, z_i>``.  ``origin_inside`` is
-    ``||rho|| <= zero_tol``, the rule every route's answer votes by.
-    ``iterations`` is the kernel's count, reported as the route's.
+    The answer ``rho`` is ``w = weights @ Z``, meant to be the hull's
+    minimum-norm point.  The direction is ``c_hat = w/||w||`` (``c_hat = 0``
+    when ``w`` is exactly the origin) and ``t_value = min_i <c_hat, z_i>``,
+    a lower bound on the distance.  ``origin_inside`` is ``||w|| <= zero_tol``,
+    the rule every route's answer votes by.  ``iterations`` is the kernel's
+    count, reported as the route's.
 
     Raises
     ------
@@ -117,12 +104,11 @@ def maximin_from_weights(
             residual=gap,
             iterations=iterations,
         )
-    rho = projection_from_maximin(c_hat, t_value, cfg)
     return MaximinSolution(
         c_hat=c_hat,
         t_value=t_value,
-        rho=rho,
+        rho=w,
         iterations=iterations,
-        origin_inside=float(np.linalg.norm(rho)) <= cfg.zero_tol,
+        origin_inside=w_norm <= cfg.zero_tol,
         alpha=weights,
     )

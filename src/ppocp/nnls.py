@@ -3,9 +3,10 @@
 With design matrix ``A = C^T`` and a right-hand side satisfying
 ``A^T b = 2 e``, the problem ``min 1/4 ||A x - b||^2`` over ``x >= 0`` has
 the same minimizer as the dual QP of ``support_qp`` (the objectives differ
-by the constant ``||b||^2 / 4``), so its solution recovers the projection
-through ``y = -1/2 C^T x`` and the usual normalization.  The ``1/4`` scaling
-is kept throughout so that the converted quadratic form is ``Q = A^T A``,
+by the constant ``||b||^2 / 4``).  Its solution ``x`` gives the projection's
+convex weights ``x / sum x``: ``Z^T x / sum x`` is the dual's closed form
+``y / ||y||^2`` at ``y = -1/2 C^T x``.  The ``1/4`` scaling is kept
+throughout so that the converted quadratic form is ``Q = A^T A``,
 ``p = -1/2 A^T b`` with no stray factors.
 
 Such a ``b`` exists only when ``C b = 2 e`` is consistent, which the
@@ -37,7 +38,6 @@ from .core import (
     projection_result,
 )
 from .errors import MaxIterExceeded
-from .support_qp import invert_support_vector, recover_primal
 
 __all__ = [
     "NnlsProblem",
@@ -153,17 +153,13 @@ def project_via_nnls(
 
     Returns None when no valid right-hand side exists (the reduction is
     inapplicable for this instance; callers fall back to other routes).
-
-    Raises ZeroVector if the recovered support vector is numerically zero,
-    which places the hull at least ``1 / zero_tol`` from the origin
-    (``support_qp.invert_support_vector``).
-    The result is returned unchecked; the nnls runner in ``certify`` applies
-    the variational-inequality check.
+    The answer is the point of the weights ``x / sum x``.  It is returned
+    unchecked; the nnls runner in ``certify`` applies the
+    variational-inequality check.
     """
     S = constraint_matrix(P)
     reduction = construct_b(S, cfg)
     if not reduction.applicable:
         return None
     x, iterations = _lawson_hanson(S.C.T, reduction.b, cfg)
-    rho = invert_support_vector(recover_primal(S, x), cfg.zero_tol)
-    return projection_result(P, rho, Route.NNLS, iterations, cfg)
+    return projection_result(P, x / x.sum(), Route.NNLS, iterations, cfg)

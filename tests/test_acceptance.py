@@ -65,20 +65,15 @@ def _run_all_routes(P):
     rec = SweepRecord(P=P)
 
     wolfe = solve_wolfe(P, CFG)
-    rec.results["wolfe"] = projection_result(P, wolfe.rho, Route.WOLFE, wolfe.iterations, CFG)
+    rec.results["wolfe"] = projection_result(P, wolfe.alpha, Route.WOLFE, wolfe.iterations, CFG)
 
     dual = solve_dual(P, CFG)
     rec.dual_outcome = dual
-    if dual.status is DualStatus.SOLVED:
-        rec.results["dual"] = projection_result(P, dual.rho, Route.DUAL, dual.iterations, CFG)
-    else:
-        rec.results["dual"] = projection_result(
-            P, dual.alpha @ P.vertices, Route.DUAL, dual.iterations, CFG
-        )
+    rec.results["dual"] = projection_result(P, dual.alpha, Route.DUAL, dual.iterations, CFG)
 
     mm = solve_maximin(P, CFG)
     rec.maximin_solution = mm
-    rec.results["maximin"] = projection_result(P, mm.rho, Route.MAXIMIN, mm.iterations, CFG)
+    rec.results["maximin"] = projection_result(P, mm.alpha, Route.MAXIMIN, mm.iterations, CFG)
 
     for variant, name in (
         (LcpVariant.PRIMAL_SPLIT, "lcp-primal"),

@@ -22,7 +22,7 @@ from ppocp.certify import (
     reference_projection,
 )
 from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result, unit_scale
-from ppocp.errors import MaxIterExceeded, OracleScaleExceeded
+from ppocp.errors import InconsistentOutcome, MaxIterExceeded, OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
 
@@ -269,19 +269,25 @@ class TestCrossCheck:
             assert report.verdict == "agree", {
                 k: (v.status, v.error) for k, v in report.entries.items()
             }
-            for name, entry in report.entries.items():
-                if entry.status != "ok" or name in ("nnls", "oracle"):
-                    continue
-                checks = check_optimality(P, entry.result.rho, entry.result.alpha).checks
+            U, s = unit_scale(P)
+            ok = {k: e.result for k, e in report.entries.items() if e.status == "ok"}
+            for name, result in ok.items():
+                # Every answer is its weights' point, computed at unit scale.
+                alpha = result.alpha
+                assert alpha.shape == (P.m,) and alpha.min() >= -1e-12, name
+                assert abs(alpha.sum() - 1.0) <= 1e-12, name
+                assert result.rho.tobytes() == ((alpha @ U.vertices) * s).tobytes(), name
+                checks = check_optimality(P, result.rho, alpha).checks
                 assert [c.passed for c in checks if c.name == "hull-witness"] == [True], name
+            assert ok["maximin"].rho.tobytes() == ok["wolfe"].rho.tobytes()
 
     def test_oracle_answer_failing_vi_check_is_error(self, monkeypatch):
-        # Twice the true projection [1, 1] has vi_min = -4.
+        # Weights on the far vertex [2, 2] give an answer with vi_min = -4.
         P = Polyhedron(np.array(TRIANGLE))
         monkeypatch.setattr(
             certify,
             "reference_projection",
-            lambda P, cfg: projection_result(P, [2.0, 2.0], Route.ORACLE, 1, cfg),
+            lambda P, cfg: projection_result(P, [0.0, 0.0, 1.0], Route.ORACLE, 1, cfg),
         )
         report = cross_check(P)
         assert report.entries["oracle"].status == "error"
@@ -455,34 +461,33 @@ class TestOneKernel:
             detect_zero_membership(P)
 
     def test_wolfe_vi_failure_hands_its_weights_to_maximin(self, monkeypatch):
-        # Twice the true projection [1, 1] fails the VI check; the weights of
-        # the solution still reach maximin, whose entry does not change.
+        # Weights on the far vertex [2, 2] give wolfe an answer that fails the
+        # VI check; the same weights and count still reach maximin.
         P = Polyhedron(np.array(TRIANGLE))
         real = certify.solve_wolfe
         handed = []
 
-        def doubled(P, cfg):
+        def far_weights(P, cfg):
             answer = real(P, cfg)
-            return dataclasses.replace(answer, rho=2.0 * answer.rho)
+            return dataclasses.replace(answer, alpha=far_vertex_kernel(P.vertices, 1)[0])
 
         def spy(P, weights, iterations, cfg):
             handed.append((weights, iterations))
             return maximin.maximin_from_weights(P, weights, iterations, cfg)
 
-        expected = _entry_as_run_route("maximin", P)
-        monkeypatch.setattr(certify, "solve_wolfe", doubled)
+        monkeypatch.setattr(certify, "solve_wolfe", far_weights)
         monkeypatch.setattr(certify, "maximin_from_weights", spy)
         report = cross_check(P)
         assert report.entries["wolfe"].status == "error"
         assert "fails the optimality residual" in report.entries["wolfe"].error
-        _assert_same_entry(report.entries["maximin"], expected)
         (weights, iterations), = handed
-        assert weights.tobytes() == real(unit_scale(P)[0]).alpha.tobytes()
-        assert iterations == expected.result.iterations
+        assert weights.tolist() == [0.0, 0.0, 1.0]
+        assert iterations == real(unit_scale(P)[0]).iterations
 
     def test_maximin_checks_the_weights_it_is_handed(self, monkeypatch):
-        # wolfe answers [1, 1] but hands over the far vertex's weights: the
-        # distance identity catches them although wolfe's own answer passed.
+        # wolfe hands over the far vertex's weights: its own answer is their
+        # point and fails the VI check, and maximin's distance identity
+        # catches the same weights.
         real = certify.solve_wolfe
 
         def far_weights(P, cfg):
@@ -493,12 +498,12 @@ class TestOneKernel:
         monkeypatch.setattr(certify, "solve_wolfe", far_weights)
         P = Polyhedron(np.array(TRIANGLE))
         report = cross_check(P)
-        assert report.entries["wolfe"].status == "ok"
+        assert report.entries["wolfe"].status == "error"
         assert report.entries["maximin"].status == "error"
         assert "distance identity" in report.entries["maximin"].error
-        with pytest.raises(MaxIterExceeded, match="distance identity"):
+        with pytest.raises(InconsistentOutcome, match="wolfe answer fails"):
             detect_zero_membership(P)
 
 
 def _nan_answer(P, cfg):
-    return projection_result(P, np.full(P.n, np.nan), Route.NNLS, 1, cfg)
+    return projection_result(P, np.full(P.m, np.nan), Route.NNLS, 1, cfg)

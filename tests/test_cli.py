@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE, far_vertex_kernel
 from ppocp import certify, cli
-from ppocp.core import Polyhedron, Route, projection_result
+from ppocp.core import DEFAULT_TOLERANCES, Polyhedron, Route, projection_result
 
 # Square and nonsingular, so every route applies, nnls included.
 SQUARE = [[3.0, 1.0], [1.0, 2.0]]
@@ -88,16 +88,16 @@ class TestProjectionRuns:
     def test_answer_failing_vi_check_is_rejected(
         self, tmp_path, capsys, monkeypatch, solvers, route
     ):
-        # Twice the true projection [1, 1] has vi_min = -4: no route may report it.
-        def doubled(real):
+        # Weights on the far vertex [2, 2] give vi_min = -4: no route may report them.
+        def far_weights(real):
             def solver(*args):
                 answer = real(*args)
-                return dataclasses.replace(answer, rho=2.0 * answer.rho)
+                return dataclasses.replace(answer, alpha=np.array([0.0, 0.0, 1.0]))
 
             return solver
 
         for name in solvers:
-            monkeypatch.setattr(certify, name, doubled(getattr(certify, name)))
+            monkeypatch.setattr(certify, name, far_weights(getattr(certify, name)))
         entry = certify.cross_check(Polyhedron(np.array(TRIANGLE))).entries[route]
         assert entry.status == "error"
         assert route in entry.error
@@ -156,6 +156,17 @@ class TestProjectionRuns:
         _, first, _ = run_cli(capsys, "--input", path, "--method", "all")
         _, second, _ = run_cli(capsys, "--input", path, "--method", "all")
         assert first == second
+
+    def test_residual_past_double_range_prints_null(self, tmp_path, capsys):
+        # s = 2^997: each vi_min times s^2 overflows, and JSON has no -inf.
+        path = write_instance(tmp_path, [[1e300, 0.0], [0.0, 1e300], [1e300, 1e300]])
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "all")
+        assert code == 0
+        doc = json.loads(out)
+        vi = [doc["certificate"]["vi_min"], doc["certificate"]["checks"][0]["residual"]]
+        vi += [r["vi_min"] for r in doc["report"]["routes"].values() if r["status"] == "ok"]
+        assert vi == [None] * len(vi)
+        assert np.allclose(doc["rho"], [5e299, 5e299])
 
     def test_tolerance_flags_are_applied(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGLE)
@@ -289,17 +300,35 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--input", path, "--method", "all")
         assert code == 4
 
-    def test_failing_single_route_certificate_exit(self, tmp_path, capsys):
-        # The third vertex lies 3.6e-13 (relative) off the line through the
-        # other two. The dual answers a point at distance 0.652 where the
-        # projection is at 2.146, and its weights do not combine to that
-        # point: a known solve_dual fault, which must not pass silently.
-        path = write_instance(tmp_path, NEARLY_COLLINEAR)
+    def test_failing_single_route_certificate_exit(self, tmp_path, capsys, monkeypatch):
+        real = cli.check_optimality
+
+        def failing(P, rho, alpha=None, cfg=None):
+            cert = real(P, rho, alpha=alpha, cfg=cfg)
+            *others, witness = cert.checks
+            failed = dataclasses.replace(witness, passed=False)
+            return dataclasses.replace(cert, checks=(*others, failed))
+
+        monkeypatch.setattr(cli, "check_optimality", failing)
+        path = write_instance(tmp_path, TRIANGLE)
         code, out, err = run_cli(capsys, "--input", path, "--method", "dual")
         assert code == 4
         assert err == "error: consistency conflict: certificate fails hull-witness\n"
-        doc = json.loads(out)
-        assert doc["certificate"]["passed"] is False
+        assert json.loads(out)["certificate"]["passed"] is False
+
+    def test_nearly_dependent_dual_answer_is_refused(self, tmp_path, capsys):
+        # The third vertex lies 3.6e-13 (relative) off the line through the
+        # other two.  solve_dual ends on the weights (0, 0, 1), whose point is
+        # the third vertex, not the projection: a known solve_dual fault, and
+        # the VI check refuses the answer.
+        dual = certify.cross_check(Polyhedron(np.array(NEARLY_COLLINEAR))).entries["dual"]
+        assert dual.status == "error"
+        assert "optimality residual" in dual.error
+        path = write_instance(tmp_path, NEARLY_COLLINEAR)
+        code, out, err = run_cli(capsys, "--input", path, "--method", "dual")
+        assert code == 4
+        assert out == ""
+        assert "consistency conflict: dual answer fails the optimality residual" in err
         code, out, _ = run_cli(capsys, "--input", path, "--method", "wolfe")
         assert code == 0
         assert json.loads(out)["distance"] == pytest.approx(2.1462658991, rel=1e-9)
@@ -309,8 +338,9 @@ class TestExitCodes:
 
         def failing(P, rho, alpha=None, cfg=None):
             cert = real(P, rho, alpha=alpha, cfg=cfg)
-            vi, ball = cert.checks
-            return dataclasses.replace(cert, checks=(vi, dataclasses.replace(ball, passed=False)))
+            vi, ball, witness = cert.checks
+            failed = dataclasses.replace(ball, passed=False)
+            return dataclasses.replace(cert, checks=(vi, failed, witness))
 
         monkeypatch.setattr(cli, "check_optimality", failing)
         path = write_instance(tmp_path, TRIANGLE)
@@ -394,9 +424,10 @@ def test_import_loads_no_scipy():
 
 class TestMaximinCertificate:
     def test_hull_witness_catches_non_optimal_direction(self, tmp_path, capsys, monkeypatch):
-        # Any answer rho = c t(c) with unit c passes the VI check, since
+        # Any point rho = c t(c) with unit c passes the VI check, since
         # min_i <z_i - rho, rho> = t^2 - t^2 = 0; the kernel's weights do not
-        # combine to it unless c is the optimal direction.
+        # combine to it unless c is the optimal direction.  The route answers
+        # its weights' point, so a patched direction never reaches the answer.
         rng = np.random.default_rng(5)
         z = rng.uniform(-5.0, 5.0, size=(12, 4))
         d = rng.normal(size=4)
@@ -412,14 +443,28 @@ class TestMaximinCertificate:
             assert t > 0.0
             return dataclasses.replace(sol, c_hat=c, t_value=t, rho=c * t)
 
+        P = Polyhedron(z)
+        off = off_direction(P, DEFAULT_TOLERANCES)
+        checks = {c.name: c for c in certify.check_optimality(P, off.rho, off.alpha).checks}
+        assert checks["vi-min"].passed and checks["omega-ball"].passed
+        assert not checks["hull-witness"].passed
         monkeypatch.setattr(certify, "solve_maximin", off_direction)
         path = write_instance(tmp_path, z.tolist())
-        code, out, err = run_cli(capsys, "--input", path, "--method", "maximin")
-        assert code == 4
-        assert err == "error: consistency conflict: certificate fails hull-witness\n"
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certificate"]["passed"] is True
+        assert np.allclose(doc["rho"], real(P).rho, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2e-8, 5e-9])
+    def test_sliver_answer_passes_hull_witness(self, tmp_path, capsys, d):
+        # Near the origin t(c) drifts from ||w|| by up to opt_tol / ||w||, so
+        # the point c t(c) left the hull here; the weights' point cannot.
+        path = write_instance(tmp_path, [[1.0, d], [-1.0, d]])
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 0
         checks = {c["name"]: c for c in json.loads(out)["certificate"]["checks"]}
-        assert checks["vi-min"]["passed"] and checks["omega-ball"]["passed"]
-        assert not checks["hull-witness"]["passed"]
+        assert checks["hull-witness"]["passed"] is True
 
     def test_maximin_prints_passing_hull_witness(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGLE)
@@ -466,7 +511,7 @@ def test_non_finite_projection_exits_4(tmp_path, capsys, monkeypatch, method, ve
     assert code == 0
 
     def nan_answer(P, cfg):
-        return projection_result(P, np.full(P.n, np.nan), Route.NNLS, 1, cfg)
+        return projection_result(P, np.full(P.m, np.nan), Route.NNLS, 1, cfg)
 
     monkeypatch.setattr(certify, "project_via_nnls", nan_answer)
     code, _, err = run_cli(capsys, "--input", path, "--method", method)
