@@ -8,8 +8,9 @@ pivoting (lcp-*), and a nonnegative-least-squares reduction (nnls).  They
 are not seven independent solvers: wolfe and maximin share one kernel and
 one gap inequality, and the three lcp routes share one pivoting engine.
 Every answer is the point of its convex weights, so it lies in the hull, and
-is certified against the variational-inequality criterion; the routes are cross-checked against each other (and, on tiny instances, a
-brute-force oracle).
+is certified against the variational-inequality criterion; the routes are
+cross-checked against each other (and, on tiny instances, a brute-force
+oracle).
 """
 
 from .certify import (
@@ -54,8 +55,6 @@ from .support_qp import (
     DualOutcome,
     DualStatus,
     dual_objective,
-    invert_support_vector,
-    recover_primal,
     solve_dual,
 )
 

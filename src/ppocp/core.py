@@ -104,7 +104,10 @@ class Polyhedron:
     every weight vector, residual vector and diagnostic across the package.
     Duplicate vertices are legal (the math tolerates them) but draw a warning
     when constructed; instances derived from one (``translate``,
-    ``unit_scale``) run only ``__post_init__``'s checks.
+    ``unit_scale``) run only ``__post_init__``'s checks.  Two rows are
+    duplicates when they compare equal coordinate by coordinate (so ``-0.0``
+    matches ``0.0``); after a lexicographic sort of the rows any such pair is
+    adjacent, which is what the check reads.
     """
 
     vertices: np.ndarray
@@ -112,7 +115,9 @@ class Polyhedron:
     def __init__(self, vertices):
         object.__setattr__(self, "vertices", vertices)
         self.__post_init__()
-        if np.unique(self.vertices, axis=0).shape[0] < self.m:
+        z = self.vertices
+        rows = z[np.lexsort(z.T[::-1])]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             warnings.warn("duplicate vertices kept as given", stacklevel=2)
 
     def __post_init__(self):

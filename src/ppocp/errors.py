@@ -19,10 +19,6 @@ class MaxIterExceeded(PpocpError):
         self.iterations = iterations
 
 
-class ZeroVector(PpocpError):
-    """A vector required to be nonzero is numerically zero."""
-
-
 class NegativeDualVariable(PpocpError):
     """A dual variable violates the nonnegative-orthant constraint."""
 

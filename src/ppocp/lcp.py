@@ -42,7 +42,10 @@ solves, each of which costs about four times the eight rank-one updates
 before it.  The rebuild reduces only the nonbasic columns and ``q``, and
 solves only the block of the basis that its basic ``w`` columns, which are
 unit vectors, leave open; no rebuild runs once the path reaches a solution.
-``lemke_solve`` runs one path on a slightly perturbed right-hand side.
+``lemke_solve`` runs one path on a slightly perturbed right-hand side.  Its
+fixed perturbation is NumPy's ``default_rng(k)`` uniform stream, computed in
+plain integers so that a solving process never imports ``numpy.random``
+(about 13 ms of a fresh process).
 Every outcome, solution or ray, answers with the point its weights
 ``u / sum u`` combine the vertices to, so the answer lies in the hull by
 construction.
@@ -440,6 +443,70 @@ def _solve_on_basis(M, q, basis, k):
     return solution[:k], solution[k:]
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
+    """One hashmix step of NumPy's ``SeedSequence``: the word, the next constant."""
+    value ^= const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _default_rng_uniform(seed: int, size: int) -> list[float]:
+    """``np.random.default_rng(seed).uniform(0.0, 1.0, size)``, bit for bit.
+
+    ``SeedSequence(seed)`` hashes the 32-bit words of ``seed`` into a pool of
+    four words and draws four 64-bit words from it (NumPy's
+    ``bit_generator.pyx``): PCG64's 128-bit initial state and its stream.
+    PCG64 steps a 128-bit LCG and emits the XSL-RR output of each new state
+    (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+    Algorithms for Random Number Generation", 2014); a double is its top 53
+    bits times ``2**-53``.
+    """
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    pool, const = [], 0x43B0D7E5
+    for i in range(4):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const, 0x931E8875)
+        pool.append(word)
+
+    def mix(dst: int, word: int) -> None:
+        nonlocal const
+        word, const = _hashmix(word, const, 0x931E8875)
+        x = (0xCA01F9DD * pool[dst] - 0x4973F715 * word) & _MASK32
+        pool[dst] = x ^ (x >> 16)
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for word in entropy[4:]:
+        for dst in range(4):
+            mix(dst, word)
+    words, const = [], 0x8B51F9DD
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, 0x58F38DED)
+        words.append(word)
+    s0, s1, i0, i1 = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+    out = []
+    for _ in range(size):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append((x >> 11) * 2.0**-53)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _covering_perturbation(k: int) -> np.ndarray:
     """The fixed ``delta`` of size ``k``, drawn once and read-only.
@@ -448,8 +515,11 @@ def _covering_perturbation(k: int) -> np.ndarray:
     tests stay untied even against the structured rank-deficiency of the
     Gram-based instances (a smooth progression is not).  It depends on ``k``
     alone, so every instance of that size pivots on the same ``delta``.
+    It is ``1 + np.random.default_rng(k).uniform(0, 1, k)``, computed by
+    ``_default_rng_uniform`` without importing ``numpy.random``: that import
+    costs a fresh process about 13 ms, and this draw 0.2 ms at ``k = 160``.
     """
-    delta = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)
+    delta = 1.0 + np.array(_default_rng_uniform(k, k))
     delta.flags.writeable = False
     return delta
 

@@ -1,4 +1,4 @@
-"""Dual-side route: halfspace set, nonnegative-orthant QP, and recovery maps.
+"""Dual-side route: halfspace set and nonnegative-orthant QP.
 
 The projection can be recovered from the set ``D = {y : <z_i, y> >= 1}``:
 its minimum-norm element ``y_bar`` satisfies ``rho = y_bar / ||y_bar||^2``.
@@ -33,17 +33,15 @@ from .core import (
     ToleranceConfig,
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
 )
-from .errors import MaxIterExceeded, NegativeDualVariable, ZeroVector
+from .errors import MaxIterExceeded, NegativeDualVariable
 
 __all__ = [
     "DualStatus",
     "DualOutcome",
     "ENTER_TOL",
     "DEPENDENT_TOL",
-    "invert_support_vector",
     "dual_objective",
     "solve_dual",
-    "recover_primal",
 ]
 
 # A vertex row enters the active set while <z_p, y> < 1 - ENTER_TOL
@@ -85,26 +83,6 @@ class DualOutcome:
     alpha: np.ndarray
 
 
-def invert_support_vector(y, zero_tol: float = DEFAULT_TOLERANCES.zero_tol):
-    """Map ``y`` to ``y / ||y||^2``.
-
-    This involution exchanges the halfspace set ``D`` with the ball-defined
-    set of support vectors, and in particular carries the minimum-norm point
-    of ``D`` to the projection itself.  Since ``||y|| = 1 / distance`` there,
-    a ``y`` with ``||y|| <= zero_tol`` is refused with ZeroVector: it places
-    the hull at least ``1 / zero_tol`` from the origin.
-    """
-    y = np.asarray(y, dtype=float)
-    norm_sq = float(y @ y)
-    if norm_sq <= zero_tol * zero_tol:
-        raise ZeroVector(
-            f"support vector has ||y|| = {np.sqrt(norm_sq):.3e} <= zero_tol "
-            f"= {zero_tol:.3e}; as ||y|| = 1/distance, the hull lies at least "
-            f"{1.0 / zero_tol:.3e} from the origin"
-        )
-    return y / norm_sq
-
-
 def _check_nonnegative(u, m: int, feas_tol: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (m,):
@@ -121,12 +99,6 @@ def dual_objective(
     u = _check_nonnegative(u, S.C.shape[0], cfg.feas_tol)
     g = S.C.T @ u
     return 0.25 * float(g @ g) - float(S.e @ u)
-
-
-def recover_primal(S: ConstraintSystem, u) -> np.ndarray:
-    """Closed-form primal recovery ``y_bar = -1/2 C^T u``."""
-    u = np.asarray(u, dtype=float)
-    return -0.5 * (S.C.T @ u)
 
 
 def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DualOutcome:

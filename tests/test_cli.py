@@ -408,18 +408,38 @@ class TestGen:
         assert np.all(np.isfinite(json.loads(out)["vertices"]))
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # A fresh `project` process solves without scipy, and without the NumPy
+    # subpackages that import only on demand: numpy.random and numpy.ma each
+    # cost a fresh process about 13 ms.  lcp-primal draws Lemke's perturbation.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    triangle = write_instance(tmp_path, TRIANGLE)
+    hull = np.random.default_rng(5).uniform(-5.0, 5.0, size=(12, 8))
+    hull = write_instance(tmp_path, hull.tolist(), "hull.json")
+    runs = [
+        ["--input", triangle, "--method", "all"],
+        ["--input", triangle, "--method", "all", "--point", "3", "3"],
+        ["--input", hull, "--method", "lcp-primal"],
+    ]
     code = (
-        "import ppocp.cli, sys; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "import contextlib, io, json, runpy, sys\n"
+        "codes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    sys.argv = ['project', *argv]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            runpy.run_module('ppocp.cli', run_name='__main__')\n"
+        "        except SystemExit as stop:\n"
+        "            codes.append(stop.code)\n"
+        "loaded = [m for m in ('scipy', 'numpy.random', 'numpy.ma') if m in sys.modules]\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout) == [[0, 0, 0], []]
 
 
 class TestMaximinCertificate:

@@ -51,6 +51,16 @@ class TestPolyhedron:
         with pytest.warns(UserWarning, match="duplicate"):
             P = Polyhedron(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert P.m == 2
+        # Rows compare by value, so a signed zero matches its opposite, and
+        # duplicates need not be adjacent in the input.
+        with pytest.warns(UserWarning, match="duplicate"):
+            Polyhedron(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+        six = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, 5.0], [1.0, 1.0], [2.0, 0.0]])
+        with pytest.warns(UserWarning, match="duplicate"):
+            assert Polyhedron(six).m == 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Polyhedron(np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0]]))
 
     def test_duplicates_warn_once_when_constructed(self):
         # Derived instances (translated, at unit scale) keep the source's

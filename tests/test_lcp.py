@@ -552,7 +552,7 @@ class TestLemkeSolve:
         assert_array_equal(out.w, [1.0, 2.0])
         assert_array_equal(out.v, [0.0, 0.0])
 
-    @pytest.mark.parametrize("k", [1, 3, 27, 139])
+    @pytest.mark.parametrize("k", [*range(1, 301), 2048])
     def test_covering_perturbation_is_drawn_once_per_size(self, k):
         delta = lcp._covering_perturbation(k)
         fresh = 1.0 + np.random.default_rng(k).uniform(0.0, 1.0, size=k)

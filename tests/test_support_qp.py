@@ -15,44 +15,15 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
-from ppocp.core import Polyhedron, ToleranceConfig, constraint_matrix, in_D, in_omega
-from ppocp.errors import MaxIterExceeded, NegativeDualVariable, ZeroVector
+from ppocp.core import Polyhedron, ToleranceConfig, constraint_matrix, in_D
+from ppocp.errors import MaxIterExceeded, NegativeDualVariable
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import (
     DEPENDENT_TOL,
     DualStatus,
     dual_objective,
-    invert_support_vector,
-    recover_primal,
     solve_dual,
 )
-
-
-class TestInvertSupportVector:
-    def test_halved_projection_maps_to_projection(self):
-        assert_allclose(invert_support_vector(np.array([0.5, 0.5])), [1.0, 1.0])
-
-    def test_unit_vector_is_fixed_point(self):
-        assert_allclose(invert_support_vector(np.array([1.0, 0.0])), [1.0, 0.0])
-
-    def test_involution(self):
-        y = np.array([3.0, 4.0])
-        assert_allclose(invert_support_vector(invert_support_vector(y)), y, rtol=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector, match=r"\|\|y\|\| = 0\.000e\+00"):
-            invert_support_vector(np.array([0.0, 0.0]))
-        with pytest.raises(ZeroVector, match=r"\|\|y\|\| = 1\.000e-12 <= zero_tol"):
-            invert_support_vector(np.array([1e-12, 0.0]))
-
-    def test_exchanges_the_two_feasible_sets(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        y_in_D = np.array([0.5, 0.5])
-        assert in_D(P, y_in_D)
-        assert in_omega(P, invert_support_vector(y_in_D))
-        y_in_omega = np.array([1.0, 1.0])
-        assert in_omega(P, y_in_omega)
-        assert in_D(P, invert_support_vector(y_in_omega))
 
 
 class TestDualObjective:
@@ -85,20 +56,6 @@ class TestDualObjective:
         assert mixed <= lam * dual_objective(S, u) + (1 - lam) * dual_objective(
             S, v
         ) + 1e-9
-
-
-class TestRecoverPrimal:
-    def test_triangle(self):
-        S = constraint_matrix(Polyhedron(np.array(TRIANGLE)))
-        assert_allclose(recover_primal(S, np.array([0.5, 0.5, 0.0])), [0.5, 0.5])
-
-    def test_zero(self):
-        S = constraint_matrix(random_polyhedron(4))
-        assert_allclose(recover_primal(S, np.zeros(S.C.shape[0])), np.zeros(S.C.shape[1]))
-
-    def test_single_vertex(self):
-        S = constraint_matrix(Polyhedron(np.array(SINGLE_POINT)))
-        assert_allclose(recover_primal(S, np.array([2.0 / 25.0])), [3.0 / 25.0, 4.0 / 25.0])
 
 
 class TestSolveDual:
@@ -367,5 +324,5 @@ class TestActiveSetSolver:
             solve_dual(P, ToleranceConfig(max_iter=2))
         best = info.value.best
         assert_allclose(best, [0.0, 4.0], rtol=1e-15)
-        # Stationarity y = -1/2 C^T u holds at the stopped iterate.
-        assert_allclose(recover_primal(constraint_matrix(P), best), [1.0, 0.2], rtol=1e-15)
+        # Stationarity y = -1/2 C^T u = 1/2 Z^T u holds at the stopped iterate.
+        assert_allclose(0.5 * best @ P.vertices, [1.0, 0.2], rtol=1e-15)
