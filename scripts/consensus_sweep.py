@@ -8,7 +8,10 @@ Example:
     python scripts/consensus_sweep.py --family near-dependent --count 400 --seed 2026
 
 Prints one line per instance (sizes, worst pairwise deviation, votes) and a
-summary block; exits nonzero when any instance fails to reach consensus.
+summary block; exits nonzero when any instance fails to reach consensus.  A
+conflict line names its dissenters: ``errors=`` lists the routes that ended
+on an error, and on a split vote ``origin_inside=split`` is followed by
+``inside=``, the routes that voted the origin inside.
 """
 
 import argparse
@@ -122,13 +125,21 @@ def main(argv=None):
         for name, entry in report.entries.items():
             if entry.status == "ok":
                 iteration_totals.setdefault(name, []).append(entry.result.iterations)
-        marker = "" if report.verdict == "agree" else "  <-- CONFLICT"
+        label, marker = str(inside), ""
         if report.verdict != "agree":
             conflicts += 1
+            dissent = []
+            if len(set(report.votes.values())) > 1:
+                label = "split"
+                dissent.append("inside=" + ",".join(r for r, v in report.votes.items() if v))
+            errors = [name for name, e in report.entries.items() if e.status == "error"]
+            if errors:
+                dissent.append("errors=" + ",".join(errors))
+            marker = "".join(f" {d}" for d in dissent) + "  <-- CONFLICT"
         print(
             f"[{i:4d}] m={P.m:2d} n={P.n:2d} routes_ok={len(ok)} "
             f"max_dev={report.pairwise_max_deviation:.2e} "
-            f"origin_inside={str(inside):5s}{marker}"
+            f"origin_inside={label:5s}{marker}"
         )
     elapsed = time.perf_counter() - start
 

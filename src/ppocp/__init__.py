@@ -16,10 +16,8 @@ oracle).
 from .certify import (
     Certificate,
     ConsensusReport,
-    ZeroMembershipVotes,
     check_optimality,
     cross_check,
-    detect_zero_membership,
     reference_projection,
 )
 from .core import (
@@ -31,8 +29,6 @@ from .core import (
     ToleranceConfig,
     constraint_matrix,
     gram_matrix,
-    in_D,
-    in_omega,
     support_value,
     translate,
     vi_residuals,

@@ -9,22 +9,24 @@ InconsistentOutcome naming its route.  A point of the hull that meets the
 variational inequality is the projection, so this check is complete.
 ``cross_check`` judges agreement on these unit-scale answers and only then
 converts them to the caller's units.  ``check_optimality`` evaluates the
-same criterion, equivalently ``rho`` in the ball-intersection set of
-``core.in_omega``, as a certificate record, together with a hull witness
-(convex weights reproducing ``rho``) when it is given one.
+same criterion, equivalently ``rho`` in the intersection of the balls with
+diameters ``[0, z_i]``, as a certificate record, together with a hull
+witness (convex weights reproducing ``rho``) when it is given one.
 
-Four characterizations decide whether the hull contains the origin; they
-are equivalent theorems, so a split vote is always surfaced as an error,
-never resolved silently.  Each answer votes by ``core.projection_result``'s
-one rule, ``||rho|| <= zero_tol``.  The reference oracle is deliberately
-low-tech (exact face enumeration for up to four vertices) so that it shares
-no machinery with the routes it arbitrates.  Every entry point solves
-``Z / s`` (``core.unit_scale``) and reports in the caller's units.
+Four characterizations decide whether the hull contains the origin: the
+votes of the wolfe, dual, maximin and lcp-primal routes among
+``cross_check``'s.  They are equivalent theorems, so a split vote makes the
+verdict ``conflict``, never resolved silently.  Each answer votes by
+``core.projection_result``'s one rule, ``||rho|| <= zero_tol``.  The
+reference oracle is deliberately low-tech (exact face enumeration for up to
+four vertices) so that it shares no machinery with the routes it
+arbitrates.  Every entry point solves ``Z / s`` (``core.unit_scale``) and
+reports in the caller's units.
 
 The wolfe and maximin routes share Wolfe's minimum-norm-point kernel.
-``cross_check`` and ``detect_zero_membership`` run it once per call, inside
-the wolfe route, and the maximin route checks the weights it returned;
-``run_route`` runs each route's own kernel.
+``cross_check`` runs it once per call, inside the wolfe route, and the
+maximin route checks the weights it returned; ``run_route`` runs each
+route's own kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .core import (
     vi_residuals,
 )
 from .errors import (
-    ConflictingCharacterizations,
     InconsistentOutcome,
     MaxIterExceeded,
     OracleScaleExceeded,
@@ -61,14 +62,12 @@ from .support_qp import solve_dual
 __all__ = [
     "CheckRecord",
     "Certificate",
-    "ZeroMembershipVotes",
     "RouteEntry",
     "ConsensusReport",
     "ROUTES",
     "reference_projection",
     "check_optimality",
     "run_route",
-    "detect_zero_membership",
     "cross_check",
 ]
 
@@ -93,29 +92,6 @@ class Certificate:
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-
-@dataclass(frozen=True)
-class ZeroMembershipVotes:
-    """One boolean per characterization of ``origin inside the hull``."""
-
-    wolfe_inside: bool
-    dual_inside: bool
-    maximin_inside: bool
-    lcp_inside: bool
-
-    @property
-    def unanimous(self) -> bool:
-        votes = {self.wolfe_inside, self.dual_inside, self.maximin_inside, self.lcp_inside}
-        return len(votes) == 1
-
-    @property
-    def inside(self) -> bool:
-        if not self.unanimous:
-            raise ConflictingCharacterizations(
-                "origin-membership characterizations disagree", votes=self
-            )
-        return self.wolfe_inside
 
 
 @dataclass(frozen=True)
@@ -267,9 +243,8 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 # instance and applies ``_vi_checked``, once per answer.
 # Runners look the solvers up as module globals at call time, so replacing
 # ``certify.solve_wolfe`` and its peers reaches every caller; in
-# ``cross_check`` and ``detect_zero_membership`` the maximin route calls
-# ``certify.maximin_from_weights`` instead of ``certify.solve_maximin``
-# (``_one_kernel_routes``).
+# ``cross_check`` the maximin route calls ``certify.maximin_from_weights``
+# instead of ``certify.solve_maximin`` (``_one_kernel_routes``).
 
 
 def _answer(P, sol, route, cfg):
@@ -362,29 +337,6 @@ def run_route(
     U, s = unit_scale(P)
     result = _checked(ROUTES[name], U, cfg, verbose)
     return None if result is None else _in_units(result, s)
-
-
-def detect_zero_membership(
-    P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ZeroMembershipVotes:
-    """Poll the four origin-membership characterizations, at unit scale.
-
-    Votes are the ``origin_inside`` of the wolfe, dual, maximin and
-    lcp-primal routes on ``Z / s``: each answer within ``zero_tol`` of the
-    origin votes inside.  Maximin checks the weights of wolfe's kernel run
-    instead of running its own.  Raises ConflictingCharacterizations on a
-    split vote, which is always a numerical-tolerance failure worth
-    surfacing; a route's own error, a failed VI check included, propagates.
-    """
-    U, _ = unit_scale(P)
-    routes = _one_kernel_routes()
-    voters = ("wolfe", "dual", "maximin", "lcp-primal")  # ZeroMembershipVotes order
-    votes = ZeroMembershipVotes(*(_checked(routes[r], U, cfg).origin_inside for r in voters))
-    if not votes.unanimous:
-        raise ConflictingCharacterizations(
-            f"origin-membership characterizations disagree: {votes}", votes=votes
-        )
-    return votes
 
 
 def cross_check(

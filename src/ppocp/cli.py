@@ -27,7 +27,6 @@ import numpy as np
 from .certify import ROUTES, check_optimality, cross_check, run_route
 from .core import DEFAULT_TOLERANCES, Polyhedron, ToleranceConfig, translate
 from .errors import (
-    ConflictingCharacterizations,
     InconsistentOutcome,
     InternalInconsistency,
     MaxIterExceeded,
@@ -284,11 +283,7 @@ def run(argv=None) -> int:
     except (MaxIterExceeded, PivotLimitExceeded) as err:
         print(f"error: solver did not converge: {err}", file=sys.stderr)
         return 3
-    except (
-        ConflictingCharacterizations,
-        InternalInconsistency,
-        InconsistentOutcome,
-    ) as err:
+    except (InternalInconsistency, InconsistentOutcome) as err:
         print(f"error: consistency conflict: {err}", file=sys.stderr)
         return 4
     except PpocpError as err:

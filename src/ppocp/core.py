@@ -4,11 +4,12 @@ A problem instance is a polytope given as the convex hull of finitely many
 vertices ``z_1..z_m`` in R^n; the task everywhere in this package is the
 Euclidean projection of the origin onto that hull.  This module owns the
 vertex matrix and its derived objects (constraint rows ``-z_i``, Gram matrix
-of vertex inner products), the membership predicates for the two dual-side
-feasible sets, the variational-inequality residuals used to certify every
-route's answer, and Wolfe's minimum-norm-point kernel
-(``refine_simplex_minimizer``), which the wolfe and maximin routes share and
-which works on the vertex rows in R^n without forming the Gram matrix.
+of vertex inner products), the variational-inequality residuals used to
+certify every route's answer, the one rule by which every answer votes on
+origin membership (``projection_result``), and Wolfe's minimum-norm-point
+kernel (``refine_simplex_minimizer``), which the wolfe and maximin routes
+share and which works on the vertex rows in R^n without forming the Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ __all__ = [
     "gram_matrix",
     "support_value",
     "vi_residuals",
-    "in_omega",
-    "in_D",
     "translate",
     "unit_scale",
     "simplex_deviation",
@@ -220,53 +219,6 @@ def vi_residuals(P: Polyhedron, y) -> np.ndarray:
     """
     y = _vector(y, P.n)
     return (P.vertices - y) @ y
-
-
-def in_omega(P: Polyhedron, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership in ``{y : <z_i, y> >= ||y||^2 for all i}``, thresholds absolute.
-
-    The set is equivalently the intersection of the balls of radius
-    ``||z_i||/2`` centered at ``z_i/2``; both characterizations are evaluated
-    and cross-checked.  Because one margin is ``feas_tol`` and the other is
-    effectively ``feas_tol * ||z_i||``, the verdicts may legitimately split
-    inside that band; a split outside it means a computation bug and raises.
-
-    The halfspace verdict is the one returned.
-    """
-    y = _vector(y, P.n)
-    z = P.vertices
-    yy = float(y @ y)
-    h = z @ y - yy
-    half = h >= -cfg.feas_tol
-
-    centers = z / 2.0
-    radii = np.linalg.norm(z, axis=1) / 2.0
-    dist_to_center = np.linalg.norm(y - centers, axis=1)
-    ball = dist_to_center <= radii + cfg.feas_tol
-
-    if not np.array_equal(half, ball):
-        # -h_i = excess_i * (dist_i + r_i): the ball test thresholds -h_i at
-        # feas_tol * (dist_i + r_i) while the halfspace test thresholds it at
-        # feas_tol.  Disagreement is only admissible between those two values.
-        den = dist_to_center + radii
-        slack = 64.0 * np.finfo(float).eps * (1.0 + yy + (z * z).sum(axis=1))
-        lo = np.minimum(cfg.feas_tol, cfg.feas_tol * den) - slack
-        hi = np.maximum(cfg.feas_tol, cfg.feas_tol * den) + slack
-        split = half != ball
-        out_of_band = split & ~((-h >= lo) & (-h <= hi))
-        if out_of_band.any():
-            i = int(np.flatnonzero(out_of_band)[0])
-            raise InternalInconsistency(
-                f"halfspace and ball membership tests disagree at vertex {i}: "
-                f"margin {h[i]:.3e}, ball excess {dist_to_center[i] - radii[i]:.3e}"
-            )
-    return bool(half.all())
-
-
-def in_D(P: Polyhedron, y, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Membership in ``{y : <z_i, y> >= 1 for all i}``, with ``feas_tol`` absolute."""
-    y = _vector(y, P.n)
-    return bool((P.vertices @ y >= 1.0 - cfg.feas_tol).all())
 
 
 def _derived(z: np.ndarray) -> Polyhedron:

@@ -41,15 +41,3 @@ class InconsistentOutcome(PpocpError):
 
 class OracleScaleExceeded(PpocpError):
     """The brute-force reference oracle only handles tiny vertex counts."""
-
-
-class ConflictingCharacterizations(PpocpError):
-    """Equivalent origin-membership tests voted differently.
-
-    The underlying equivalences are theorems, so a split vote always means
-    a numerical-tolerance failure worth surfacing, never a valid outcome.
-    """
-
-    def __init__(self, message, votes=None):
-        super().__init__(message)
-        self.votes = votes

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import origin_inside_polyhedron, separated_polyhedron
-from ppocp.certify import detect_zero_membership, reference_projection
+from ppocp.certify import cross_check, reference_projection
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
@@ -107,21 +107,21 @@ def route_sweep():
 @pytest.fixture(scope="module")
 def membership_sweep():
     start = time.perf_counter()
-    inside_votes = []
-    outside_votes = []
+    inside_reports = []
+    outside_reports = []
     extra_results = []
     for i in range(100):
         P = origin_inside_polyhedron(30_000 + i)
-        inside_votes.append(detect_zero_membership(P, CFG))
+        inside_reports.append(cross_check(P, CFG))
         sol = solve_wolfe(P, CFG)
         extra_results.append((P, sol.rho))
         extra_results.append((P, solve_maximin(P, CFG).rho))
     for i in range(100):
         P = separated_polyhedron(40_000 + i)
-        outside_votes.append(detect_zero_membership(P, CFG))
+        outside_reports.append(cross_check(P, CFG))
         extra_results.append((P, solve_wolfe(P, CFG).rho))
         extra_results.append((P, solve_dual(P, CFG).rho))
-    return inside_votes, outside_votes, extra_results, time.perf_counter() - start
+    return inside_reports, outside_reports, extra_results, time.perf_counter() - start
 
 
 def test_criterion_1_worked_fixtures():
@@ -191,13 +191,13 @@ def test_criterion_2_route_agreement(route_sweep):
 
 
 def test_criterion_3_membership_consensus(membership_sweep):
-    inside_votes, outside_votes, _, elapsed = membership_sweep
+    inside_reports, outside_reports, _, elapsed = membership_sweep
     with criterion(3, "origin-membership consensus on 100+100 instances"):
-        assert len(inside_votes) == 100 and len(outside_votes) == 100
-        for votes in inside_votes:
-            assert votes.unanimous and votes.inside
-        for votes in outside_votes:
-            assert votes.unanimous and not votes.inside
+        assert len(inside_reports) == 100 and len(outside_reports) == 100
+        for report in inside_reports:
+            assert report.verdict == "agree" and all(report.votes.values())
+        for report in outside_reports:
+            assert report.verdict == "agree" and not any(report.votes.values())
         assert elapsed < 30.0, f"membership sweep took {elapsed:.1f}s"
 
 
@@ -249,7 +249,7 @@ def test_criterion_5_duality_identities(route_sweep):
 
 def test_criterion_6_lcp_structure(route_sweep, membership_sweep):
     records, _ = route_sweep
-    inside_votes, outside_votes, _, _ = membership_sweep
+    inside_reports, outside_reports, _, _ = membership_sweep
     with criterion(6, "complementarity structure"):
         rng = np.random.default_rng(0)
         for rec in records[:40]:
@@ -272,8 +272,8 @@ def test_criterion_6_lcp_structure(route_sweep, membership_sweep):
                     1.0 + np.linalg.norm(v)
                 )
         # ray termination exactly on the origin-inside cohort
-        assert all(votes.lcp_inside for votes in inside_votes)
-        assert not any(votes.lcp_inside for votes in outside_votes)
+        assert all(report.votes["lcp-primal"] for report in inside_reports)
+        assert not any(report.votes["lcp-primal"] for report in outside_reports)
 
 
 def test_criterion_7_derived_chain_fixture():

@@ -18,11 +18,10 @@ from ppocp import certify, maximin, simplex_qp
 from ppocp.certify import (
     check_optimality,
     cross_check,
-    detect_zero_membership,
     reference_projection,
 )
 from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result, unit_scale
-from ppocp.errors import InconsistentOutcome, MaxIterExceeded, OracleScaleExceeded
+from ppocp.errors import MaxIterExceeded, OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
 
@@ -148,11 +147,10 @@ class TestCheckOptimality:
     "call",
     [
         lambda P: cross_check(P),
-        lambda P: detect_zero_membership(P),
         lambda P: check_optimality(P, [3.0, 3.0]),
         lambda P: certify.run_route("lcp-dual", P),
     ],
-    ids=["cross_check", "detect_zero_membership", "check_optimality", "run_route"],
+    ids=["cross_check", "check_optimality", "run_route"],
 )
 def test_one_unit_instance_per_call(call, monkeypatch):
     # s = 2^round(log2(6 sqrt 2)) = 8 for the triangle times 3.
@@ -197,38 +195,6 @@ class TestUnitScale:
         assert t == s * 2.0**-37
 
 
-class TestDetectZeroMembership:
-    def test_segment_votes_inside(self):
-        votes = detect_zero_membership(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
-        assert votes.unanimous and votes.inside
-
-    def test_line_points_vote_inside(self):
-        votes = detect_zero_membership(Polyhedron(np.array(LINE_POINTS)))
-        assert votes.unanimous and votes.inside
-
-    def test_triangle_votes_outside(self):
-        votes = detect_zero_membership(Polyhedron(np.array(TRIANGLE)))
-        assert votes.unanimous and not votes.inside
-
-    def test_cohorts_vote_correctly(self):
-        for seed in range(10):
-            assert detect_zero_membership(origin_inside_polyhedron(seed)).inside
-            assert not detect_zero_membership(separated_polyhedron(seed)).inside
-
-    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 5e-9])
-    def test_hull_within_zero_tol_votes_inside(self, gap):
-        # The segment misses the origin by gap <= zero_tol: the dual solves
-        # it exactly, and its vote still follows zero_tol like the others.
-        votes = detect_zero_membership(Polyhedron(np.array([[1.0, gap], [-1.0, gap]])))
-        assert votes.unanimous and votes.inside
-
-    def test_dual_vote_follows_zero_tol(self):
-        P = Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]]))
-        assert certify.ROUTES["dual"](P, ToleranceConfig()).origin_inside
-        tight = ToleranceConfig(zero_tol=1e-10)
-        assert not certify.ROUTES["dual"](P, tight).origin_inside
-
-
 class TestCrossCheck:
     def test_triangle_report(self):
         report = cross_check(Polyhedron(np.array(TRIANGLE)))
@@ -238,6 +204,7 @@ class TestCrossCheck:
         assert_allclose(report.rho, [1.0, 1.0], atol=1e-8)
         ok = [e for e in report.entries.values() if e.status == "ok"]
         assert len(ok) == 7  # six routes plus the oracle
+        assert not any(report.votes.values())
 
     def test_axis_pair_includes_nnls(self):
         report = cross_check(Polyhedron(np.array([[2.0, 0.0], [0.0, 2.0]])))
@@ -251,16 +218,52 @@ class TestCrossCheck:
         assert_allclose(report.rho, [3.0, 4.0], atol=1e-9)
         assert report.entries["oracle"].result.distance == pytest.approx(5.0)
 
-    def test_origin_inside_consensus(self):
-        report = cross_check(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
+    @pytest.mark.parametrize(
+        "vertices", [SEGMENT_THROUGH_ORIGIN, LINE_POINTS], ids=["segment", "line"]
+    )
+    def test_origin_inside_consensus(self, vertices):
+        report = cross_check(Polyhedron(np.array(vertices)))
         assert report.verdict == "agree"
         assert all(report.votes.values())
 
-    def test_hull_within_zero_tol_agrees(self):
-        report = cross_check(Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]])))
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 5e-9])
+    def test_hull_within_zero_tol_agrees(self, gap):
+        # The segment misses the origin by gap <= zero_tol: the dual solves
+        # it exactly, and its vote still follows zero_tol like the others.
+        report = cross_check(Polyhedron(np.array([[1.0, gap], [-1.0, gap]])))
         assert report.entries["nnls"].status == "ok"
         assert report.verdict == "agree"
         assert all(report.votes.values())
+
+    def test_dual_vote_follows_zero_tol(self):
+        P = Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]]))
+        assert certify.ROUTES["dual"](P, ToleranceConfig()).origin_inside
+        tight = ToleranceConfig(zero_tol=1e-10)
+        assert not certify.ROUTES["dual"](P, tight).origin_inside
+
+    def test_cohorts_vote_unanimously(self):
+        for seed in range(10):
+            inside = cross_check(origin_inside_polyhedron(seed))
+            outside = cross_check(separated_polyhedron(seed))
+            assert inside.verdict == outside.verdict == "agree", seed
+            assert set(inside.votes.values()) == {True}, seed
+            assert set(outside.votes.values()) == {False}, seed
+
+    def test_split_vote_alone_is_a_conflict(self, monkeypatch):
+        # The oracle's answer is the true one, but its vote is flipped to
+        # inside: every entry is ok and the answers coincide, so the split
+        # vote is all that makes the verdict a conflict.
+        real = certify.reference_projection
+        monkeypatch.setattr(
+            certify,
+            "reference_projection",
+            lambda P, cfg: dataclasses.replace(real(P, cfg), origin_inside=True),
+        )
+        report = cross_check(Polyhedron(np.array([[2.0, 0.0], [0.0, 2.0]])))
+        assert all(e.status == "ok" for e in report.entries.values())
+        assert report.pairwise_max_deviation <= 1e-6
+        assert set(report.votes.values()) == {True, False}
+        assert report.verdict == "conflict"
 
     def test_random_instances_agree(self):
         for seed in range(25):
@@ -398,7 +401,7 @@ def _kernel_stub(iterations):
 
 
 class TestOneKernel:
-    """cross_check and detect_zero_membership run the wolfe/maximin kernel once."""
+    """cross_check runs the wolfe/maximin kernel once."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -417,11 +420,10 @@ class TestOneKernel:
         "call, owners",
         [
             (cross_check, ["ppocp.simplex_qp"]),
-            (detect_zero_membership, ["ppocp.simplex_qp"]),
             (lambda P: certify.run_route("wolfe", P), ["ppocp.simplex_qp"]),
             (lambda P: certify.run_route("maximin", P), ["ppocp.maximin"]),
         ],
-        ids=["cross_check", "detect_zero_membership", "run_route-wolfe", "run_route-maximin"],
+        ids=["cross_check", "run_route-wolfe", "run_route-maximin"],
     )
     def test_one_kernel_run_per_call(self, kernel_calls, call, owners):
         hulls = (TRIANGLE, separated_polyhedron(3).vertices, origin_inside_polyhedron(3).vertices)
@@ -457,8 +459,6 @@ class TestOneKernel:
         assert report.verdict == "conflict"
         monkeypatch.setattr(maximin, "refine_simplex_minimizer", _kernel_stub(5))
         _assert_same_entry(mm, _entry_as_run_route("maximin", P))
-        with pytest.raises(MaxIterExceeded, match="optimality gap"):
-            detect_zero_membership(P)
 
     def test_wolfe_vi_failure_hands_its_weights_to_maximin(self, monkeypatch):
         # Weights on the far vertex [2, 2] give wolfe an answer that fails the
@@ -501,8 +501,6 @@ class TestOneKernel:
         assert report.entries["wolfe"].status == "error"
         assert report.entries["maximin"].status == "error"
         assert "distance identity" in report.entries["maximin"].error
-        with pytest.raises(InconsistentOutcome, match="wolfe answer fails"):
-            detect_zero_membership(P)
 
 
 def _nan_answer(P, cfg):

@@ -20,8 +20,6 @@ from ppocp.core import (
     ToleranceConfig,
     constraint_matrix,
     gram_matrix,
-    in_D,
-    in_omega,
     refine_simplex_minimizer,
     support_value,
     translate,
@@ -228,43 +226,6 @@ class TestViResiduals:
                 zj = P.vertices[j]
                 r = vi_residuals(P, zj)
                 assert abs(r[j]) <= 1e-10 * max(1.0, float(zj @ zj))
-
-
-class TestOmegaMembership:
-    def test_origin_always_inside(self):
-        for seed in range(10):
-            P = random_polyhedron(seed)
-            assert in_omega(P, np.zeros(P.n))
-
-    def test_triangle_points(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        assert in_omega(P, np.array([1.0, 1.0]))
-        assert not in_omega(P, np.array([2.0, 2.0]))
-
-    def test_characterizations_agree_on_random_points(self):
-        # in_omega raises InternalInconsistency on any out-of-band split.
-        rng = np.random.default_rng(42)
-        for seed in range(10):
-            P = random_polyhedron(seed)
-            for _ in range(50):
-                y = rng.normal(scale=3.0, size=P.n)
-                in_omega(P, y)
-
-
-class TestDMembership:
-    def test_triangle_scaled_projection(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        assert in_D(P, np.array([0.5, 0.5]))
-
-    def test_segment_is_never_feasible(self):
-        P = Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN))
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            assert not in_D(P, rng.normal(scale=4.0, size=2))
-
-    def test_origin_not_feasible(self):
-        P = random_polyhedron(17)
-        assert not in_D(P, np.zeros(P.n))
 
 
 class TestTranslate:

@@ -15,7 +15,7 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
-from ppocp.core import Polyhedron, ToleranceConfig, constraint_matrix, in_D
+from ppocp.core import Polyhedron, ToleranceConfig, constraint_matrix
 from ppocp.errors import MaxIterExceeded, NegativeDualVariable
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import (
@@ -85,8 +85,8 @@ class TestSolveDual:
             S = constraint_matrix(P)
             out = solve_dual(P)
             assert out.status is DualStatus.SOLVED
-            assert in_D(P, out.y_bar)
             slack = S.C @ out.y_bar + S.e
+            assert slack.max() <= 1e-9
             complementarity = abs(float(out.u_star @ slack))
             assert complementarity <= 1e-8
             stationarity = 2.0 * out.y_bar + S.C.T @ out.u_star
