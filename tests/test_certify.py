@@ -195,6 +195,45 @@ class TestUnitScale:
         assert t == s * 2.0**-37
 
 
+class TestDetectZeroMembership:
+    """Origin membership, as cross_check's votes tally it."""
+
+    @staticmethod
+    def _votes(P):
+        report = cross_check(P)
+        assert report.verdict == "agree"
+        return set(report.votes.values())
+
+    def test_segment_votes_inside(self):
+        assert self._votes(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN))) == {True}
+
+    def test_line_points_vote_inside(self):
+        assert self._votes(Polyhedron(np.array(LINE_POINTS))) == {True}
+
+    def test_triangle_votes_outside(self):
+        assert self._votes(Polyhedron(np.array(TRIANGLE))) == {False}
+
+    def test_cohorts_vote_correctly(self):
+        for seed in range(10):
+            assert self._votes(origin_inside_polyhedron(seed)) == {True}, seed
+            assert self._votes(separated_polyhedron(seed)) == {False}, seed
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 5e-9])
+    def test_hull_within_zero_tol_votes_inside(self, gap):
+        # The segment misses the origin by gap <= zero_tol: the dual solves
+        # it exactly, and its vote still follows zero_tol like the others.
+        report = cross_check(Polyhedron(np.array([[1.0, gap], [-1.0, gap]])))
+        assert report.entries["nnls"].status == "ok"
+        assert report.verdict == "agree"
+        assert set(report.votes.values()) == {True}
+
+    def test_dual_vote_follows_zero_tol(self):
+        P = Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]]))
+        assert certify.ROUTES["dual"](P, ToleranceConfig()).origin_inside
+        tight = ToleranceConfig(zero_tol=1e-10)
+        assert not certify.ROUTES["dual"](P, tight).origin_inside
+
+
 class TestCrossCheck:
     def test_triangle_report(self):
         report = cross_check(Polyhedron(np.array(TRIANGLE)))
@@ -204,7 +243,6 @@ class TestCrossCheck:
         assert_allclose(report.rho, [1.0, 1.0], atol=1e-8)
         ok = [e for e in report.entries.values() if e.status == "ok"]
         assert len(ok) == 7  # six routes plus the oracle
-        assert not any(report.votes.values())
 
     def test_axis_pair_includes_nnls(self):
         report = cross_check(Polyhedron(np.array([[2.0, 0.0], [0.0, 2.0]])))
@@ -218,36 +256,16 @@ class TestCrossCheck:
         assert_allclose(report.rho, [3.0, 4.0], atol=1e-9)
         assert report.entries["oracle"].result.distance == pytest.approx(5.0)
 
-    @pytest.mark.parametrize(
-        "vertices", [SEGMENT_THROUGH_ORIGIN, LINE_POINTS], ids=["segment", "line"]
-    )
-    def test_origin_inside_consensus(self, vertices):
-        report = cross_check(Polyhedron(np.array(vertices)))
+    def test_origin_inside_consensus(self):
+        report = cross_check(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
         assert report.verdict == "agree"
         assert all(report.votes.values())
 
-    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 5e-9])
-    def test_hull_within_zero_tol_agrees(self, gap):
-        # The segment misses the origin by gap <= zero_tol: the dual solves
-        # it exactly, and its vote still follows zero_tol like the others.
-        report = cross_check(Polyhedron(np.array([[1.0, gap], [-1.0, gap]])))
+    def test_hull_within_zero_tol_agrees(self):
+        report = cross_check(Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]])))
         assert report.entries["nnls"].status == "ok"
         assert report.verdict == "agree"
         assert all(report.votes.values())
-
-    def test_dual_vote_follows_zero_tol(self):
-        P = Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]]))
-        assert certify.ROUTES["dual"](P, ToleranceConfig()).origin_inside
-        tight = ToleranceConfig(zero_tol=1e-10)
-        assert not certify.ROUTES["dual"](P, tight).origin_inside
-
-    def test_cohorts_vote_unanimously(self):
-        for seed in range(10):
-            inside = cross_check(origin_inside_polyhedron(seed))
-            outside = cross_check(separated_polyhedron(seed))
-            assert inside.verdict == outside.verdict == "agree", seed
-            assert set(inside.votes.values()) == {True}, seed
-            assert set(outside.votes.values()) == {False}, seed
 
     def test_split_vote_alone_is_a_conflict(self, monkeypatch):
         # The oracle's answer is the true one, but its vote is flipped to
