@@ -8,7 +8,9 @@ Example:
     python scripts/consensus_sweep.py --family near-dependent --count 400 --seed 2026
 
 Prints one line per instance (sizes, worst pairwise deviation, votes) and a
-summary block; exits nonzero when any instance fails to reach consensus.  A
+summary block; exits nonzero when any instance fails to reach consensus.
+The summary counts a hull as ``origin inside`` only when every vote says
+so, and counts split votes apart.  A
 conflict line names its dissenters: ``errors=`` lists the routes that ended
 on an error, and on a split vote ``origin_inside=split`` is followed by
 ``inside=``, the routes that voted the origin inside.
@@ -115,13 +117,16 @@ def main(argv=None):
 
     conflicts = 0
     inside_count = 0
+    split_count = 0
     iteration_totals = {}
     start = time.perf_counter()
     for i, P in enumerate(instances):
         report = cross_check(P)
         ok = [e for e in report.entries.values() if e.status == "ok"]
         inside = any(report.votes.values())
-        inside_count += inside
+        split = len(set(report.votes.values())) > 1
+        inside_count += inside and not split
+        split_count += split
         for name, entry in report.entries.items():
             if entry.status == "ok":
                 iteration_totals.setdefault(name, []).append(entry.result.iterations)
@@ -129,7 +134,7 @@ def main(argv=None):
         if report.verdict != "agree":
             conflicts += 1
             dissent = []
-            if len(set(report.votes.values())) > 1:
+            if split:
                 label = "split"
                 dissent.append("inside=" + ",".join(r for r, v in report.votes.items() if v))
             errors = [name for name, e in report.entries.items() if e.status == "error"]
@@ -145,7 +150,7 @@ def main(argv=None):
 
     print("-" * 64)
     print(f"instances: {args.count}   conflicts: {conflicts}   "
-          f"origin inside: {inside_count}   elapsed: {elapsed:.2f}s")
+          f"origin inside: {inside_count}   split: {split_count}   elapsed: {elapsed:.2f}s")
     print("mean iterations per route:")
     for name in sorted(iteration_totals):
         its = iteration_totals[name]

@@ -10,7 +10,9 @@ one gap inequality, and the three lcp routes share one pivoting engine.
 Every answer is the point of its convex weights, so it lies in the hull, and
 is certified against the variational-inequality criterion; the routes are
 cross-checked against each other (and, on tiny instances, a brute-force
-oracle).
+oracle).  The wolfe and maximin solvers return their route's
+ProjectionResult; the dual's DualOutcome holds the same weights and point
+and, alone among the first-order records, a status.
 """
 
 from .certify import (
@@ -34,19 +36,17 @@ from .core import (
     vi_residuals,
 )
 from .lcp import (
-    CanonicalQP,
     LCPInstance,
     LCPOutcome,
     LcpStatus,
     LcpVariant,
     build_lcp,
-    canonicalize_primal,
     extract_projection,
     lemke_solve,
 )
-from .maximin import MaximinSolution, solve_maximin
+from .maximin import solve_maximin
 from .nnls import NnlsProblem, ReductionData, construct_b, nnls_solve, project_via_nnls
-from .simplex_qp import SimplexSolution, solve_wolfe
+from .simplex_qp import solve_wolfe
 from .support_qp import (
     DualOutcome,
     DualStatus,

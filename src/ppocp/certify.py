@@ -237,30 +237,30 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 
 # Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns the
 # route's unchecked ProjectionResult on ``P``, built from its convex weights
-# alone, or None when the route does not apply; weights proving the origin
-# inside (the dual's unbounded objective, a Lemke ray) answer with the point
-# they combine to, as all weights do.  ``_checked`` runs a runner on the unit
-# instance and applies ``_vi_checked``, once per answer.
+# alone by ``core.projection_result``, or None when the route does not apply.
+# The wolfe and maximin solvers return that record themselves; the dual's
+# ``DualOutcome`` keeps a ``status`` besides its weights, so its runner builds
+# the record from them.  Weights proving the origin inside (the dual's
+# unbounded objective, a Lemke ray) answer with the point they combine to,
+# as all weights do.  ``_checked`` runs a runner on the unit instance and
+# applies ``_vi_checked``, once per answer.
 # Runners look the solvers up as module globals at call time, so replacing
 # ``certify.solve_wolfe`` and its peers reaches every caller; in
 # ``cross_check`` the maximin route calls ``certify.maximin_from_weights``
 # instead of ``certify.solve_maximin`` (``_one_kernel_routes``).
 
 
-def _answer(P, sol, route, cfg):
-    return projection_result(P, sol.alpha, route, sol.iterations, cfg)
-
-
 def _run_wolfe(P, cfg, verbose=False):
-    return _answer(P, solve_wolfe(P, cfg), Route.WOLFE, cfg)
+    return solve_wolfe(P, cfg)
 
 
 def _run_dual(P, cfg, verbose=False):
-    return _answer(P, solve_dual(P, cfg), Route.DUAL, cfg)
+    out = solve_dual(P, cfg)
+    return projection_result(P, out.alpha, Route.DUAL, out.iterations, cfg)
 
 
 def _run_maximin(P, cfg, verbose=False):
-    return _answer(P, solve_maximin(P, cfg), Route.MAXIMIN, cfg)
+    return solve_maximin(P, cfg)
 
 
 def _run_lcp(variant):
@@ -293,28 +293,31 @@ ROUTES = {
 def _one_kernel_routes():
     """``ROUTES`` with wolfe and maximin sharing one run of the kernel.
 
-    The wolfe runner keeps the weights and minor-cycle count of the kernel
-    run inside ``solve_wolfe``: the solution's, also when its answer then
+    The wolfe runner returns ``solve_wolfe``'s answer and keeps the weights
+    and minor-cycle count of its kernel run: the answer's, also when it then
     fails the VI check, or the best iterate a gap miss carries.  The maximin
     runner checks those with ``maximin_from_weights``; ``solve_maximin``
     makes the same kernel call as ``solve_wolfe`` and gets the same weights,
-    so its entry does not change.  Built anew for every call, so nothing is
-    kept across instances; wolfe must run first.
+    so its entry does not change.  When ``solve_wolfe`` raises anything else
+    (weights off the simplex by more than ``feas_tol``), maximin runs
+    ``solve_maximin``, whose kernel gives the same weights.  Built anew for
+    every call, so nothing is kept across instances; wolfe must run first.
     """
     kernel = []
 
     def wolfe(P, cfg, verbose=False):
         try:
-            sol = solve_wolfe(P, cfg)
+            result = solve_wolfe(P, cfg)
         except MaxIterExceeded as err:
             kernel.append((err.best, err.iterations))
             raise
-        kernel.append((sol.alpha, sol.iterations))
-        return _answer(P, sol, Route.WOLFE, cfg)
+        kernel.append((result.alpha, result.iterations))
+        return result
 
     def maximin(P, cfg, verbose=False):
-        sol = maximin_from_weights(P, *kernel[-1], cfg)
-        return _answer(P, sol, Route.MAXIMIN, cfg)
+        if not kernel:  # solve_wolfe raised on its weights before handing them over
+            return solve_maximin(P, cfg)
+        return maximin_from_weights(P, *kernel[-1], cfg)
 
     return dict(ROUTES, wolfe=wolfe, maximin=maximin)
 

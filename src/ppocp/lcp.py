@@ -66,7 +66,6 @@ from .core import (
     ProjectionResult,
     Route,
     ToleranceConfig,
-    constraint_matrix,
     gram_matrix,
     projection_result,
 )
@@ -77,11 +76,9 @@ _REBUILD_INTERVAL = 32
 
 __all__ = [
     "LcpVariant",
-    "CanonicalQP",
     "LCPInstance",
     "LcpStatus",
     "LCPOutcome",
-    "canonicalize_primal",
     "build_lcp",
     "lemke_solve",
     "vertex_weights",
@@ -93,20 +90,6 @@ class LcpVariant(enum.Enum):
     PRIMAL_SPLIT = "primal-split"
     WOLFE_KKT = "wolfe-kkt"
     DUAL_ORTHANT = "dual-orthant"
-
-
-@dataclass(frozen=True)
-class CanonicalQP:
-    """Variable-split form of the halfspace QP with nonnegative unknowns.
-
-    The unknown is ``x = (s, s')`` with ``y = s - s'``; the objective is
-    ``<x, H x>`` which equals ``||s - s'||^2`` exactly, subject to
-    ``A x >= b`` and ``x >= 0``.
-    """
-
-    H: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,29 +116,23 @@ class LCPOutcome:
     pivots: int
 
 
-def canonicalize_primal(P: Polyhedron) -> CanonicalQP:
-    """Split ``y`` into nonnegative parts and rewrite the halfspace QP."""
-    n = P.n
-    E = np.eye(n)
-    H = np.block([[E, -E], [-E, E]])
-    C = constraint_matrix(P).C
-    A = np.hstack([-C, C])
-    return CanonicalQP(H=H, A=A, b=np.ones(P.m))
-
-
 def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
     """Assemble the complementarity data for one of the three constructions."""
     m = P.m
     if variant is LcpVariant.PRIMAL_SPLIT:
-        qp = canonicalize_primal(P)
-        two_n = 2 * P.n
+        # Unknowns (s, s', u): the quadratic form is H = [[I, -I], [-I, I]]
+        # and the constraints A (s, s') >= 1 with A = [Z | -Z].
+        n = P.n
+        E = np.eye(n)
+        A = np.hstack([P.vertices, -P.vertices])
+        two_n = 2 * n
         k = two_n + m
         M = np.zeros((k, k))
-        M[:two_n, :two_n] = 2.0 * qp.H
-        M[:two_n, two_n:] = -qp.A.T
-        M[two_n:, :two_n] = qp.A
+        M[:two_n, :two_n] = 2.0 * np.block([[E, -E], [-E, E]])
+        M[:two_n, two_n:] = -A.T
+        M[two_n:, :two_n] = A
         q = np.zeros(k)
-        q[two_n:] = -qp.b
+        q[two_n:] = -1.0
         return LCPInstance(M=M, q=q, k=k, variant=variant)
     if variant is LcpVariant.WOLFE_KKT:
         B = gram_matrix(P)

@@ -18,49 +18,33 @@ neither.  The answer is the weights' point ``w`` itself, which lies in the
 hull; ``t`` is the lower end of the distance bracket ``[t, ||w||]``.
 ``solve_maximin`` runs the kernel and then the check; ``certify.cross_check``
 runs the kernel once, in the wolfe route, and hands its weights to the
-check.  ``iterations`` counts the kernel's minor cycles.
+check.  Both return the route's ProjectionResult, which
+``core.projection_result`` builds from the weights.  ``iterations`` counts
+the kernel's minor cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
+    ProjectionResult,
+    Route,
     ToleranceConfig,
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
+    projection_result,
     refine_simplex_minimizer,
     support_value,
 )
 from .errors import MaxIterExceeded
 
-__all__ = [
-    "MaximinSolution",
-    "solve_maximin",
-    "maximin_from_weights",
-]
-
-
-@dataclass(frozen=True)
-class MaximinSolution:
-    """Best direction found, its support value, the kernel's convex weights
-    ``alpha`` and their point ``rho = alpha @ Z``, the projection."""
-
-    c_hat: np.ndarray
-    t_value: float
-    rho: np.ndarray
-    iterations: int
-    origin_inside: bool
-    alpha: np.ndarray
+__all__ = ["solve_maximin", "maximin_from_weights"]
 
 
 def solve_maximin(
     P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> MaximinSolution:
-    """Maximize ``min_i <c, z_i>`` over the unit ball.
+) -> ProjectionResult:
+    """Maximize ``min_i <c, z_i>`` over the unit ball; the maximin route's answer.
 
     Runs ``refine_simplex_minimizer`` within ``cfg.max_iter`` major cycles,
     the call ``solve_wolfe`` makes, and reads the answer off its weights with
@@ -72,43 +56,34 @@ def solve_maximin(
 
 def maximin_from_weights(
     P: Polyhedron, weights, iterations: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> MaximinSolution:
+) -> ProjectionResult:
     """The maximin answer read off the kernel's weights, once they pass its check.
 
-    The answer ``rho`` is ``w = weights @ Z``, meant to be the hull's
-    minimum-norm point.  The direction is ``c_hat = w/||w||`` (``c_hat = 0``
-    when ``w`` is exactly the origin) and ``t_value = min_i <c_hat, z_i>``,
-    a lower bound on the distance.  ``origin_inside`` is ``||w|| <= zero_tol``,
-    the rule every route's answer votes by.  ``iterations`` is the kernel's
-    count, reported as the route's.
+    The answer is the record ``core.projection_result`` builds from the
+    weights: ``rho = w = weights @ Z``, meant to be the hull's minimum-norm
+    point.  The direction is ``c = w/||w||`` (``c = 0`` when ``w`` is exactly
+    the origin) and ``t = min_i <c, z_i>``, a lower bound on the distance.
+    ``iterations`` is the kernel's count, reported as the route's.
 
     Raises
     ------
     MaxIterExceeded
-        If ``t_value`` misses the distance identity ``t = ||w||``, that is
-        when ``||w|| (||w|| - t_value)``, the wolfe route's gap
-        ``||w||^2 - min_i <z_i, w>`` up to rounding, exceeds ``opt_tol``;
-        carries the weights.
+        If ``t`` misses the distance identity ``t = ||w||``, that is when
+        ``||w|| (||w|| - t)``, the wolfe route's gap ``||w||^2 - min_i <z_i, w>``
+        up to rounding, exceeds ``opt_tol``; carries the weights.
     """
-    w = weights @ P.vertices
-    w_norm = float(np.linalg.norm(w))
-    c_hat = w / w_norm if w_norm > 0.0 else w
-    t_value, _ = support_value(P, c_hat)
-    gap = w_norm * (w_norm - t_value)
+    result = projection_result(P, weights, Route.MAXIMIN, iterations, cfg)
+    w, w_norm = result.rho, result.distance
+    c = w / w_norm if w_norm > 0.0 else w
+    t, _ = support_value(P, c)
+    gap = w_norm * (w_norm - t)
     if gap > cfg.opt_tol:
         raise MaxIterExceeded(
-            f"maximin value {t_value:.17g} misses the distance identity "
+            f"maximin value {t:.17g} misses the distance identity "
             f"t = ||w|| = {w_norm:.17g}: gap {gap:.3e} above {cfg.opt_tol:.1e} "
             f"after {iterations} iterations",
             best=weights,
             residual=gap,
             iterations=iterations,
         )
-    return MaximinSolution(
-        c_hat=c_hat,
-        t_value=t_value,
-        rho=w,
-        iterations=iterations,
-        origin_inside=w_norm <= cfg.zero_tol,
-        alpha=weights,
-    )
+    return result

@@ -6,17 +6,24 @@ Minimizing ``||y||^2`` over ``D`` has the dual program
 
     minimize  f(u) = 1/4 <u, C C^T u> - <e, u>   over  u >= 0,
 
-whose solution gives ``y_bar = -1/2 C^T u*`` in closed form.  ``D`` is empty
-exactly when the hull contains the origin, in which case ``f`` is unbounded
-below; the solver reports that as a status rather than an error.
+whose solution gives ``y_bar = -1/2 C^T u*`` in closed form and the optimal
+value ``f* = -||y_bar||^2``.  ``D`` is empty exactly when the hull contains
+the origin, in which case ``f`` is unbounded below; the solver reports that
+as a status rather than an error.
 
 The solver is the dual active-set method of Goldfarb and Idnani ("A
 numerically stable dual method for solving strictly convex quadratic
 programs", Math. Prog. 27, 1983) for ``min 1/2 ||y||^2`` subject to
 ``Z y >= 1``, run in R^n on at most n active vertex rows; the m x m Gram
-matrix is never formed.  Its multipliers ``lam`` are ``u / 2``.  When the
-hull contains the origin it returns convex weights ``alpha`` with
-``alpha @ Z = 0``, an exact witness in place of a divergence test.
+matrix is never formed.  Its multipliers ``lam`` are ``u / 2``.  It returns
+the route's answer record, ``DualOutcome``: the convex weights
+``alpha = u* / sum u*`` and their point ``rho = alpha @ Z``, which is the
+projection because ``sum u* = 2 ||y_bar||^2``.  When the hull contains the
+origin it returns instead convex weights ``alpha`` with ``alpha @ Z = 0``,
+an exact witness in place of a divergence test.  Of the first-order routes'
+records only this one keeps a ``status``; ``u*``, ``y_bar`` and ``f*`` follow
+from ``alpha`` and ``rho`` as ``2 alpha / ||rho||^2``, ``rho / ||rho||^2`` and
+``-1 / ||rho||^2``.
 """
 
 from __future__ import annotations
@@ -64,21 +71,17 @@ class DualStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class DualOutcome:
-    """Dual solution and the primal data recovered from it.
+    """The dual route's answer: convex weights ``alpha`` over the vertices and
+    their point ``rho = alpha @ Z``.
 
-    ``u_star``, ``y_bar``, ``rho`` and ``f_star`` are present only when
-    ``status`` is SOLVED; unboundedness signals that the hull contains the
-    origin.  ``alpha`` is always present: convex weights over the vertices
-    with ``alpha @ Z = rho`` when SOLVED (``u_star / sum(u_star)``), and with
-    ``alpha @ Z = 0`` when UNBOUNDED_BELOW.  ``iterations`` counts the
+    When ``status`` is SOLVED, ``alpha`` is ``u* / sum u*`` and ``rho`` the
+    projection; UNBOUNDED_BELOW signals that the hull contains the origin,
+    and ``alpha`` then combines the vertices to it.  ``iterations`` counts the
     active-set steps, adds and drops together.
     """
 
     status: DualStatus
-    u_star: np.ndarray | None
-    y_bar: np.ndarray | None
-    rho: np.ndarray | None
-    f_star: float | None
+    rho: np.ndarray
     iterations: int
     alpha: np.ndarray
 
@@ -145,6 +148,9 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
         out[rows] = values
         return out
 
+    def outcome(status, alpha):
+        return DualOutcome(status=status, rho=alpha @ Z, iterations=steps, alpha=alpha)
+
     def give_up(message, violation, entering, lam_entering):
         best = weights(2.0 * lam, active)
         best[entering] += 2.0 * lam_entering
@@ -188,17 +194,11 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             if dependent and not positive.size:
                 alpha = weights(-r, active)
                 alpha[p] = 1.0
-                return DualOutcome(
-                    status=DualStatus.UNBOUNDED_BELOW,
-                    u_star=None,
-                    y_bar=None,
-                    rho=None,
-                    f_star=None,
-                    iterations=steps,
-                    alpha=alpha / alpha.sum(),
-                )
+                return outcome(DualStatus.UNBOUNDED_BELOW, alpha / alpha.sum())
             steps += 1
-            curvature = float(z @ zp)
+            # <z, z_p> equals ||z||^2 in exact arithmetic, but when z_p lies
+            # nearly in the active rows' span rounding decides its sign.
+            curvature = float(z @ z)
             t2 = np.inf if dependent else -sp / curvature
             t = min(t1, t2)
             lam = lam - t * r
@@ -218,14 +218,4 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
         y = Q @ w
         lam = np.maximum(np.linalg.solve(R, w), 0.0)  # clip rounding below zero
 
-    u = weights(2.0 * lam, active)
-    g = lam @ Z[active]  # -1/2 C^T u
-    return DualOutcome(
-        status=DualStatus.SOLVED,
-        u_star=u,
-        y_bar=y,
-        rho=y / float(y @ y),
-        f_star=float(g @ g) - float(u.sum()),
-        iterations=steps,
-        alpha=weights(lam / lam.sum(), active),
-    )
+    return outcome(DualStatus.SOLVED, weights(lam / lam.sum(), active))

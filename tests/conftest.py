@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from ppocp.core import Polyhedron
+from ppocp.core import Polyhedron, support_value
 
 hypothesis.settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True
@@ -15,6 +15,21 @@ SEGMENT_THROUGH_ORIGIN = [[-1.0, 0.0], [1.0, 0.0]]
 COLLINEAR_PAIR = [[1.0, 0.0], [2.0, 0.0]]
 LINE_POINTS = [[-1.0], [1.0], [5.0]]
 SINGLE_POINT = [[3.0, 4.0]]
+
+
+def dual_quantities(out):
+    """The paper's dual quantities read off a SOLVED dual answer:
+    ``u* = 2 alpha / ||rho||^2`` and ``y_bar = rho / ||rho||^2``."""
+    norm_sq = float(out.rho @ out.rho)
+    return 2.0 * out.alpha / norm_sq, out.rho / norm_sq
+
+
+def maximin_pair(P, result):
+    """The maximin direction and value read off an answer:
+    ``c = rho / ||rho||`` (0 at the origin) and ``t = min_i <c, z_i>``."""
+    c = result.rho / result.distance if result.distance > 0.0 else result.rho
+    t, _ = support_value(P, c)
+    return c, t
 
 
 @pytest.fixture

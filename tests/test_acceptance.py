@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from conftest import origin_inside_polyhedron, separated_polyhedron
+from conftest import (
+    dual_quantities,
+    maximin_pair,
+    origin_inside_polyhedron,
+    separated_polyhedron,
+)
 from ppocp.certify import cross_check, reference_projection
 from ppocp.core import (
     DEFAULT_TOLERANCES,
@@ -29,7 +34,7 @@ from ppocp.lcp import LcpStatus, LcpVariant, build_lcp, extract_projection, lemk
 from ppocp.maximin import solve_maximin
 from ppocp.nnls import NnlsProblem, nnls_solve, project_via_nnls
 from ppocp.simplex_qp import solve_wolfe
-from ppocp.support_qp import DualStatus, solve_dual
+from ppocp.support_qp import DualStatus, dual_objective, solve_dual
 
 CFG = DEFAULT_TOLERANCES
 
@@ -56,7 +61,6 @@ class SweepRecord:
     P: Polyhedron
     results: dict = field(default_factory=dict)  # route name -> ProjectionResult
     dual_outcome: object = None
-    maximin_solution: object = None
     lemke_runs: list = field(default_factory=list)  # (instance, outcome)
     errors: dict = field(default_factory=dict)
 
@@ -64,16 +68,13 @@ class SweepRecord:
 def _run_all_routes(P):
     rec = SweepRecord(P=P)
 
-    wolfe = solve_wolfe(P, CFG)
-    rec.results["wolfe"] = projection_result(P, wolfe.alpha, Route.WOLFE, wolfe.iterations, CFG)
+    rec.results["wolfe"] = solve_wolfe(P, CFG)
 
     dual = solve_dual(P, CFG)
     rec.dual_outcome = dual
     rec.results["dual"] = projection_result(P, dual.alpha, Route.DUAL, dual.iterations, CFG)
 
-    mm = solve_maximin(P, CFG)
-    rec.maximin_solution = mm
-    rec.results["maximin"] = projection_result(P, mm.alpha, Route.MAXIMIN, mm.iterations, CFG)
+    rec.results["maximin"] = solve_maximin(P, CFG)
 
     for variant, name in (
         (LcpVariant.PRIMAL_SPLIT, "lcp-primal"),
@@ -113,8 +114,7 @@ def membership_sweep():
     for i in range(100):
         P = origin_inside_polyhedron(30_000 + i)
         inside_reports.append(cross_check(P, CFG))
-        sol = solve_wolfe(P, CFG)
-        extra_results.append((P, sol.rho))
+        extra_results.append((P, solve_wolfe(P, CFG).rho))
         extra_results.append((P, solve_maximin(P, CFG).rho))
     for i in range(100):
         P = separated_polyhedron(40_000 + i)
@@ -141,9 +141,9 @@ def test_criterion_1_worked_fixtures():
         assert CCt.shape == (3, 3)
         assert abs(np.linalg.det(CCt)) <= 1e-12
 
-        from ppocp.lcp import canonicalize_primal
-
-        H = canonicalize_primal(Polyhedron(np.array([[1.0, 1.0]]))).H
+        # The split form's quadratic part, the top block of primal-split's M.
+        split = build_lcp(Polyhedron(np.array([[1.0, 1.0]])), LcpVariant.PRIMAL_SPLIT)
+        H = split.M[:4, :4] / 2.0
         expected = np.array(
             [
                 [1.0, 0.0, -1.0, 0.0],
@@ -239,11 +239,16 @@ def test_criterion_5_duality_identities(route_sweep):
             if rec.dual_outcome.status is not DualStatus.SOLVED:
                 continue
             solved += 1
-            y_bar = rec.dual_outcome.y_bar
-            norm_sq = float(y_bar @ y_bar)
-            assert abs(rec.dual_outcome.f_star + norm_sq) <= 1e-7 * (1.0 + norm_sq)
+            # Each route's values are read off its own answer and compared
+            # with the wolfe route's distance d: f* = -||y_bar||^2 = -1/d^2
+            # and t = d.
             distance = rec.results["wolfe"].distance
-            assert abs(rec.maximin_solution.t_value - distance) <= 1e-5
+            u_star, _ = dual_quantities(rec.dual_outcome)
+            f_star = dual_objective(constraint_matrix(rec.P), u_star)
+            norm_sq = 1.0 / distance**2
+            assert abs(f_star + norm_sq) <= 1e-7 * (1.0 + norm_sq)
+            _, t = maximin_pair(rec.P, rec.results["maximin"])
+            assert abs(t - distance) <= 1e-5
         assert solved > 50  # the uniform sweep contains plenty of both kinds
 
 
@@ -285,15 +290,15 @@ def test_criterion_7_derived_chain_fixture():
         assert np.max(np.abs(wolfe.rho - [1.0, 1.0])) <= tol
         assert np.max(np.abs(wolfe.alpha - [0.5, 0.5, 0.0])) <= tol
 
-        dual = solve_dual(P, CFG)
-        assert np.max(np.abs(dual.u_star - [0.5, 0.5, 0.0])) <= tol
-        assert np.max(np.abs(dual.y_bar - [0.5, 0.5])) <= tol
-        assert abs(dual.f_star - (-0.5)) <= tol
+        u_star, y_bar = dual_quantities(solve_dual(P, CFG))
+        assert np.max(np.abs(u_star - [0.5, 0.5, 0.0])) <= tol
+        assert np.max(np.abs(y_bar - [0.5, 0.5])) <= tol
+        assert abs(dual_objective(constraint_matrix(P), u_star) - (-0.5)) <= tol
 
-        mm = solve_maximin(P, CFG)
+        c_hat, t = maximin_pair(P, solve_maximin(P, CFG))
         root_half = 1.0 / np.sqrt(2.0)
-        assert np.max(np.abs(mm.c_hat - [root_half, root_half])) <= tol
-        assert abs(mm.t_value - np.sqrt(2.0)) <= tol
+        assert np.max(np.abs(c_hat - [root_half, root_half])) <= tol
+        assert abs(t - np.sqrt(2.0)) <= tol
 
         L = build_lcp(P, LcpVariant.DUAL_ORTHANT)
         out = lemke_solve(L, CFG)

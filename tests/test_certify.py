@@ -261,6 +261,15 @@ class TestCrossCheck:
         assert report.verdict == "agree"
         assert all(report.votes.values())
 
+    def test_segment_off_origin_by_rounding_agrees(self):
+        # The segment passes 2.5e-10 from the origin; the dual's add step
+        # divided by a curvature <z, z_p> of exactly 0 here.
+        report = cross_check(Polyhedron(np.array([[-1e-9, 3.0], [0.0, -1.0]])))
+        assert len(report.entries) == 8
+        assert all(e.status == "ok" for e in report.entries.values())
+        assert report.verdict == "agree"
+        assert all(report.votes.values())
+
     def test_hull_within_zero_tol_agrees(self):
         report = cross_check(Polyhedron(np.array([[1.0, 1e-9], [-1.0, 1e-9]])))
         assert report.entries["nnls"].status == "ok"
@@ -487,7 +496,8 @@ class TestOneKernel:
 
         def far_weights(P, cfg):
             answer = real(P, cfg)
-            return dataclasses.replace(answer, alpha=far_vertex_kernel(P.vertices, 1)[0])
+            far = far_vertex_kernel(P.vertices, 1)[0]
+            return projection_result(P, far, Route.WOLFE, answer.iterations, cfg)
 
         def spy(P, weights, iterations, cfg):
             handed.append((weights, iterations))
@@ -502,6 +512,20 @@ class TestOneKernel:
         assert weights.tolist() == [0.0, 0.0, 1.0]
         assert iterations == real(unit_scale(P)[0]).iterations
 
+    def test_wolfe_weights_off_the_simplex_fail_both_routes(self, monkeypatch):
+        # solve_wolfe raises on weights off the simplex before it can hand
+        # them over; maximin's own kernel run then meets the same weights.
+        # Off by 4e-9, above feas_tol, they still meet both gap contracts.
+        def off_simplex(Z, max_cycles):
+            return np.array([1.0 + 4e-9]), 1
+
+        for module in (simplex_qp, maximin):
+            monkeypatch.setattr(module, "refine_simplex_minimizer", off_simplex)
+        report = cross_check(Polyhedron(np.array(SINGLE_POINT)))
+        for name in ("wolfe", "maximin"):
+            assert report.entries[name].status == "error"
+            assert f"{name} weights are off the simplex" in report.entries[name].error
+
     def test_maximin_checks_the_weights_it_is_handed(self, monkeypatch):
         # wolfe hands over the far vertex's weights: its own answer is their
         # point and fails the VI check, and maximin's distance identity
@@ -511,7 +535,7 @@ class TestOneKernel:
         def far_weights(P, cfg):
             answer = real(P, cfg)
             far = far_vertex_kernel(P.vertices, cfg.max_iter)[0]
-            return dataclasses.replace(answer, alpha=far)
+            return projection_result(P, far, Route.WOLFE, answer.iterations, cfg)
 
         monkeypatch.setattr(certify, "solve_wolfe", far_weights)
         P = Polyhedron(np.array(TRIANGLE))

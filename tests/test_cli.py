@@ -10,6 +10,7 @@ import pytest
 from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE, far_vertex_kernel
 from ppocp import certify, cli
 from ppocp.core import DEFAULT_TOLERANCES, Polyhedron, Route, projection_result
+from ppocp.support_qp import DualOutcome
 
 # Square and nonsingular, so every route applies, nnls included.
 SQUARE = [[3.0, 1.0], [1.0, 2.0]]
@@ -88,11 +89,15 @@ class TestProjectionRuns:
     def test_answer_failing_vi_check_is_rejected(
         self, tmp_path, capsys, monkeypatch, solvers, route
     ):
-        # Weights on the far vertex [2, 2] give vi_min = -4: no route may report them.
+        # Weights on the far vertex [2, 2] give vi_min = -4: no route may report
+        # them.  The dual's record holds weights, the others their answer.
         def far_weights(real):
-            def solver(*args):
-                answer = real(*args)
-                return dataclasses.replace(answer, alpha=np.array([0.0, 0.0, 1.0]))
+            def solver(P, *args):
+                answer = real(P, *args)
+                far = np.array([0.0, 0.0, 1.0])
+                if isinstance(answer, DualOutcome):
+                    return dataclasses.replace(answer, alpha=far)
+                return projection_result(P, far, answer.route, answer.iterations, args[-1])
 
             return solver
 
@@ -316,22 +321,18 @@ class TestExitCodes:
         assert err == "error: consistency conflict: certificate fails hull-witness\n"
         assert json.loads(out)["certificate"]["passed"] is False
 
-    def test_nearly_dependent_dual_answer_is_refused(self, tmp_path, capsys):
+    def test_nearly_dependent_dual_answer_matches_wolfe(self, tmp_path, capsys):
         # The third vertex lies 3.6e-13 (relative) off the line through the
-        # other two.  solve_dual ends on the weights (0, 0, 1), whose point is
-        # the third vertex, not the projection: a known solve_dual fault, and
-        # the VI check refuses the answer.
+        # other two.  solve_dual's add step once took its curvature as
+        # <z, z_p>, whose sign rounding decides here, and ended on the third
+        # vertex's weights (0, 0, 1), which the VI check refused.
         dual = certify.cross_check(Polyhedron(np.array(NEARLY_COLLINEAR))).entries["dual"]
-        assert dual.status == "error"
-        assert "optimality residual" in dual.error
+        assert dual.status == "ok"
         path = write_instance(tmp_path, NEARLY_COLLINEAR)
-        code, out, err = run_cli(capsys, "--input", path, "--method", "dual")
-        assert code == 4
-        assert out == ""
-        assert "consistency conflict: dual answer fails the optimality residual" in err
-        code, out, _ = run_cli(capsys, "--input", path, "--method", "wolfe")
-        assert code == 0
-        assert json.loads(out)["distance"] == pytest.approx(2.1462658991, rel=1e-9)
+        for method in ("dual", "wolfe"):
+            code, out, _ = run_cli(capsys, "--input", path, "--method", method)
+            assert code == 0
+            assert json.loads(out)["distance"] == pytest.approx(2.1462658991, rel=1e-9)
 
     def test_failing_consensus_certificate_exit(self, tmp_path, capsys, monkeypatch):
         real = cli.check_optimality
@@ -446,8 +447,8 @@ class TestMaximinCertificate:
     def test_hull_witness_catches_non_optimal_direction(self, tmp_path, capsys, monkeypatch):
         # Any point rho = c t(c) with unit c passes the VI check, since
         # min_i <z_i - rho, rho> = t^2 - t^2 = 0; the kernel's weights do not
-        # combine to it unless c is the optimal direction.  The route answers
-        # its weights' point, so a patched direction never reaches the answer.
+        # combine to it unless c is the optimal direction, so the certificate's
+        # hull witness refuses it.
         rng = np.random.default_rng(5)
         z = rng.uniform(-5.0, 5.0, size=(12, 4))
         d = rng.normal(size=4)
@@ -457,11 +458,11 @@ class TestMaximinCertificate:
 
         def off_direction(P, cfg):
             sol = real(P, cfg)
-            c = sol.c_hat + 0.05 * np.array([1.0, -1.0, 0.5, 0.0])
+            c = sol.rho / sol.distance + 0.05 * np.array([1.0, -1.0, 0.5, 0.0])
             c /= np.linalg.norm(c)
             t = float(np.min(P.vertices @ c))
             assert t > 0.0
-            return dataclasses.replace(sol, c_hat=c, t_value=t, rho=c * t)
+            return dataclasses.replace(sol, rho=c * t)
 
         P = Polyhedron(z)
         off = off_direction(P, DEFAULT_TOLERANCES)
@@ -470,11 +471,12 @@ class TestMaximinCertificate:
         assert not checks["hull-witness"].passed
         monkeypatch.setattr(certify, "solve_maximin", off_direction)
         path = write_instance(tmp_path, z.tolist())
-        code, out, _ = run_cli(capsys, "--input", path, "--method", "maximin")
-        assert code == 0
+        code, out, err = run_cli(capsys, "--input", path, "--method", "maximin")
+        assert code == 4
+        assert err == "error: consistency conflict: certificate fails hull-witness\n"
         doc = json.loads(out)
-        assert doc["certificate"]["passed"] is True
-        assert np.allclose(doc["rho"], real(P).rho, rtol=0.0, atol=1e-12)
+        assert doc["certificate"]["passed"] is False
+        assert np.allclose(doc["rho"], off.rho, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2e-8, 5e-9])
     def test_sliver_answer_passes_hull_witness(self, tmp_path, capsys, d):

@@ -1,12 +1,15 @@
-"""Consensus on four degenerate hull families, 50 seeded hulls each.
+"""Consensus on five degenerate hull families, 50 seeded hulls each.
 
-Every hull has 3 to 39 vertices in 2 to 9 dimensions, and ``cross_check``
-must agree on each one: the routes' answers within the consensus bound and
-their origin-membership votes unanimous.
+Four families have 3 to 39 vertices in 2 to 9 dimensions; the fifth is
+``scripts/consensus_sweep.py``'s near-dependent square hulls.
+``cross_check`` must agree on each hull: the routes' answers within the
+consensus bound and their origin-membership votes unanimous.
 """
 
 import functools
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,12 @@ from ppocp.certify import cross_check
 from ppocp.core import Polyhedron
 
 COUNT = 50
+
+_spec = importlib.util.spec_from_file_location(
+    "consensus_sweep", Path(__file__).resolve().parents[1] / "scripts" / "consensus_sweep.py"
+)
+consensus_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(consensus_sweep)
 
 
 def _sizes(rng, min_n=2):
@@ -70,19 +79,35 @@ def facet_hull(rng, index):
     return rng.permutation(np.vstack([facet, rest]))
 
 
+def near_dependent_hulls(seed):
+    """Square hulls whose last vertex nearly depends on the others."""
+    for P in consensus_sweep.near_dependent_instances(seed, COUNT, 5.0):
+        yield P.vertices
+
+
+def _one_stream(make):
+    """The family of ``make(rng, index)``, drawn from one seeded stream."""
+
+    def hulls(seed):
+        rng = np.random.default_rng(seed)
+        for index in range(COUNT):
+            yield make(rng, index)
+
+    return hulls
+
+
 FAMILIES = {
-    "plane": (plane_hull, 11),
-    "duplicated": (duplicated_hull, 12),
-    "sphere": (sphere_hull, 13),
-    "facet": (facet_hull, 14),
+    "plane": (_one_stream(plane_hull), 11),
+    "duplicated": (_one_stream(duplicated_hull), 12),
+    "sphere": (_one_stream(sphere_hull), 13),
+    "facet": (_one_stream(facet_hull), 14),
+    "near-dependent": (near_dependent_hulls, 2026),
 }
 
 
 def _family(name):
-    make, seed = FAMILIES[name]
-    rng = np.random.default_rng(seed)
-    for index in range(COUNT):
-        yield index, make(rng, index)
+    hulls, seed = FAMILIES[name]
+    return enumerate(hulls(seed))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from conftest import (
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
+    dual_quantities,
     origin_inside_polyhedron,
     random_polyhedron,
     separated_polyhedron,
@@ -23,12 +24,10 @@ from ppocp.lcp import (
     _pivot,
     _refactor,
     _swap_members,
-    CanonicalQP,
     LCPInstance,
     LcpStatus,
     LcpVariant,
     build_lcp,
-    canonicalize_primal,
     extract_projection,
     lemke_solve,
     vertex_weights,
@@ -83,37 +82,46 @@ def _separated(seed, m, n):
     return Polyhedron(z + (0.5 - float(np.min(z @ d))) * d)
 
 
+def _primal_split_blocks(P):
+    """The quadratic form ``H`` and constraint rows ``A`` of primal-split's ``M``."""
+    L = build_lcp(P, LcpVariant.PRIMAL_SPLIT)
+    two_n = 2 * P.n
+    return L.M[:two_n, :two_n] / 2.0, L.M[two_n:, :two_n], L.q[two_n:]
+
+
 class TestCanonicalizePrimal:
+    """The split form ``y = s - s'`` that primal-split's ``M`` is built on."""
+
     def test_block_matrix_for_plane(self):
-        qp = canonicalize_primal(Polyhedron(np.array(TRIANGLE)))
+        H, _, _ = _primal_split_blocks(Polyhedron(np.array(TRIANGLE)))
         expected_H = [
             [1.0, 0.0, -1.0, 0.0],
             [0.0, 1.0, 0.0, -1.0],
             [-1.0, 0.0, 1.0, 0.0],
             [0.0, -1.0, 0.0, 1.0],
         ]
-        assert_array_equal(qp.H, expected_H)
+        assert_array_equal(H, expected_H)
 
     def test_triangle_constraints(self):
-        qp = canonicalize_primal(Polyhedron(np.array(TRIANGLE)))
+        _, A, q = _primal_split_blocks(Polyhedron(np.array(TRIANGLE)))
         assert_array_equal(
-            qp.A,
+            A,
             [[2.0, 0.0, -2.0, 0.0], [0.0, 2.0, 0.0, -2.0], [2.0, 2.0, -2.0, -2.0]],
         )
-        assert_array_equal(qp.b, [1.0, 1.0, 1.0])
+        assert_array_equal(q, [-1.0, -1.0, -1.0])
 
     def test_equal_split_annihilates_the_form(self):
-        qp = canonicalize_primal(Polyhedron(np.array(TRIANGLE)))
+        H, _, _ = _primal_split_blocks(Polyhedron(np.array(TRIANGLE)))
         x = np.ones(4)
-        assert float(x @ qp.H @ x) == 0.0
+        assert float(x @ H @ x) == 0.0
 
     def test_form_equals_split_difference(self):
         rng = np.random.default_rng(1)
         P = random_polyhedron(9)
-        qp = canonicalize_primal(P)
+        H, _, _ = _primal_split_blocks(P)
         for _ in range(20):
             x = rng.normal(size=2 * P.n)
-            value = float(x @ qp.H @ x)
+            value = float(x @ H @ x)
             diff = x[: P.n] - x[P.n :]
             assert value == pytest.approx(float(diff @ diff), rel=1e-12, abs=1e-12)
 
@@ -673,7 +681,7 @@ class TestLemkeSolve:
             P = separated_polyhedron(seed)
             S = constraint_matrix(P)
             lemke_u = lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT)).v
-            dual_u = solve_dual(P).u_star
+            dual_u, _ = dual_quantities(solve_dual(P))
             f_lemke = dual_objective(S, np.maximum(lemke_u, 0.0))
             f_dual = dual_objective(S, dual_u)
             assert abs(f_lemke - f_dual) <= 1e-7 * (1.0 + abs(f_dual))

@@ -8,6 +8,7 @@ from conftest import (
     SINGLE_POINT,
     TRIANGLE,
     far_vertex_kernel,
+    maximin_pair,
     origin_inside_polyhedron,
     random_polyhedron,
     separated_polyhedron,
@@ -21,53 +22,58 @@ from ppocp.simplex_qp import solve_wolfe
 
 class TestSolveMaximin:
     def test_triangle(self):
-        sol = solve_maximin(Polyhedron(np.array(TRIANGLE)))
-        assert_allclose(sol.c_hat, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-9)
-        assert sol.t_value == pytest.approx(np.sqrt(2.0), abs=1e-10)
+        P = Polyhedron(np.array(TRIANGLE))
+        sol = solve_maximin(P)
+        c, t = maximin_pair(P, sol)
+        assert_allclose(c, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-9)
+        assert t == pytest.approx(np.sqrt(2.0), abs=1e-10)
         assert_allclose(sol.rho, [1.0, 1.0], atol=1e-9)
         assert np.all(vi_residuals(Polyhedron(np.array(TRIANGLE)), sol.rho) >= -1e-9)
         assert not sol.origin_inside
 
     def test_segment_through_origin(self):
-        sol = solve_maximin(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
-        assert sol.t_value == 0.0
+        P = Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN))
+        sol = solve_maximin(P)
+        assert maximin_pair(P, sol)[1] == 0.0
         assert_allclose(sol.rho, [0.0, 0.0])
         assert sol.origin_inside
 
     def test_single_point(self):
-        sol = solve_maximin(Polyhedron(np.array(SINGLE_POINT)))
-        assert_allclose(sol.c_hat, [0.6, 0.8], atol=1e-10)
-        assert sol.t_value == pytest.approx(5.0, abs=1e-10)
+        P = Polyhedron(np.array(SINGLE_POINT))
+        sol = solve_maximin(P)
+        c, t = maximin_pair(P, sol)
+        assert_allclose(c, [0.6, 0.8], atol=1e-10)
+        assert t == pytest.approx(5.0, abs=1e-10)
         assert_allclose(sol.rho, [3.0, 4.0], atol=1e-9)
 
     def test_optimizer_on_sphere_when_separated(self):
         for seed in range(12):
-            sol = solve_maximin(separated_polyhedron(seed))
-            assert sol.t_value > 1e-8
-            assert abs(np.linalg.norm(sol.c_hat) - 1.0) <= 1e-9
+            P = separated_polyhedron(seed)
+            c, t = maximin_pair(P, solve_maximin(P))
+            assert t > 1e-8
+            assert abs(np.linalg.norm(c) - 1.0) <= 1e-9
 
     def test_ray_invariance_of_returned_direction(self):
         for seed in range(6):
             P = separated_polyhedron(seed)
-            sol = solve_maximin(P)
+            c, t = maximin_pair(P, solve_maximin(P))
             for lam in (1.0, 0.5, 0.125, 0.01):
-                scaled, _ = support_value(P, lam * sol.c_hat)
-                assert abs(scaled - lam * sol.t_value) <= 1e-10 * max(
-                    1.0, abs(sol.t_value)
-                )
+                scaled, _ = support_value(P, lam * c)
+                assert abs(scaled - lam * t) <= 1e-10 * max(1.0, abs(t))
 
     def test_distance_identity_against_simplex_route(self):
         for seed in range(12):
             P = separated_polyhedron(seed)
-            sol = solve_maximin(P)
+            c, t = maximin_pair(P, solve_maximin(P))
             rho_w = solve_wolfe(P).rho
-            assert abs(sol.t_value - np.linalg.norm(rho_w)) <= 1e-5
-            assert np.linalg.norm(sol.c_hat * sol.t_value - rho_w) <= 1e-5
+            assert abs(t - np.linalg.norm(rho_w)) <= 1e-5
+            assert np.linalg.norm(c * t - rho_w) <= 1e-5
 
     def test_origin_inside_cohort(self):
         for seed in range(10):
-            sol = solve_maximin(origin_inside_polyhedron(seed))
-            assert sol.t_value <= 1e-8
+            P = origin_inside_polyhedron(seed)
+            sol = solve_maximin(P)
+            assert maximin_pair(P, sol)[1] <= 1e-8
             assert sol.origin_inside
             assert_allclose(sol.rho, np.zeros(len(sol.rho)), atol=1e-8)
 
@@ -76,7 +82,7 @@ class TestSolveMaximin:
             P = Polyhedron(np.zeros((3, 2)))
         sol = solve_maximin(P)
         assert sol.origin_inside
-        assert sol.t_value == 0.0
+        assert maximin_pair(P, sol)[1] == 0.0
 
 
 class TestSupportConcavity:
@@ -102,10 +108,11 @@ class TestSharedKernel:
                 own = solve_maximin(P)
                 assert np.array_equal(own.alpha, wolfe.alpha)
                 given = maximin_from_weights(P, wolfe.alpha, wolfe.iterations)
-                for field in ("c_hat", "rho", "alpha"):
+                for field in ("rho", "alpha"):
                     assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
-                assert (given.t_value, given.iterations, given.origin_inside) == (
-                    own.t_value,
+                assert (given.distance, given.vi_min, given.iterations, given.origin_inside) == (
+                    own.distance,
+                    own.vi_min,
                     own.iterations,
                     own.origin_inside,
                 )
@@ -116,11 +123,12 @@ class TestSharedKernel:
         eps = np.finfo(float).eps
         for seed in range(12):
             for P in (separated_polyhedron(seed), origin_inside_polyhedron(seed)):
-                wolfe = solve_wolfe(P)
+                gap = -solve_wolfe(P).vi_min
                 mm = solve_maximin(P)
                 w_norm = float(np.linalg.norm(mm.alpha @ P.vertices))
+                _, t = maximin_pair(P, mm)
                 scale = float((P.vertices**2).sum(axis=1).max())
-                assert abs(w_norm * (w_norm - mm.t_value) - wolfe.gap) <= 64 * eps * scale
+                assert abs(w_norm * (w_norm - t) - gap) <= 64 * eps * scale
 
     def test_distance_identity_miss_raises(self, monkeypatch):
         # A kernel answer at the far vertex [2, 2] gives t = sqrt(2) < ||w||.

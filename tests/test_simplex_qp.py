@@ -38,13 +38,13 @@ class TestSolveWolfe:
 
         sol = solve_wolfe(Polyhedron(np.array(TRIANGLE)))
         assert_allclose(sol.rho, [1.0, 1.0], atol=1e-9)
-        assert sol.phi == pytest.approx(2.0, rel=1e-12)
+        assert sol.distance**2 == pytest.approx(2.0, rel=1e-12)  # phi = <a, B a>
         assert_allclose(sol.alpha, [0.5, 0.5, 0.0], atol=1e-9)
         assert not sol.origin_inside
 
     def test_segment_contains_origin(self):
         sol = solve_wolfe(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
-        assert sol.phi <= 1e-12
+        assert sol.distance**2 <= 1e-12
         assert sol.origin_inside
         assert_allclose(sol.rho, [0.0, 0.0], atol=1e-8)
 
@@ -57,7 +57,7 @@ class TestSolveWolfe:
         for seed in range(20):
             P = random_polyhedron(seed)
             sol = solve_wolfe(P)
-            assert sol.gap <= 1e-8
+            assert -sol.vi_min <= 1e-8  # gap = <a, B a> - min_i (B a)_i
             assert abs(sol.alpha.sum() - 1.0) <= 1e-12
             assert sol.alpha.min() >= 0.0
 
@@ -85,7 +85,7 @@ class TestSolveWolfe:
             P = origin_inside_polyhedron(seed)
             sol = solve_wolfe(P)
             assert sol.origin_inside
-            assert sol.phi <= 1e-8
+            assert sol.distance**2 <= 1e-8
 
     def test_max_iter_carries_best_iterate(self):
         P = Polyhedron(np.array(TRIANGLE))
