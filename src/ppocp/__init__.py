@@ -24,12 +24,10 @@ from .certify import (
 )
 from .core import (
     DEFAULT_TOLERANCES,
-    ConstraintSystem,
     Polyhedron,
     ProjectionResult,
     Route,
     ToleranceConfig,
-    constraint_matrix,
     gram_matrix,
     support_value,
     translate,
@@ -45,7 +43,7 @@ from .lcp import (
     lemke_solve,
 )
 from .maximin import solve_maximin
-from .nnls import NnlsProblem, ReductionData, construct_b, nnls_solve, project_via_nnls
+from .nnls import construct_b, nnls_solve, project_via_nnls
 from .simplex_qp import solve_wolfe
 from .support_qp import (
     DualOutcome,

@@ -83,7 +83,6 @@ class CheckRecord:
 class Certificate:
     """Outcome of the optimality checks for one candidate projection."""
 
-    rho: np.ndarray
     vi_min: float
     alpha_witness: np.ndarray | None
     zero_inside: bool
@@ -186,9 +185,8 @@ def check_optimality(
     Failures are recorded in the certificate, never raised: callers decide
     what a failed check means in context.
     """
-    rho = np.asarray(rho, dtype=float)
     U, s = unit_scale(P)
-    r = rho / s
+    r = np.asarray(rho, dtype=float) / s
     checks = []
 
     vi_min = float(vi_residuals(U, r).min())
@@ -213,7 +211,6 @@ def check_optimality(
         checks.append(CheckRecord("hull-witness", ok, max(simplex_dev, combo_dev) * s))
 
     return Certificate(
-        rho=rho,
         vi_min=vi_min * s * s,
         alpha_witness=witness,
         zero_inside=float(np.linalg.norm(r)) <= cfg.zero_tol,

@@ -12,7 +12,7 @@ internal consistency conflict, including a printed certificate with a
 failed check.
 
 A ``gen`` subcommand emits random test instances; the environment variable
-``PPOCP_SEED`` fixes its seed (default 0).
+``PPOCP_SEED`` fixes its seed, a nonnegative integer (default 0).
 """
 
 from __future__ import annotations
@@ -217,8 +217,11 @@ def _run_gen(argv) -> int:
     if ns.m < 1 or ns.n < 1 or not 0 < ns.box <= np.finfo(float).max / 2:
         print("error: need m >= 1, n >= 1, box > 0 and 2 box finite", file=sys.stderr)
         return 2
-    seed = int(os.environ.get("PPOCP_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    try:  # a seed that is not a nonnegative integer is a usage error
+        rng = np.random.default_rng(int(os.environ.get("PPOCP_SEED", "0")))
+    except ValueError as err:
+        print(f"error: PPOCP_SEED: {err}", file=sys.stderr)
+        return 2
     try:
         vertices = rng.uniform(-ns.box, ns.box, size=(ns.m, ns.n))
     except (MemoryError, ValueError) as err:  # numpy refuses before touching memory

@@ -3,13 +3,13 @@
 A problem instance is a polytope given as the convex hull of finitely many
 vertices ``z_1..z_m`` in R^n; the task everywhere in this package is the
 Euclidean projection of the origin onto that hull.  This module owns the
-vertex matrix and its derived objects (constraint rows ``-z_i``, Gram matrix
-of vertex inner products), the variational-inequality residuals used to
-certify every route's answer, the one rule by which every answer votes on
-origin membership (``projection_result``), and Wolfe's minimum-norm-point
-kernel (``refine_simplex_minimizer``), which the wolfe and maximin routes
-share and which works on the vertex rows in R^n without forming the Gram
-matrix.
+vertex matrix ``Z``, the one statement of the instance that every route
+reads, and the Gram matrix of vertex inner products, the
+variational-inequality residuals used to certify every route's answer, the
+one rule by which every answer votes on origin membership
+(``projection_result``), and Wolfe's minimum-norm-point kernel
+(``refine_simplex_minimizer``), which the wolfe and maximin routes share and
+which works on the vertex rows in R^n without forming the Gram matrix.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "Route",
     "Polyhedron",
-    "ConstraintSystem",
     "ProjectionResult",
-    "constraint_matrix",
     "gram_matrix",
     "support_value",
     "vi_residuals",
     "translate",
     "unit_scale",
+    "kernel_rows",
     "simplex_deviation",
     "projection_result",
 ]
@@ -47,7 +46,8 @@ class ToleranceConfig:
     feas_tol bounds constraint violations, opt_tol bounds optimality
     residuals, and zero_tol decides when the origin is declared inside the
     hull.  The entry points in ``certify`` and the CLI apply them to ``Z / s``
-    (``unit_scale``); solver functions called directly see ``Z`` as given.
+    (``unit_scale``); solver functions called directly apply them to ``Z``
+    as given.
     Every tolerance must be finite and positive: a NaN tolerance fails every
     comparison and an infinite one passes every check.  ``max_iter`` counts
     cycles, so it must also be an integer, and not a bool.
@@ -142,18 +142,6 @@ class Polyhedron:
 
 
 @dataclass(frozen=True)
-class ConstraintSystem:
-    """Rows ``-z_i`` and the all-ones right-hand side of the halfspace system."""
-
-    C: np.ndarray
-    e: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "C", _readonly(self.C))
-        object.__setattr__(self, "e", _readonly(self.e))
-
-
-@dataclass(frozen=True)
 class ProjectionResult:
     """A route's answer: the convex vertex weights ``alpha``, the point
     ``rho = alpha @ Z`` they combine to, its norm and certificate data."""
@@ -178,11 +166,6 @@ def _vector(y, n: int, name: str = "y") -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise ValueError(f"{name} must be finite")
     return y
-
-
-def constraint_matrix(P: Polyhedron) -> ConstraintSystem:
-    """Halfspace data ``C`` (rows exactly ``-z_i``) and ones vector ``e``."""
-    return ConstraintSystem(C=-P.vertices, e=np.ones(P.m))
 
 
 def gram_matrix(P: Polyhedron) -> np.ndarray:
@@ -246,14 +229,40 @@ def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:
     """``(Polyhedron(Z / s), s)`` with ``s = 2^round(log2 max_i ||z_i||)``.
 
     ``s`` is exact to divide by, so ``2^k P`` gives the same unit instance
-    with ``s`` times ``2^k``.  Norms are taken on ``Z`` over the binary
-    exponent of its largest entry, safe from overflow and underflow.
+    with ``s`` times ``2^k``.
     """
-    z = P.vertices
+    k = _unit_exponent(P.vertices)
+    return _derived(np.ldexp(P.vertices, -k)), float(np.ldexp(1.0, k))
+
+
+def _unit_exponent(z: np.ndarray) -> int:
+    """``k = round(log2 max_i ||z_i||)``, from norms taken over the binary
+    exponent of the largest entry, so that none overflows or underflows."""
     e = int(np.frexp(np.abs(z).max())[1])  # 0 when every vertex is the origin
     norm = float(np.linalg.norm(np.ldexp(z, -e), axis=1).max())
-    k = min(e + round(float(np.log2(norm))), 1023) if norm > 0.0 else 0
-    return _derived(np.ldexp(z, -k)), float(np.ldexp(1.0, k))
+    return min(e + round(float(np.log2(norm))), 1023) if norm > 0.0 else 0
+
+
+def kernel_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(2^-k Z, its squared row norms, k)`` with ``k = round(log2 max_i ||z_i||)``.
+
+    The first-order kernels solve this rescaling of the rows they are given,
+    so neither their squared norms nor their iterates overflow or underflow
+    at any scale of ``Z``.  ``k`` comes from the squared norms of ``Z``
+    itself unless those are not finite or not normal; then it is
+    ``unit_scale``'s.  When ``k = 0``, as on ``unit_scale``'s instance,
+    ``Z`` is returned as given.
+    """
+    sq = np.einsum("ij,ij->i", Z, Z)
+    top = float(sq.max())
+    if np.isfinite(top) and top >= np.finfo(float).tiny:
+        k = round(0.5 * float(np.log2(top)))
+    else:
+        k = _unit_exponent(Z)
+    if k == 0:
+        return Z, sq, 0
+    Z = np.ldexp(Z, -k)
+    return Z, np.einsum("ij,ij->i", Z, Z), k
 
 
 def simplex_deviation(alpha: np.ndarray) -> float:
@@ -311,15 +320,15 @@ def refine_simplex_minimizer(Z: np.ndarray, max_cycles: int) -> tuple[np.ndarray
     cycle unless it blocks the step itself: a short step leaves it a weight
     too small to tell from rounding, but it still has to stay.  The corral
     stays affinely independent, so it never holds more than n + 1 vertices,
-    and ``||x||^2`` falls with every major cycle.  The stopping threshold
-    and the affine solve both scale with ``max_i ||z_i||^2``, so scaling
-    ``Z`` by a power of two leaves the weights unchanged to the bit.
-    Returns the weights over all m vertices and the number of minor cycles
-    taken; at most ``max_cycles`` major cycles run.
+    and ``||x||^2`` falls with every major cycle.  All of this runs on
+    ``kernel_rows(Z)``, the rows divided by ``2^round(log2 max_i ||z_i||)``,
+    so no norm overflows or underflows, and scaling ``Z`` by a power of two
+    leaves the weights unchanged to the bit.  Returns the weights over all
+    m vertices and the number of minor cycles taken; at most
+    ``max_cycles`` major cycles run.
     """
-    Z = np.asarray(Z, dtype=float)
+    Z, sq, _ = kernel_rows(np.asarray(Z, dtype=float))
     m = Z.shape[0]
-    sq = np.einsum("ij,ij->i", Z, Z)
     tol = 64.0 * np.finfo(float).eps * float(sq.max())
     corral = np.array([int(np.argmin(sq))])
     lam = np.ones(1)

@@ -70,7 +70,9 @@ def maximin_from_weights(
     MaxIterExceeded
         If ``t`` misses the distance identity ``t = ||w||``, that is when
         ``||w|| (||w|| - t)``, the wolfe route's gap ``||w||^2 - min_i <z_i, w>``
-        up to rounding, exceeds ``opt_tol``; carries the weights.
+        up to rounding, exceeds ``opt_tol``; carries the weights.  Like
+        wolfe's, the check is absolute on ``Z`` as given, and past
+        ``max_i ||z_i|| = 2^511`` its gap overflows.
     """
     result = projection_result(P, weights, Route.MAXIMIN, iterations, cfg)
     w, w_norm = result.rho, result.distance

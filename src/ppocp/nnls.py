@@ -1,6 +1,7 @@
 """Nonnegative least squares route.
 
-With design matrix ``A = C^T`` and a right-hand side satisfying
+With ``C = -Z``, the vertex rows negated (``D = {y : C y <= -e}`` in
+``support_qp``), design matrix ``A = C^T`` and a right-hand side satisfying
 ``A^T b = 2 e``, the problem ``min 1/4 ||A x - b||^2`` over ``x >= 0`` has
 the same minimizer as the dual QP of ``support_qp`` (the objectives differ
 by the constant ``||b||^2 / 4``).  Its solution ``x`` gives the projection's
@@ -23,60 +24,42 @@ factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
-    ConstraintSystem,
     Polyhedron,
     ProjectionResult,
     Route,
     ToleranceConfig,
-    constraint_matrix,
     projection_result,
 )
 from .errors import MaxIterExceeded
 
 __all__ = [
-    "NnlsProblem",
-    "ReductionData",
     "nnls_solve",
     "construct_b",
     "project_via_nnls",
 ]
 
 
-@dataclass(frozen=True)
-class NnlsProblem:
-    """Least-squares data; the objective is ``1/4 ||A x - b||^2`` over ``x >= 0``."""
+def nnls_solve(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, int]:
+    """Minimize ``1/4 ||A x - b||^2`` over the nonnegative orthant.
 
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError("need a matrix A and a right-hand side of matching rows")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("entries must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
-class ReductionData:
-    """Outcome of the right-hand-side construction for the dual reduction."""
-
-    applicable: bool
-    b: np.ndarray | None
-    residual: float
-
-
-def _lawson_hanson(A, b, cfg: ToleranceConfig):
-    r, s = A.shape
+    At the returned ``x`` the gradient ``1/2 A^T (A x - b)`` vanishes (to
+    ``opt_tol``) on the positive coordinates and is at least ``-opt_tol`` on
+    the zero ones.  Returns ``x`` and the number of inner least-squares
+    solves.  Raises ValueError unless ``A`` is a matrix and ``b`` a vector of
+    its row count, both finite, and MaxIterExceeded past ``cfg.max_iter``
+    inner solves.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != (A.shape[0],):
+        raise ValueError("need a matrix A and a right-hand side of matching rows")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("entries must be finite")
+    s = A.shape[1]
     x = np.zeros(s)
     passive = np.zeros(s, dtype=bool)
     w = A.T @ b
@@ -116,34 +99,17 @@ def _lawson_hanson(A, b, cfg: ToleranceConfig):
     return x, iterations
 
 
-def nnls_solve(N: NnlsProblem, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Minimize ``1/4 ||A x - b||^2`` over the nonnegative orthant.
-
-    At the returned point the gradient ``1/2 A^T (A x - b)`` vanishes (to
-    ``opt_tol``) on the positive coordinates and is at least ``-opt_tol`` on
-    the zero ones.
-    """
-    x, _ = _lawson_hanson(N.A, N.b, cfg)
-    return x
-
-
-def construct_b(
-    S: ConstraintSystem, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ReductionData:
-    """Build a right-hand side with ``C b = 2 e``, deciding whether one exists.
+def construct_b(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray | None:
+    """A right-hand side ``b`` with ``-Z b = 2 e``, or None when there is none.
 
     ``b`` is the minimum-norm least-squares solution (``numpy.linalg.lstsq``)
     on every shape, square or not; the reduction applies when its residual
-    is at most ``feas_tol * (1 + ||e||)``.
+    is at most ``feas_tol (1 + sqrt m)``, ``sqrt m`` being ``||e||``.
     """
-    C = S.C
-    e = S.e
-    b, *_ = np.linalg.lstsq(C, 2.0 * e, rcond=None)
-    residual = float(np.linalg.norm(C @ b - 2.0 * e))
-    applicable = residual <= cfg.feas_tol * (1.0 + float(np.linalg.norm(e)))
-    return ReductionData(
-        applicable=applicable, b=b if applicable else None, residual=residual
-    )
+    C = -P.vertices
+    b, *_ = np.linalg.lstsq(C, np.full(P.m, 2.0), rcond=None)
+    residual = float(np.linalg.norm(C @ b - 2.0))
+    return b if residual <= cfg.feas_tol * (1.0 + np.sqrt(P.m)) else None
 
 
 def project_via_nnls(
@@ -157,9 +123,8 @@ def project_via_nnls(
     unchecked; the nnls runner in ``certify`` applies the
     variational-inequality check.
     """
-    S = constraint_matrix(P)
-    reduction = construct_b(S, cfg)
-    if not reduction.applicable:
+    b = construct_b(P, cfg)
+    if b is None:
         return None
-    x, iterations = _lawson_hanson(S.C.T, reduction.b, cfg)
+    x, iterations = nnls_solve(-P.vertices.T, b, cfg)
     return projection_result(P, x / x.sum(), Route.NNLS, iterations, cfg)

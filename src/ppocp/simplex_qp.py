@@ -53,7 +53,10 @@ def solve_wolfe(
     Raises
     ------
     MaxIterExceeded
-        If the gap contract cannot be met; carries the best iterate.
+        If the gap contract cannot be met; carries the best iterate.  The
+        kernel solves a power-of-two rescaling of ``Z``, but the contract is
+        absolute on ``Z`` as given: far above unit scale rounding alone
+        breaks it, and past ``max_i ||z_i|| = 2^511`` the gap overflows.
     """
     alpha, iterations = refine_simplex_minimizer(P.vertices, cfg.max_iter)
     result = projection_result(P, alpha, Route.WOLFE, iterations, cfg)

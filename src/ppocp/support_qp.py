@@ -2,9 +2,11 @@
 
 The projection can be recovered from the set ``D = {y : <z_i, y> >= 1}``:
 its minimum-norm element ``y_bar`` satisfies ``rho = y_bar / ||y_bar||^2``.
-Minimizing ``||y||^2`` over ``D`` has the dual program
+With the halfspace rows ``C = -Z`` and ``e`` the all-ones vector, minimizing
+``||y||^2`` over ``D`` has the dual program
 
-    minimize  f(u) = 1/4 <u, C C^T u> - <e, u>   over  u >= 0,
+    minimize  f(u) = 1/4 <u, C C^T u> - <e, u> = 1/4 ||Z^T u||^2 - sum u
+    over  u >= 0,
 
 whose solution gives ``y_bar = -1/2 C^T u*`` in closed form and the optimal
 value ``f* = -||y_bar||^2``.  ``D`` is empty exactly when the hull contains
@@ -35,10 +37,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
-    ConstraintSystem,
     Polyhedron,
     ToleranceConfig,
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
+    kernel_rows,
 )
 from .errors import MaxIterExceeded, NegativeDualVariable
 
@@ -95,13 +97,11 @@ def _check_nonnegative(u, m: int, feas_tol: float) -> np.ndarray:
     return u
 
 
-def dual_objective(
-    S: ConstraintSystem, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> float:
-    """Evaluate ``f(u) = 1/4 <u, C C^T u> - <e, u>`` on the orthant."""
-    u = _check_nonnegative(u, S.C.shape[0], cfg.feas_tol)
-    g = S.C.T @ u
-    return 0.25 * float(g @ g) - float(S.e @ u)
+def dual_objective(P: Polyhedron, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    """Evaluate ``f(u) = 1/4 ||Z^T u||^2 - sum u`` on the orthant."""
+    u = _check_nonnegative(u, P.m, cfg.feas_tol)
+    g = P.vertices.T @ u
+    return 0.25 * float(g @ g) - float(u.sum())
 
 
 def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DualOutcome:
@@ -122,18 +122,22 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
     normalised as ``alpha``.  After each add, ``y`` and ``lam`` are solved
     afresh from the factors.
 
-    Both tolerances are relative to ``max_i ||z_i||``, so scaling the
-    vertices leaves the status and the step path unchanged and scales
-    ``rho`` alike.
+    The steps run on ``kernel_rows(Z) = 2^-k Z``, whose largest row norm
+    is about 1, so ``y`` stays finite at any scale of the vertices; ``rho``
+    is the weights' point of ``Z`` as given.  Both tolerances are relative
+    to ``max_i ||z_i||``, so scaling the vertices by a power of two leaves
+    the status, the step path and the weights unchanged and scales ``rho``
+    alike.
 
     Raises MaxIterExceeded when the answer needs more than ``cfg.max_iter``
     steps (adds and drops together), with the dual vector ``u = 2 lam`` of
-    the last step as ``best``, the entering row's multiplier included, and
-    the largest violation ``-min s`` as ``residual``.
+    the last step, in the units of ``Z``, as ``best``, the entering row's
+    multiplier included, and the largest violation ``-min s`` as
+    ``residual``.
     """
-    Z = P.vertices
+    Z, sq, k = kernel_rows(P.vertices)
     m = P.m
-    zmax = float(np.sqrt(np.einsum("ij,ij->i", Z, Z).max()))
+    zmax = float(np.sqrt(sq.max()))
     enter_tol = ENTER_TOL * zmax
     dependent_tol = DEPENDENT_TOL * zmax
 
@@ -149,13 +153,13 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
         return out
 
     def outcome(status, alpha):
-        return DualOutcome(status=status, rho=alpha @ Z, iterations=steps, alpha=alpha)
+        return DualOutcome(status=status, rho=alpha @ P.vertices, iterations=steps, alpha=alpha)
 
     def give_up(message, violation, entering, lam_entering):
         best = weights(2.0 * lam, active)
         best[entering] += 2.0 * lam_entering
         return MaxIterExceeded(
-            message, best=best, residual=violation, iterations=steps
+            message, best=np.ldexp(best, -2 * k), residual=violation, iterations=steps
         )
 
     while True:

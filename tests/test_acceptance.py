@@ -23,7 +23,6 @@ from ppocp.certify import cross_check, reference_projection
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
-    constraint_matrix,
     gram_matrix,
     projection_result,
     vi_residuals,
@@ -32,7 +31,7 @@ from ppocp.core import (
 from ppocp.errors import PpocpError
 from ppocp.lcp import LcpStatus, LcpVariant, build_lcp, extract_projection, lemke_solve
 from ppocp.maximin import solve_maximin
-from ppocp.nnls import NnlsProblem, nnls_solve, project_via_nnls
+from ppocp.nnls import nnls_solve, project_via_nnls
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import DualStatus, dual_objective, solve_dual
 
@@ -136,8 +135,8 @@ def test_criterion_1_worked_fixtures():
         assert np.array_equal(B2, [[1.0, -1.0], [-1.0, 1.0]])
         assert abs(np.linalg.det(B2)) <= 1e-12
 
-        S3 = constraint_matrix(Polyhedron(np.array([[-1.0], [1.0], [5.0]])))
-        CCt = S3.C @ S3.C.T
+        C3 = -Polyhedron(np.array([[-1.0], [1.0], [5.0]])).vertices
+        CCt = C3 @ C3.T
         assert CCt.shape == (3, 3)
         assert abs(np.linalg.det(CCt)) <= 1e-12
 
@@ -162,7 +161,7 @@ def test_criterion_1_worked_fixtures():
         b62 = np.array([-0.2, 0.4])
         assert np.array_equal(A62.T @ b62, [2.0, 2.0])
 
-        x62 = nnls_solve(NnlsProblem(A62, b62), CFG)
+        x62, _ = nnls_solve(A62, b62, CFG)
         assert np.max(np.abs(x62 - [0.02, 0.08])) <= 1e-10
 
         assert time.perf_counter() - start < 1.0
@@ -244,7 +243,7 @@ def test_criterion_5_duality_identities(route_sweep):
             # and t = d.
             distance = rec.results["wolfe"].distance
             u_star, _ = dual_quantities(rec.dual_outcome)
-            f_star = dual_objective(constraint_matrix(rec.P), u_star)
+            f_star = dual_objective(rec.P, u_star)
             norm_sq = 1.0 / distance**2
             assert abs(f_star + norm_sq) <= 1e-7 * (1.0 + norm_sq)
             _, t = maximin_pair(rec.P, rec.results["maximin"])
@@ -293,7 +292,7 @@ def test_criterion_7_derived_chain_fixture():
         u_star, y_bar = dual_quantities(solve_dual(P, CFG))
         assert np.max(np.abs(u_star - [0.5, 0.5, 0.0])) <= tol
         assert np.max(np.abs(y_bar - [0.5, 0.5])) <= tol
-        assert abs(dual_objective(constraint_matrix(P), u_star) - (-0.5)) <= tol
+        assert abs(dual_objective(P, u_star) - (-0.5)) <= tol
 
         c_hat, t = maximin_pair(P, solve_maximin(P, CFG))
         root_half = 1.0 / np.sqrt(2.0)

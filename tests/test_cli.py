@@ -403,6 +403,16 @@ class TestGen:
         assert out == ""
         assert err == "error: need m >= 1, n >= 1, box > 0 and 2 box finite\n"
 
+    @pytest.mark.parametrize("seed", ["abc", "-1", "1.5"])
+    def test_gen_rejects_seed_that_is_not_a_nonnegative_integer(self, capsys, monkeypatch, seed):
+        # Each ended in a ValueError traceback with exit 1.
+        monkeypatch.setenv("PPOCP_SEED", seed)
+        code, out, err = run_cli(capsys, "gen", "--m", "3", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PPOCP_SEED: ")
+        assert err.count("\n") == 1
+
     def test_gen_accepts_the_widest_finite_box(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--m", "2", "--n", "2", "--box", "8e307")
         assert code == 0

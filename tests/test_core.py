@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import (
     COLLINEAR_PAIR,
-    LINE_POINTS,
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
@@ -18,11 +17,12 @@ from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ToleranceConfig,
-    constraint_matrix,
     gram_matrix,
+    kernel_rows,
     refine_simplex_minimizer,
     support_value,
     translate,
+    unit_scale,
     vi_residuals,
 )
 
@@ -107,24 +107,25 @@ class TestToleranceConfig:
         assert ToleranceConfig(max_iter=np.int64(3)).max_iter == 3
 
 
-class TestConstraintMatrix:
-    def test_triangle(self):
-        S = constraint_matrix(Polyhedron(np.array(TRIANGLE)))
-        assert_array_equal(S.C, [[-2.0, 0.0], [0.0, -2.0], [-2.0, -2.0]])
-        assert_array_equal(S.e, [1.0, 1.0, 1.0])
+class TestKernelRows:
+    def test_unit_instance_is_not_copied(self):
+        for seed in range(20):
+            U, _ = unit_scale(random_polyhedron(seed, box=10.0 ** (seed - 10)))
+            Z, sq, k = kernel_rows(U.vertices)
+            assert k == 0 and Z is U.vertices
+            assert_array_equal(sq, np.einsum("ij,ij->i", Z, Z))
 
-    def test_collinear_pair(self):
-        S = constraint_matrix(Polyhedron(np.array(COLLINEAR_PAIR)))
-        assert_array_equal(S.C, [[-1.0, 0.0], [-2.0, 0.0]])
-
-    def test_one_dimensional_column(self):
-        S = constraint_matrix(Polyhedron(np.array(LINE_POINTS)))
-        assert_array_equal(S.C, [[1.0], [-1.0], [-5.0]])
-
-    def test_negation_is_exact(self):
-        P = random_polyhedron(7)
-        S = constraint_matrix(P)
-        assert_array_equal(S.C, -P.vertices)
+    @pytest.mark.parametrize("k", [-1070, -1000, -520, -7, 7, 520, 1020])
+    def test_power_of_two_rows_give_the_unit_rows(self, k):
+        # Squared norms underflow past 2^-511 and overflow past 2^511; the
+        # exponent then comes from unit_scale's norms instead.  The largest
+        # norm, 5, is not a power of 2^(1/2), so no rounding tie decides k.
+        Z = np.array([[3.0, 4.0], [1.0, 0.0], [-1.0, 2.0]])
+        base, base_sq, base_k = kernel_rows(Z)
+        scaled, sq, j = kernel_rows(np.ldexp(Z, k))
+        assert j == base_k + k
+        assert_array_equal(scaled, base)
+        assert_array_equal(sq, base_sq)
 
 
 class TestGramMatrix:
@@ -146,8 +147,8 @@ class TestGramMatrix:
         for seed in range(5):
             P = random_polyhedron(seed)
             B = gram_matrix(P)
-            S = constraint_matrix(P)
-            assert_allclose(B, S.C @ S.C.T, atol=1e-12)
+            C = -P.vertices
+            assert_allclose(B, C @ C.T, atol=1e-12)
             assert_array_equal(B, B.T)
 
     def test_tall_gram_is_exactly_symmetric(self):
@@ -163,7 +164,7 @@ class TestGramMatrix:
         for seed in range(10):
             P = random_polyhedron(seed)
             B = gram_matrix(P)
-            C = constraint_matrix(P).C
+            C = -P.vertices
             for _ in range(100):
                 xi = rng.normal(size=P.m)
                 quad = float(xi @ B @ xi)

@@ -16,7 +16,7 @@ from conftest import (
     separated_polyhedron,
 )
 from ppocp.certify import cross_check
-from ppocp.core import Polyhedron, Route, constraint_matrix, unit_scale
+from ppocp.core import Polyhedron, Route, unit_scale
 from ppocp import lcp
 from ppocp.errors import InconsistentOutcome, InternalInconsistency
 from ppocp.lcp import (
@@ -679,11 +679,10 @@ class TestLemkeSolve:
     def test_matches_dual_solver_objective(self):
         for seed in range(10):
             P = separated_polyhedron(seed)
-            S = constraint_matrix(P)
             lemke_u = lemke_solve(build_lcp(P, LcpVariant.DUAL_ORTHANT)).v
             dual_u, _ = dual_quantities(solve_dual(P))
-            f_lemke = dual_objective(S, np.maximum(lemke_u, 0.0))
-            f_dual = dual_objective(S, dual_u)
+            f_lemke = dual_objective(P, np.maximum(lemke_u, 0.0))
+            f_dual = dual_objective(P, dual_u)
             assert abs(f_lemke - f_dual) <= 1e-7 * (1.0 + abs(f_dual))
 
     def test_verbose_dumps_tableau(self, capsys):

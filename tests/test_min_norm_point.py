@@ -7,12 +7,14 @@ import scipy.optimize
 import ppocp.core as core
 import ppocp.maximin as maximin
 import ppocp.simplex_qp as simplex_qp
+from conftest import TRIANGLE
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ToleranceConfig,
     refine_simplex_minimizer,
 )
+from ppocp.errors import MaxIterExceeded
 from ppocp.maximin import solve_maximin
 from ppocp.simplex_qp import solve_wolfe
 
@@ -109,13 +111,30 @@ def test_routes_match_nnls_reference(name, Z):
     assert np.linalg.norm(solve_maximin(P).rho - ref) <= tol
 
 
-@pytest.mark.parametrize("factor", [2.0**17, 2.0**-14])
+@pytest.mark.parametrize("factor", [2.0**17, 2.0**-14, 2.0**-1000, 2.0**1000])
 def test_kernel_is_scale_equivariant(factor):
+    # At 2^-1000 and 2^1000 the squared norms of Z itself underflow and
+    # overflow; the kernel runs on 2^-k Z, so its weights do not change.
     for _, Z in HULLS[::4]:
         weights, steps = refine_simplex_minimizer(Z, MAX_CYCLES)
         scaled, scaled_steps = refine_simplex_minimizer(Z * factor, MAX_CYCLES)
         np.testing.assert_array_equal(scaled, weights)
         assert scaled_steps == steps
+
+
+@pytest.mark.parametrize("solve", [solve_wolfe, solve_maximin])
+def test_routes_answer_far_below_unit_scale(solve):
+    P = Polyhedron(np.ldexp(np.array(TRIANGLE), -1000))
+    np.testing.assert_allclose(solve(P).alpha, [0.5, 0.5, 0.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("solve", [solve_wolfe, solve_maximin])
+def test_absolute_gap_overflow_stays_loud(solve):
+    # The gap checks stay absolute on Z as given: past 2^511 the gap itself
+    # overflows, and the answer is refused rather than passed.
+    P = Polyhedron(np.ldexp(np.array(TRIANGLE), 600))
+    with np.errstate(over="ignore"), pytest.raises(MaxIterExceeded):
+        solve(P)
 
 
 def test_routes_make_one_kernel_call(monkeypatch):

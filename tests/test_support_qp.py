@@ -16,7 +16,7 @@ from conftest import (
     random_polyhedron,
     separated_polyhedron,
 )
-from ppocp.core import Polyhedron, ToleranceConfig, constraint_matrix
+from ppocp.core import Polyhedron, ToleranceConfig
 from ppocp.errors import MaxIterExceeded, NegativeDualVariable
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import (
@@ -29,33 +29,32 @@ from ppocp.support_qp import (
 
 class TestDualObjective:
     def test_triangle_value(self):
-        S = constraint_matrix(Polyhedron(np.array(TRIANGLE)))
-        assert dual_objective(S, np.array([0.5, 0.5, 0.0])) == pytest.approx(-0.5)
+        P = Polyhedron(np.array(TRIANGLE))
+        assert dual_objective(P, np.array([0.5, 0.5, 0.0])) == pytest.approx(-0.5)
 
     def test_zero_point(self):
-        S = constraint_matrix(random_polyhedron(2))
-        assert dual_objective(S, np.zeros(S.C.shape[0])) == 0.0
+        P = random_polyhedron(2)
+        assert dual_objective(P, np.zeros(P.m)) == 0.0
 
     def test_single_vertex_scalar_minimum(self):
-        S = constraint_matrix(Polyhedron(np.array(SINGLE_POINT)))
+        P = Polyhedron(np.array(SINGLE_POINT))
         t = 2.0 / 25.0
-        assert dual_objective(S, np.array([t])) == pytest.approx(-1.0 / 25.0)
+        assert dual_objective(P, np.array([t])) == pytest.approx(-1.0 / 25.0)
 
     def test_rejects_negative_entries(self):
-        S = constraint_matrix(Polyhedron(np.array(TRIANGLE)))
+        P = Polyhedron(np.array(TRIANGLE))
         with pytest.raises(NegativeDualVariable):
-            dual_objective(S, np.array([0.5, -0.5, 0.0]))
+            dual_objective(P, np.array([0.5, -0.5, 0.0]))
 
     @given(st.integers(0, 30), st.floats(0.0, 1.0))
     def test_convexity_probe(self, seed, lam):
         P = random_polyhedron(seed, max_m=8, max_n=5)
-        S = constraint_matrix(P)
         rng = np.random.default_rng(seed + 99)
         u = rng.uniform(0.0, 3.0, size=P.m)
         v = rng.uniform(0.0, 3.0, size=P.m)
-        mixed = dual_objective(S, lam * u + (1 - lam) * v)
-        assert mixed <= lam * dual_objective(S, u) + (1 - lam) * dual_objective(
-            S, v
+        mixed = dual_objective(P, lam * u + (1 - lam) * v)
+        assert mixed <= lam * dual_objective(P, u) + (1 - lam) * dual_objective(
+            P, v
         ) + 1e-9
 
 
@@ -68,7 +67,7 @@ class TestSolveDual:
         assert_allclose(u_star, [0.5, 0.5, 0.0], atol=1e-9)
         assert_allclose(y_bar, [0.5, 0.5], atol=1e-9)
         assert_allclose(out.rho, [1.0, 1.0], atol=1e-9)
-        f_star = dual_objective(constraint_matrix(P), u_star)
+        f_star = dual_objective(P, u_star)
         assert f_star == pytest.approx(-0.5, abs=1e-10)
 
     def test_segment_unbounded(self):
@@ -87,7 +86,6 @@ class TestSolveDual:
     def test_solved_outcomes_satisfy_kkt(self):
         for seed in range(12):
             P = separated_polyhedron(seed)
-            S = constraint_matrix(P)
             out = solve_dual(P)
             assert out.status is DualStatus.SOLVED
             u_star, y_bar = dual_quantities(out)
@@ -95,7 +93,7 @@ class TestSolveDual:
             # u* and y_bar from the weights; feasibility and complementarity
             # do not.
             assert u_star.min() >= 0.0
-            slack = S.C @ y_bar + S.e
+            slack = 1.0 - P.vertices @ y_bar  # C y_bar + e with C = -Z
             assert slack.max() <= 1e-9
             complementarity = abs(float(u_star @ slack))
             assert complementarity <= 1e-8
@@ -106,7 +104,7 @@ class TestSolveDual:
         for seed in range(12):
             P = separated_polyhedron(seed)
             u_star, _ = dual_quantities(solve_dual(P))
-            f_star = dual_objective(constraint_matrix(P), u_star)
+            f_star = dual_objective(P, u_star)
             norm_sq = 1.0 / solve_wolfe(P).distance ** 2
             assert abs(f_star + norm_sq) <= 1e-7 * (1.0 + norm_sq)
 
@@ -304,6 +302,17 @@ class TestActiveSetSolver:
                 err = np.linalg.norm(scaled.rho - factor * base.rho)
                 assert err <= 4 * EPS * np.linalg.norm(factor * base.rho)
 
+    @pytest.mark.parametrize("factor", [1e-300, 1e-160, 1e-150, 1e150, 1e300])
+    def test_segment_solved_at_any_scale(self, factor):
+        # The steps run on 2^-k Z.  On Z itself y overflowed into NaN weights
+        # at 1e-160, and at 1e300 the squared norms overflowed into infinite
+        # tolerances, which answered unbounded-below with weights (1, 0).
+        P = Polyhedron(np.array([[-1e-9, 3.0], [0.0, -1.0]]) * factor)
+        out = solve_dual(P)
+        assert out.status is DualStatus.SOLVED
+        assert_allclose(out.alpha, [0.25, 0.75], rtol=1e-12)
+        assert_array_equal(out.rho, out.alpha @ P.vertices)
+
     @pytest.mark.parametrize("ratio, status", [(1.0, "unbounded-below"), (1.0001, "solved")])
     def test_dependent_entering_row_tolerance(self, ratio, status):
         # z_0 = (1, 0) enters first; z_1 = (-1, delta) = -z_0 + (0, delta) then
@@ -343,3 +352,7 @@ class TestActiveSetSolver:
         assert_allclose(best, [0.0, 4.0], rtol=1e-15)
         # Stationarity y = -1/2 C^T u = 1/2 Z^T u holds at the stopped iterate.
         assert_allclose(0.5 * best @ P.vertices, [1.0, 0.2], rtol=1e-15)
+        # The steps run on 2^-k Z, but u is reported in the units of Z.
+        with pytest.raises(MaxIterExceeded) as scaled:
+            solve_dual(Polyhedron(np.ldexp(P.vertices, 40)), ToleranceConfig(max_iter=2))
+        assert_array_equal(scaled.value.best, np.ldexp(best, -80))
