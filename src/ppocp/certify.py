@@ -4,14 +4,18 @@ Every route's answer, and the oracle's, is one ProjectionResult built from
 its convex weights ``alpha`` as the point ``rho = alpha @ Z``, which lies in
 the hull.  It passes one check, once, on the unit instance before it is
 reported: the smallest vertex residual ``<z_i - rho, rho>`` must be at least
-``-10 opt_tol`` (``_vi_checked``), or the answer becomes an
-InconsistentOutcome naming its route.  A point of the hull that meets the
-variational inequality is the projection, so this check is complete.
-``cross_check`` judges agreement on these unit-scale answers and only then
-converts them to the caller's units.  ``check_optimality`` evaluates the
-same criterion, equivalently ``rho`` in the intersection of the balls with
-diameters ``[0, z_i]``, as a certificate record, together with a hull
-witness (convex weights reproducing ``rho``) when it is given one.
+``-opt_tol`` (``_vi_checked``), or the answer becomes an InconsistentOutcome
+naming its route.  A point of the hull that meets the variational inequality
+is the projection, so this check is complete.  ``cross_check`` judges
+agreement on these unit-scale answers and only then converts them to the
+caller's units.  ``check_optimality`` evaluates the same criterion, and
+equivalently ``rho`` in the intersection of the balls with diameters
+``[0, z_i]``, as a certificate record, together with a hull witness (convex
+weights reproducing ``rho``) when it is given one.  The two forms are
+equivalent only in exact arithmetic: a vertex's ball excess is
+``-<z_i - rho, rho> / (||rho - z_i/2|| + ||z_i||/2)``, first order in the
+error of ``rho`` where the residual near the origin is second order, so the
+ball form refuses answers the residual bound admits.
 
 Four characterizations decide whether the hull contains the origin: the
 votes of the wolfe, dual, maximin and lcp-primal routes among
@@ -84,7 +88,6 @@ class Certificate:
     """Outcome of the optimality checks for one candidate projection."""
 
     vi_min: float
-    alpha_witness: np.ndarray | None
     zero_inside: bool
     checks: tuple[CheckRecord, ...]
 
@@ -199,7 +202,6 @@ def check_optimality(
     excess = float((np.linalg.norm(r - centers, axis=1) - radii).max())
     checks.append(CheckRecord("omega-ball", excess <= cfg.opt_tol, excess * s))
 
-    witness = None
     if alpha is not None:
         witness = np.asarray(alpha, dtype=float)
         simplex_dev = simplex_deviation(witness)
@@ -212,7 +214,6 @@ def check_optimality(
 
     return Certificate(
         vi_min=vi_min * s * s,
-        alpha_witness=witness,
         zero_inside=float(np.linalg.norm(r)) <= cfg.zero_tol,
         checks=tuple(checks),
     )
@@ -222,9 +223,10 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
     """Pass a route's answer on, or reject it when the VI residual is negative.
 
     The one optimality check every answer meets before it is reported:
-    ``min_i <z_i - rho, rho> >= -10 opt_tol``.
+    ``min_i <z_i - rho, rho> >= -opt_tol``, the bound ``check_optimality``
+    prints as its ``vi-min`` check.
     """
-    if result.vi_min < -10.0 * cfg.opt_tol:
+    if result.vi_min < -cfg.opt_tol:
         raise InconsistentOutcome(
             f"{result.route.value} answer fails the optimality residual: "
             f"{result.vi_min:.3e}"
@@ -232,9 +234,9 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
     return result
 
 
-# Route table.  Each runner takes ``(P, cfg, verbose=False)`` and returns the
-# route's unchecked ProjectionResult on ``P``, built from its convex weights
-# alone by ``core.projection_result``, or None when the route does not apply.
+# Route table.  Each runner takes ``(P, cfg)`` and returns the route's
+# unchecked ProjectionResult on ``P``, built from its convex weights alone by
+# ``core.projection_result``, or None when the route does not apply.
 # The wolfe and maximin solvers return that record themselves; the dual's
 # ``DualOutcome`` keeps a ``status`` besides its weights, so its runner builds
 # the record from them.  Weights proving the origin inside (the dual's
@@ -247,32 +249,32 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 # instead of ``certify.solve_maximin`` (``_one_kernel_routes``).
 
 
-def _run_wolfe(P, cfg, verbose=False):
+def _run_wolfe(P, cfg):
     return solve_wolfe(P, cfg)
 
 
-def _run_dual(P, cfg, verbose=False):
+def _run_dual(P, cfg):
     out = solve_dual(P, cfg)
     return projection_result(P, out.alpha, Route.DUAL, out.iterations, cfg)
 
 
-def _run_maximin(P, cfg, verbose=False):
+def _run_maximin(P, cfg):
     return solve_maximin(P, cfg)
 
 
 def _run_lcp(variant):
-    def runner(P, cfg, verbose=False):
+    def runner(P, cfg):
         L = build_lcp(P, variant)
-        return extract_projection(P, L, lemke_solve(L, cfg, verbose=verbose), cfg)
+        return extract_projection(P, L, lemke_solve(L, cfg), cfg)
 
     return runner
 
 
-def _run_nnls(P, cfg, verbose=False):
+def _run_nnls(P, cfg):
     return project_via_nnls(P, cfg)
 
 
-def _run_oracle(P, cfg, verbose=False):
+def _run_oracle(P, cfg):
     return reference_projection(P, cfg)
 
 
@@ -302,7 +304,7 @@ def _one_kernel_routes():
     """
     kernel = []
 
-    def wolfe(P, cfg, verbose=False):
+    def wolfe(P, cfg):
         try:
             result = solve_wolfe(P, cfg)
         except MaxIterExceeded as err:
@@ -311,7 +313,7 @@ def _one_kernel_routes():
         kernel.append((result.alpha, result.iterations))
         return result
 
-    def maximin(P, cfg, verbose=False):
+    def maximin(P, cfg):
         if not kernel:  # solve_wolfe raised on its weights before handing them over
             return solve_maximin(P, cfg)
         return maximin_from_weights(P, *kernel[-1], cfg)
@@ -319,9 +321,9 @@ def _one_kernel_routes():
     return dict(ROUTES, wolfe=wolfe, maximin=maximin)
 
 
-def _checked(runner, U, cfg, verbose=False) -> ProjectionResult | None:
+def _checked(runner, U, cfg) -> ProjectionResult | None:
     """``runner``'s answer on the unit instance ``U`` through ``_vi_checked``."""
-    result = runner(U, cfg, verbose=verbose)
+    result = runner(U, cfg)
     return None if result is None else _vi_checked(result, cfg)
 
 
@@ -331,11 +333,11 @@ def _in_units(r: ProjectionResult, s: float) -> ProjectionResult:
 
 
 def run_route(
-    name: str, P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES, verbose=False
+    name: str, P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ProjectionResult | None:
     """One ``ROUTES`` runner's checked answer on ``P``, solved at unit scale."""
     U, s = unit_scale(P)
-    result = _checked(ROUTES[name], U, cfg, verbose)
+    result = _checked(ROUTES[name], U, cfg)
     return None if result is None else _in_units(result, s)
 
 

@@ -104,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="project this point instead of the origin",
     )
     parser.add_argument("--output", default="json", choices=("json", "text"))
-    parser.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -118,8 +117,9 @@ def _build_gen_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _certificate_payload(cert) -> dict:
-    payload = {
+def _certificate_payload(cert, alpha) -> dict:
+    """The certificate of the answer with weights ``alpha``, which it checked."""
+    return {
         "passed": cert.passed,
         "vi_min": cert.vi_min,
         "zero_inside": cert.zero_inside,
@@ -127,11 +127,8 @@ def _certificate_payload(cert) -> dict:
             {"name": c.name, "passed": c.passed, "residual": c.residual}
             for c in cert.checks
         ],
-        "alpha_witness": None
-        if cert.alpha_witness is None
-        else list(cert.alpha_witness),
+        "alpha_witness": list(alpha),
     }
-    return payload
 
 
 def _shifted(rho, shift):
@@ -170,7 +167,7 @@ def _result_payload(result, certificate, shift, report=None) -> dict:
         "distance": result.distance,
         "route": result.route.value if report is None else "consensus",
         "origin_inside": result.origin_inside,
-        "certificate": _certificate_payload(certificate),
+        "certificate": _certificate_payload(certificate, result.alpha),
     }
     if report is not None:
         payload["report"] = _report_payload(report, shift)
@@ -276,7 +273,7 @@ def run(argv=None) -> int:
                 return 4
             return _certificate_exit(certificate)
 
-        result = run_route(ns.method, work, cfg, verbose=ns.verbose)
+        result = run_route(ns.method, work, cfg)
         if result is None:
             _emit({"status": "not-applicable"}, ns.output)
             return 0

@@ -34,10 +34,11 @@ simplex method rests on the same observation).  Each pivot is one rank-one
 update, after which the entering variable's column is overwritten with the
 leaving variable's.  The engine guards each pivot in ``O(1)`` (the leaving
 variable is basic, the entering one is not) and checks the basis invariant
-in full, in ``O(k)``, at every rebuild and at the end of the path.  It
-breaks exact ratio ties lexicographically, and rebuilds the dictionary from
-the data every 32 pivots (``_REBUILD_INTERVAL``): every measured unit-scale
-path keeps the pivots and solutions it has at 8, for a quarter of the block
+in full, in ``O(k)``, at every rebuild and at the end of the path; its
+errors name the variables ``w1..wk``, ``v1..vk`` and ``z0``.  It breaks
+exact ratio ties lexicographically, and rebuilds the dictionary from the
+data every 32 pivots (``_REBUILD_INTERVAL``): every measured unit-scale path
+keeps the pivots and solutions it has at 8, for a quarter of the block
 solves, each of which costs about four times the eight rank-one updates
 before it.  The rebuild reduces only the nonbasic columns and ``q``, and
 solves only the block of the basis that its basic ``w`` columns, which are
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,13 +160,6 @@ def _variable_name(j: int, k: int) -> str:
     return "z0"
 
 
-def _dump_tableau(basis, T, rhs, k):
-    for r in range(k):
-        entries = " ".join(f"{x: .6g}" for x in T[r])
-        print(f"{_variable_name(basis[r], k):>4s} = {rhs[r]: .6g} | {entries}", file=sys.stderr)
-    print("-" * 40, file=sys.stderr)
-
-
 def _check_complementary_basis(basis, k):
     """Raise unless each pair ``(w_i, v_i)`` has exactly one basic member,
     with one pair left out exactly when ``z0`` is basic.  Returns the basic
@@ -265,16 +258,7 @@ def _refactor(data, basis, cols, k):
     return out
 
 
-def _full_tableau(D, nonbasic, basis, k):
-    """The ``k x (2k+1)`` tableau: ``D``'s columns and a unit column per basic
-    variable."""
-    T = np.zeros((k, 2 * k + 1))
-    T[:, nonbasic] = D
-    T[np.arange(k), basis] = 1.0
-    return T
-
-
-def _pivot_path(M, q, k, verbose):
+def _pivot_path(M, q, k):
     """Run the complementary pivot sequence on one right-hand side.
 
     The path keeps a ``k x (k+2)`` dictionary ``T = [D | rhs]``: the
@@ -345,8 +329,6 @@ def _pivot_path(M, q, k, verbose):
         column[leaving] = c
         column[entering] = -1
         pivots += 1
-        if verbose:
-            _dump_tableau(basis, _full_tableau(T[:, :-1], nonbasic, basis, k), rhs, k)
         if leaving == z0:
             checked_member()
             return LcpStatus.SOLUTION, basis, pivots
@@ -501,11 +483,7 @@ def _covering_perturbation(k: int) -> np.ndarray:
     return delta
 
 
-def lemke_solve(
-    L: LCPInstance,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    verbose: bool = False,
-) -> LCPOutcome:
+def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LCPOutcome:
     """Complementary pivoting with the all-ones covering vector, in one path.
 
     The constructions here are heavily degenerate (blocks of exact zeros in
@@ -518,7 +496,8 @@ def lemke_solve(
     direction; a solution's basis is re-solved against ``q`` and must meet
     the backward-error bound ``feas_tol (1 + ||q|| + max|M| ||v||)``, or
     InternalInconsistency is raised.  A cycle, a failed rebuild or the pivot
-    limit raises PivotLimitExceeded.
+    limit raises PivotLimitExceeded.  The outcome reports the path's pivot
+    count.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)
@@ -530,7 +509,7 @@ def lemke_solve(
 
     delta = _covering_perturbation(k)
     eps_use = min(1e-8 * (1.0 + float(np.abs(q).max())), 0.25 * float(-q.min()))
-    status, end, pivots = _pivot_path(M, q + eps_use * delta, k, verbose)
+    status, end, pivots = _pivot_path(M, q + eps_use * delta, k)
     if status is LcpStatus.RAY_TERMINATION:
         return LCPOutcome(status, None, end, pivots)
 

@@ -20,7 +20,14 @@ from ppocp.certify import (
     cross_check,
     reference_projection,
 )
-from ppocp.core import Polyhedron, Route, ToleranceConfig, projection_result, unit_scale
+from ppocp.core import (
+    DEFAULT_TOLERANCES,
+    Polyhedron,
+    Route,
+    ToleranceConfig,
+    projection_result,
+    unit_scale,
+)
 from ppocp.errors import MaxIterExceeded, OracleScaleExceeded
 from ppocp.simplex_qp import solve_wolfe
 
@@ -134,6 +141,17 @@ class TestCheckOptimality:
         witness = cert.checks[-1]
         assert witness.name == "hull-witness" and witness.passed
         assert witness.residual == pytest.approx(2.0**-20)
+
+    def test_ball_form_refuses_what_vi_admits(self):
+        # The projection is the origin, and rho lies 1e-5 from it.  Near the
+        # origin the VI residual is second order in that error and the ball
+        # excess first order, so the checks part: -1.1e-10 against 1e-5.
+        P = Polyhedron(np.array([[-1e-6, 0.0], [1.0, 0.0]]))
+        vi, ball = check_optimality(P, [1e-5, 0.0]).checks
+        assert vi.name == "vi-min" and vi.passed
+        assert vi.residual == pytest.approx(-1.1e-10)
+        assert ball.name == "omega-ball" and not ball.passed
+        assert ball.residual == pytest.approx(1e-5)
 
     def test_bad_witness_recorded_not_raised(self):
         P = Polyhedron(np.array(TRIANGLE))
@@ -312,17 +330,20 @@ class TestCrossCheck:
             assert ok["maximin"].rho.tobytes() == ok["wolfe"].rho.tobytes()
 
     def test_oracle_answer_failing_vi_check_is_error(self, monkeypatch):
-        # Weights on the far vertex [2, 2] give an answer with vi_min = -4.
+        # Weights on the far vertex [2, 2] give an answer with vi_min = -4,
+        # -0.25 on the unit triangle: below -opt_tol at opt_tol = 0.05 too,
+        # where the gate refuses it as the printed vi-min check does.
         P = Polyhedron(np.array(TRIANGLE))
         monkeypatch.setattr(
             certify,
             "reference_projection",
             lambda P, cfg: projection_result(P, [0.0, 0.0, 1.0], Route.ORACLE, 1, cfg),
         )
-        report = cross_check(P)
-        assert report.entries["oracle"].status == "error"
-        assert "oracle" in report.entries["oracle"].error
-        assert report.verdict == "conflict"
+        for cfg in (DEFAULT_TOLERANCES, ToleranceConfig(opt_tol=0.05)):
+            report = cross_check(P, cfg)
+            assert report.entries["oracle"].status == "error"
+            assert "oracle" in report.entries["oracle"].error
+            assert report.verdict == "conflict"
 
     def test_duplicate_vertices_are_first_class(self):
         import warnings

@@ -243,6 +243,12 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--input", path, "--method", "bogus")
         assert code == 2
 
+    def test_verbose_is_usage_error(self, tmp_path, capsys):
+        path = write_instance(tmp_path, TRIANGLE)
+        code, out, _ = run_cli(capsys, "--input", path, "--method", "lcp-dual", "--verbose")
+        assert code == 2
+        assert out == ""
+
     def test_point_dimension_mismatch(self, tmp_path, capsys):
         path = write_instance(tmp_path, TRIANGLE)
         code, _, _ = run_cli(capsys, "--input", path, "--point", "1")
@@ -529,6 +535,24 @@ def test_lemke_ray_prints_passing_hull_witness(tmp_path, capsys, method):
     assert doc["certificate"]["passed"] is True
     assert doc["certificate"]["checks"][-1]["name"] == "hull-witness"
     assert doc["certificate"]["alpha_witness"] == [0.5, 0.5]
+
+
+def test_omega_ball_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # The point 1e-5 past the origin on this segment passes the VI check,
+    # residual -1.1e-10, and only the ball form refuses it.
+    vertices = [[-1e-6, 0.0], [1.0, 0.0]]
+    w = (1e-5 + 1e-6) / (1.0 + 1e-6)
+    monkeypatch.setattr(
+        certify,
+        "solve_wolfe",
+        lambda P, cfg: projection_result(P, [1.0 - w, w], Route.WOLFE, 1, cfg),
+    )
+    path = write_instance(tmp_path, vertices)
+    code, out, err = run_cli(capsys, "--input", path, "--method", "wolfe")
+    assert code == 4
+    assert err == "error: consistency conflict: certificate fails omega-ball\n"
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["certificate"]["checks"]}
+    assert checks == {"vi-min": True, "omega-ball": False, "hull-witness": True}
 
 
 @pytest.mark.parametrize("method", ["nnls", "all"])

@@ -278,7 +278,7 @@ class TestRefactor:
         assert all(count >= 1 for count in rebuilds.values()), rebuilds
 
 
-def _full_tableau_path(M, q, k, verbose):
+def _full_tableau_path(M, q, k):
     # Reference for lcp._pivot_path: the same pivot rule on the whole
     # k x (2k+1) tableau, pivoted row by row and rebuilt every 8 pivots by a
     # dense solve of the whole basis.  The 8 is deliberate and is not
@@ -384,8 +384,8 @@ class TestFullTableauReference:
         U, _ = unit_scale(make(seed))
         for variant in variants:
             L = build_lcp(U, LcpVariant(variant))
-            status, end, pivots = lcp._pivot_path(L.M, L.q, L.k, False)
-            ref_status, ref_end, ref_pivots = _full_tableau_path(L.M, L.q, L.k, False)
+            status, end, pivots = lcp._pivot_path(L.M, L.q, L.k)
+            ref_status, ref_end, ref_pivots = _full_tableau_path(L.M, L.q, L.k)
             assert ref_pivots <= 8
             assert (status, pivots) == (ref_status, ref_pivots)
             assert np.asarray(end).tobytes() == np.asarray(ref_end).tobytes()
@@ -684,14 +684,6 @@ class TestLemkeSolve:
             f_lemke = dual_objective(P, np.maximum(lemke_u, 0.0))
             f_dual = dual_objective(P, dual_u)
             assert abs(f_lemke - f_dual) <= 1e-7 * (1.0 + abs(f_dual))
-
-    def test_verbose_dumps_tableau(self, capsys):
-        L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
-        lemke_solve(L, verbose=True)
-        err = capsys.readouterr().err
-        assert "z0" in err and "v1" in err
-        rows = [line.split(" | ")[1] for line in err.splitlines() if " | " in line]
-        assert rows and all(len(row.split()) == 2 * L.k + 1 for row in rows)
 
 
 class TestExtractProjection:
