@@ -4,8 +4,10 @@ Seven routes compute the same projection: a quadratic program over the
 weight simplex (wolfe), a dual quadratic program over the nonnegative
 orthant (dual), a maximin search for the best separating direction
 (maximin), three linear-complementarity constructions solved by Lemke
-pivoting (lcp-*), and a nonnegative-least-squares reduction (nnls).  They
-are not seven independent solvers: wolfe and maximin share one kernel and
+pivoting (lcp-*), and a nonnegative-least-squares reduction (nnls).  A
+route is named only by its key in ``certify.ROUTES``: the name ``project
+--method`` takes and ``cross_check`` files the route's entry under.  The
+seven are not independent solvers: wolfe and maximin share one kernel and
 one gap inequality, and the three lcp routes share one pivoting engine.
 Every answer is the point of its convex weights, so it lies in the hull, and
 is certified against the variational-inequality criterion; the routes are
@@ -26,7 +28,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ProjectionResult,
-    Route,
     ToleranceConfig,
     gram_matrix,
     support_value,

@@ -5,14 +5,14 @@ its convex weights ``alpha`` as the point ``rho = alpha @ Z``, which lies in
 the hull.  It passes one check, once, on the unit instance before it is
 reported: the smallest vertex residual ``<z_i - rho, rho>`` must be at least
 ``-opt_tol`` (``_vi_checked``), or the answer becomes an InconsistentOutcome
-naming its route.  A point of the hull that meets the variational inequality
-is the projection, so this check is complete.  ``cross_check`` judges
-agreement on these unit-scale answers and only then converts them to the
-caller's units.  ``check_optimality`` evaluates the same criterion, and
-equivalently ``rho`` in the intersection of the balls with diameters
-``[0, z_i]``, as a certificate record, together with a hull witness (convex
-weights reproducing ``rho``) when it is given one.  The two forms are
-equivalent only in exact arithmetic: a vertex's ball excess is
+filed under the route's ``ROUTES`` key.  A point of the hull that meets the
+variational inequality is the projection, so this check is complete.
+``cross_check`` judges agreement on these unit-scale answers and only then
+converts them to the caller's units.  ``check_optimality`` evaluates the
+same criterion, and equivalently ``rho`` in the intersection of the balls
+with diameters ``[0, z_i]``, as a certificate record, together with a hull
+witness (convex weights reproducing ``rho``) when it is given one.  The two
+forms are equivalent only in exact arithmetic: a vertex's ball excess is
 ``-<z_i - rho, rho> / (||rho - z_i/2|| + ||z_i||/2)``, first order in the
 error of ``rho`` where the residual near the origin is second order, so the
 ball form refuses answers the residual bound admits.
@@ -44,7 +44,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ProjectionResult,
-    Route,
     ToleranceConfig,
     projection_result,
     simplex_deviation,
@@ -54,7 +53,6 @@ from .core import (
 from .errors import (
     InconsistentOutcome,
     MaxIterExceeded,
-    OracleScaleExceeded,
     PpocpError,
 )
 from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
@@ -167,11 +165,12 @@ def reference_projection(
 
     ``iterations`` counts the faces evaluated (see ``_project_enumerate``).
     No solver machinery is shared with the routes this oracle arbitrates.
+    Raises ValueError on more than four vertices.
     """
     if P.m > 4:
-        raise OracleScaleExceeded(f"oracle handles at most 4 vertices, got {P.m}")
+        raise ValueError(f"oracle handles at most 4 vertices, got {P.m}")
     alpha, evaluations = _project_enumerate(P.vertices)
-    return projection_result(P, alpha, Route.ORACLE, evaluations, cfg)
+    return projection_result(P, alpha, evaluations, cfg)
 
 
 def check_optimality(
@@ -228,13 +227,14 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
     """
     if result.vi_min < -cfg.opt_tol:
         raise InconsistentOutcome(
-            f"{result.route.value} answer fails the optimality residual: "
-            f"{result.vi_min:.3e}"
+            f"answer fails the optimality residual: {result.vi_min:.3e}"
         )
     return result
 
 
-# Route table.  Each runner takes ``(P, cfg)`` and returns the route's
+# The route table: a route's name is its ``ROUTES`` key, and nothing else
+# names it; ``cross_check`` files each entry under that key and adds
+# ``"oracle"``.  Each runner takes ``(P, cfg)`` and returns the route's
 # unchecked ProjectionResult on ``P``, built from its convex weights alone by
 # ``core.projection_result``, or None when the route does not apply.
 # The wolfe and maximin solvers return that record themselves; the dual's
@@ -255,7 +255,7 @@ def _run_wolfe(P, cfg):
 
 def _run_dual(P, cfg):
     out = solve_dual(P, cfg)
-    return projection_result(P, out.alpha, Route.DUAL, out.iterations, cfg)
+    return projection_result(P, out.alpha, out.iterations, cfg)
 
 
 def _run_maximin(P, cfg):

@@ -161,11 +161,11 @@ def _report_payload(report, shift) -> dict:
     }
 
 
-def _result_payload(result, certificate, shift, report=None) -> dict:
+def _result_payload(route, result, certificate, shift, report=None) -> dict:
     payload = {
         "rho": list(_shifted(result.rho, shift)),
         "distance": result.distance,
-        "route": result.route.value if report is None else "consensus",
+        "route": route,
         "origin_inside": result.origin_inside,
         "certificate": _certificate_payload(certificate, result.alpha),
     }
@@ -266,7 +266,7 @@ def run(argv=None) -> int:
                 print("error: every route failed", file=sys.stderr)
                 return 4
             certificate = check_optimality(work, headline.rho, alpha=headline.alpha, cfg=cfg)
-            payload = _result_payload(headline, certificate, shift, report=report)
+            payload = _result_payload("consensus", headline, certificate, shift, report=report)
             _emit(payload, ns.output)
             if report.verdict != "agree":
                 print("error: cross-route consensus conflict", file=sys.stderr)
@@ -278,7 +278,7 @@ def run(argv=None) -> int:
             _emit({"status": "not-applicable"}, ns.output)
             return 0
         certificate = check_optimality(work, result.rho, alpha=result.alpha, cfg=cfg)
-        _emit(_result_payload(result, certificate, shift), ns.output)
+        _emit(_result_payload(ns.method, result, certificate, shift), ns.output)
         return _certificate_exit(certificate)
     except (MaxIterExceeded, PivotLimitExceeded) as err:
         print(f"error: solver did not converge: {err}", file=sys.stderr)

@@ -14,7 +14,6 @@ which works on the vertex rows in R^n without forming the Gram matrix.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .errors import InternalInconsistency
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
-    "Route",
     "Polyhedron",
     "ProjectionResult",
     "gram_matrix",
@@ -67,19 +65,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
-
-
-class Route(enum.Enum):
-    """Which formulation produced a projection."""
-
-    WOLFE = "wolfe"
-    DUAL = "dual"
-    MAXIMIN = "maximin"
-    LCP_PRIMAL = "lcp-primal"
-    LCP_WOLFE = "lcp-wolfe"
-    LCP_DUAL = "lcp-dual"
-    NNLS = "nnls"
-    ORACLE = "oracle"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -144,11 +129,14 @@ class Polyhedron:
 @dataclass(frozen=True)
 class ProjectionResult:
     """A route's answer: the convex vertex weights ``alpha``, the point
-    ``rho = alpha @ Z`` they combine to, its norm and certificate data."""
+    ``rho = alpha @ Z`` they combine to, its norm and certificate data.
+
+    The record does not name its route: a caller knows which it ran, and
+    ``certify.cross_check`` files each answer under its ``ROUTES`` key.
+    """
 
     rho: np.ndarray
     distance: float
-    route: Route
     iterations: int
     vi_min: float
     origin_inside: bool
@@ -273,7 +261,6 @@ def simplex_deviation(alpha: np.ndarray) -> float:
 def projection_result(
     P: Polyhedron,
     alpha,
-    route: Route,
     iterations: int,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> ProjectionResult:
@@ -285,17 +272,16 @@ def projection_result(
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (P.m,):
-        raise InternalInconsistency(f"{route.value} gave {alpha.shape} weights for {P.m} vertices")
+        raise InternalInconsistency(f"{alpha.shape} weights for {P.m} vertices")
     deviation = simplex_deviation(alpha)
     if not deviation <= cfg.feas_tol:  # a NaN deviation fails too
-        raise InternalInconsistency(f"{route.value} weights are off the simplex by {deviation:.3e}")
+        raise InternalInconsistency(f"weights are off the simplex by {deviation:.3e}")
     rho = alpha @ P.vertices
     distance = float(np.linalg.norm(rho))
     vi_min = float(vi_residuals(P, rho).min())
     return ProjectionResult(
         rho=rho,
         distance=distance,
-        route=route,
         iterations=iterations,
         vi_min=vi_min,
         origin_inside=distance <= cfg.zero_tol,

@@ -19,10 +19,6 @@ class MaxIterExceeded(PpocpError):
         self.iterations = iterations
 
 
-class NegativeDualVariable(PpocpError):
-    """A dual variable violates the nonnegative-orthant constraint."""
-
-
 class InternalInconsistency(PpocpError):
     """Two mathematically equivalent computations disagreed beyond tolerance."""
 
@@ -30,14 +26,6 @@ class InternalInconsistency(PpocpError):
 class PivotLimitExceeded(PpocpError):
     """Complementary pivoting hit the cycling safeguard."""
 
-    def __init__(self, message, pivots=None):
-        super().__init__(message)
-        self.pivots = pivots
-
 
 class InconsistentOutcome(PpocpError):
     """A recovered projection failed its own optimality certificate."""
-
-
-class OracleScaleExceeded(PpocpError):
-    """The brute-force reference oracle only handles tiny vertex counts."""

@@ -64,7 +64,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ProjectionResult,
-    Route,
     ToleranceConfig,
     gram_matrix,
     projection_result,
@@ -340,21 +339,15 @@ def _pivot_path(M, q, k):
             checked_member()
             T = _refactor(data, basis, cols, k)
             if T is None:
-                raise PivotLimitExceeded(
-                    f"tableau rebuild failed after {pivots} pivots", pivots=pivots
-                )
+                raise PivotLimitExceeded(f"tableau rebuild failed after {pivots} pivots")
             rhs = T[:, -1]
             since_refactor = 0
         key = member.tobytes()
         if key in seen:
-            raise PivotLimitExceeded(
-                f"pivot path revisited a basis after {pivots} pivots", pivots=pivots
-            )
+            raise PivotLimitExceeded(f"pivot path revisited a basis after {pivots} pivots")
         seen.add(key)
         if pivots >= limit:
-            raise PivotLimitExceeded(
-                f"no complementary solution within {limit} pivots", pivots=pivots
-            )
+            raise PivotLimitExceeded(f"no complementary solution within {limit} pivots")
 
         entering = leaving + k if leaving < k else leaving - k
         c = int(column[entering])
@@ -529,13 +522,6 @@ def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LC
     return LCPOutcome(status, w, v, pivots)
 
 
-_ROUTE_OF_VARIANT = {
-    LcpVariant.PRIMAL_SPLIT: Route.LCP_PRIMAL,
-    LcpVariant.WOLFE_KKT: Route.LCP_WOLFE,
-    LcpVariant.DUAL_ORTHANT: Route.LCP_DUAL,
-}
-
-
 def vertex_weights(P: Polyhedron, L: LCPInstance, O: LCPOutcome) -> np.ndarray | None:
     """Convex weights ``u / sum u``, None when no multiplier in ``u`` is positive.
 
@@ -563,11 +549,11 @@ def extract_projection(
     at least a point of the hull, on a ray.  The answer
     votes by ``core.projection_result``'s rule like any other.  An outcome
     with no positive multiplier, or any ray of the always-solvable wolfe-kkt
-    variant, is an inconsistency.  The point is returned unchecked;
+    variant, is an inconsistency; its message names the variant, and the
+    caller knows the route.  The point is returned unchecked;
     ``certify`` applies the variational-inequality check, which certifies it
     completely because it lies in the hull.
     """
-    route = _ROUTE_OF_VARIANT[L.variant]
     if O.status is LcpStatus.RAY_TERMINATION and L.variant is LcpVariant.WOLFE_KKT:
         raise InconsistentOutcome(
             "ray termination on the always-solvable simplex variant"
@@ -575,6 +561,6 @@ def extract_projection(
     alpha = vertex_weights(P, L, O)
     if alpha is None:
         raise InconsistentOutcome(
-            f"{route.value} {O.status.value} with no positive multiplier"
+            f"{L.variant.value} {O.status.value} with no positive multiplier"
         )
-    return projection_result(P, alpha, route, O.pivots, cfg)
+    return projection_result(P, alpha, O.pivots, cfg)

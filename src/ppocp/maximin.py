@@ -29,7 +29,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ProjectionResult,
-    Route,
     ToleranceConfig,
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     projection_result,
@@ -74,7 +73,7 @@ def maximin_from_weights(
         wolfe's, the check is absolute on ``Z`` as given, and past
         ``max_i ||z_i|| = 2^511`` its gap overflows.
     """
-    result = projection_result(P, weights, Route.MAXIMIN, iterations, cfg)
+    result = projection_result(P, weights, iterations, cfg)
     w, w_norm = result.rho, result.distance
     c = w / w_norm if w_norm > 0.0 else w
     t, _ = support_value(P, c)

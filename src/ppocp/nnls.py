@@ -30,7 +30,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ProjectionResult,
-    Route,
     ToleranceConfig,
     projection_result,
 )
@@ -127,4 +126,4 @@ def project_via_nnls(
     if b is None:
         return None
     x, iterations = nnls_solve(-P.vertices.T, b, cfg)
-    return projection_result(P, x / x.sum(), Route.NNLS, iterations, cfg)
+    return projection_result(P, x / x.sum(), iterations, cfg)

@@ -22,7 +22,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ProjectionResult,
-    Route,
     ToleranceConfig,
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     projection_result,
@@ -59,7 +58,7 @@ def solve_wolfe(
         breaks it, and past ``max_i ||z_i|| = 2^511`` the gap overflows.
     """
     alpha, iterations = refine_simplex_minimizer(P.vertices, cfg.max_iter)
-    result = projection_result(P, alpha, Route.WOLFE, iterations, cfg)
+    result = projection_result(P, alpha, iterations, cfg)
     gap = -result.vi_min
     if gap > cfg.opt_tol:
         raise MaxIterExceeded(

@@ -42,7 +42,7 @@ from .core import (
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     kernel_rows,
 )
-from .errors import MaxIterExceeded, NegativeDualVariable
+from .errors import MaxIterExceeded
 
 __all__ = [
     "DualStatus",
@@ -91,14 +91,18 @@ class DualOutcome:
 def _check_nonnegative(u, m: int, feas_tol: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (m,):
-        raise NegativeDualVariable(f"dual vector must have length {m}")
+        raise ValueError(f"dual vector must have length {m}")
     if u.min() < -feas_tol:
-        raise NegativeDualVariable(f"dual vector has entry {u.min():.3e} below zero")
+        raise ValueError(f"dual vector has entry {u.min():.3e} below zero")
     return u
 
 
 def dual_objective(P: Polyhedron, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Evaluate ``f(u) = 1/4 ||Z^T u||^2 - sum u`` on the orthant."""
+    """Evaluate ``f(u) = 1/4 ||Z^T u||^2 - sum u`` on the orthant.
+
+    Raises ValueError unless ``u`` has length ``m`` and no entry below
+    ``-feas_tol``.
+    """
     u = _check_nonnegative(u, P.m, cfg.feas_tol)
     g = P.vertices.T @ u
     return 0.25 * float(g @ g) - float(u.sum())

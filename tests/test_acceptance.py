@@ -26,7 +26,6 @@ from ppocp.core import (
     gram_matrix,
     projection_result,
     vi_residuals,
-    Route,
 )
 from ppocp.errors import PpocpError
 from ppocp.lcp import LcpStatus, LcpVariant, build_lcp, extract_projection, lemke_solve
@@ -71,7 +70,7 @@ def _run_all_routes(P):
 
     dual = solve_dual(P, CFG)
     rec.dual_outcome = dual
-    rec.results["dual"] = projection_result(P, dual.alpha, Route.DUAL, dual.iterations, CFG)
+    rec.results["dual"] = projection_result(P, dual.alpha, dual.iterations, CFG)
 
     rec.results["maximin"] = solve_maximin(P, CFG)
 

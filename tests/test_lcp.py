@@ -16,7 +16,7 @@ from conftest import (
     separated_polyhedron,
 )
 from ppocp.certify import cross_check
-from ppocp.core import Polyhedron, Route, unit_scale
+from ppocp.core import Polyhedron, unit_scale
 from ppocp import lcp
 from ppocp.errors import InconsistentOutcome, InternalInconsistency
 from ppocp.lcp import (
@@ -695,17 +695,6 @@ class TestExtractProjection:
             assert_allclose(res.rho, [1.0, 1.0], atol=1e-9)
             assert res.vi_min >= -1e-8
             assert not res.origin_inside
-
-    def test_routes_are_tagged(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        tags = {
-            LcpVariant.PRIMAL_SPLIT: Route.LCP_PRIMAL,
-            LcpVariant.WOLFE_KKT: Route.LCP_WOLFE,
-            LcpVariant.DUAL_ORTHANT: Route.LCP_DUAL,
-        }
-        for variant, route in tags.items():
-            L = build_lcp(P, variant)
-            assert extract_projection(P, L, lemke_solve(L)).route is route
 
     def test_segment_primal_ray_maps_to_origin(self):
         P = Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN))

@@ -17,7 +17,7 @@ from conftest import (
     separated_polyhedron,
 )
 from ppocp.core import Polyhedron, ToleranceConfig
-from ppocp.errors import MaxIterExceeded, NegativeDualVariable
+from ppocp.errors import MaxIterExceeded
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import (
     DEPENDENT_TOL,
@@ -43,7 +43,7 @@ class TestDualObjective:
 
     def test_rejects_negative_entries(self):
         P = Polyhedron(np.array(TRIANGLE))
-        with pytest.raises(NegativeDualVariable):
+        with pytest.raises(ValueError):
             dual_objective(P, np.array([0.5, -0.5, 0.0]))
 
     @given(st.integers(0, 30), st.floats(0.0, 1.0))
