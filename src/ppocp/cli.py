@@ -9,7 +9,7 @@ stable for a fixed input and flag set.
 Exit codes: 0 success (including a mathematically inapplicable nnls route),
 2 invalid input or usage, 3 solver non-convergence, 4 any cross-route or
 internal consistency conflict, including a printed certificate with a
-failed check.
+failed check.  A reader that closes stdout early does not change the code.
 
 A ``gen`` subcommand emits random test instances; the environment variable
 ``PPOCP_SEED`` fixes its seed, a nonnegative integer (default 0).
@@ -198,10 +198,20 @@ def _render_text(payload):
 
 
 def _emit(payload, fmt: str):
-    if fmt == "json":
-        print(_json_text(payload))
-    else:
-        _render_text(payload)
+    """Print the payload.  A reader that closes the pipe early (``| head -1``,
+    ``| grep -q``) drops the rest of it; the exit code still reports the run."""
+    try:
+        if fmt == "json":
+            print(_json_text(payload))
+        else:
+            _render_text(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the interpreter's final
+        # flush of what is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _run_gen(argv) -> int:

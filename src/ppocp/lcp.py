@@ -26,6 +26,10 @@ and ``q^T dv < 0``.  For dual-orthant, ``u = dv`` and ``M = B/2`` give
 by ``q^T dv < 0``, so ``u / sum u`` are convex weights combining the
 vertices to the origin.
 
+The covering vector ``d`` is 1 on the rows whose right-hand side starts
+negative and 0 on the others: all of dual-orthant's rows, wolfe-kkt's
+``sum a >= 1`` row and primal-split's ``m`` constraint rows, never its
+``2n`` split rows.
 The engine pivots a dense ``k x (k+2)`` dictionary: the columns of the
 tableau ``[I | -M | -d]`` that belong to the ``k + 1`` nonbasic variables,
 then the right-hand side.  A basic column is a unit vector that no pivot
@@ -38,11 +42,12 @@ in full, in ``O(k)``, at every rebuild and at the end of the path; its
 errors name the variables ``w1..wk``, ``v1..vk`` and ``z0``.  It breaks
 exact ratio ties lexicographically, and rebuilds the dictionary from the
 data every 32 pivots (``_REBUILD_INTERVAL``): every measured unit-scale path
-keeps the pivots and solutions it has at 8, for a quarter of the block
-solves, each of which costs about four times the eight rank-one updates
-before it.  The rebuild reduces only the nonbasic columns and ``q``, and
-solves only the block of the basis that its basic ``w`` columns, which are
-unit vectors, leave open; no rebuild runs once the path reaches a solution.
+keeps the outcome it has at 8 (one primal-split ray of 963 large-hull paths
+comes 2 pivots sooner), for a quarter of the block solves, each of which
+costs about four times the eight rank-one updates before it.  The rebuild
+reduces only the nonbasic columns and ``q``, and solves only the block of
+the basis that its basic ``w`` columns, which are unit vectors, leave open;
+no rebuild runs once the path reaches a solution.
 ``lemke_solve`` runs one path on a slightly perturbed right-hand side.  Its
 fixed perturbation is NumPy's ``default_rng(k)`` uniform stream, computed in
 plain integers so that a solving process never imports ``numpy.random``
@@ -270,12 +275,16 @@ def _pivot_path(M, q, k):
     up to date.  The leaving row is the lexicographic minimum ratio; the full
     key sort runs only over rows that tie exactly on ``rhs / col``.  Every
     ``_REBUILD_INTERVAL`` (32) pivots the dictionary is rebuilt exactly from
-    the basis (``_refactor``) to shed accumulated drift, which with no rebuild
-    ends a 799-pivot primal-split path of a 153x69 hull on a ray with no
-    positive multiplier, and which 32 sheds as well as 8 on every measured
-    unit-scale path.  ``_check_complementary_basis`` checks the basis in full
-    at every rebuild and at the end of the path, and there ``member`` must
-    equal the membership it computes from ``basis``.
+    the basis (``_refactor``) to shed accumulated drift, which 32 sheds as
+    well as 8 on every measured unit-scale path.  An entry of the entering
+    column is a ratio candidate only above ``max(64, k) eps max(1, max|col|)``:
+    at ``64 eps``, drift let entries of 2.5e-12 against ``max|col| = 113``
+    pass where the 781-pivot primal-split path of a 277x108 hull
+    (``k = 493``) reaches its ray, so the path ended there or went past it
+    and raised, depending on the rebuild interval.
+    ``_check_complementary_basis`` checks the basis in full at every rebuild
+    and at the end of the path, and there ``member`` must equal the
+    membership it computes from ``basis``.
 
     Returns ``(SOLUTION, basis, pivots)`` once ``z0`` leaves, with no
     rebuild there: the caller solves on the final basis itself.  Otherwise
@@ -285,11 +294,12 @@ def _pivot_path(M, q, k):
     (floating-point noise in tied ratio tests can defeat the lexicographic
     rule), when a rebuild fails, and past the ``50 k`` safeguard.
     """
-    # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q.  The
+    # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q, where
+    # the covering vector d is 1 on the rows that start infeasible.  The
     # w variables start basic; the dictionary holds the v and z0 columns and
     # q, the columns a rebuild reduces.  The pivots update ``nonbasic``
     # through this view of ``cols``.
-    data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
+    data = np.hstack([np.eye(k), -M, -(q < 0.0).astype(float)[:, None], q[:, None]])
     cols = np.arange(k, 2 * k + 2)
     nonbasic = cols[:-1]
     column = np.full(2 * k + 1, -1)
@@ -309,9 +319,10 @@ def _pivot_path(M, q, k):
             raise InternalInconsistency("basic membership drifted from the basis")
 
     # Initial pivot: bring the covering variable in where the right-hand side
-    # is most negative, making every row feasible: each becomes q_i - min q,
-    # which rounds to no negative number.  Among tied rows the last has the
-    # lexicographically least key (rhs_i, e_i).
+    # is most negative, making every row feasible: each covered row becomes
+    # q_i - min q, which rounds to no negative number, and an uncovered row
+    # keeps its q_i > 0.  Among tied rows the last has the lexicographically
+    # least key (rhs_i, e_i).
     row = int(np.flatnonzero(rhs == rhs.min())[-1])
     entering, c = z0, k
     pivots = 0
@@ -352,7 +363,7 @@ def _pivot_path(M, q, k):
         entering = leaving + k if leaving < k else leaving - k
         c = int(column[entering])
         col = T[:, c]
-        tol = 64.0 * eps * max(1.0, float(np.abs(col).max()))
+        tol = max(64.0, k) * eps * max(1.0, float(np.abs(col).max()))
         cand = np.flatnonzero(col > tol)
         if cand.size == 0:
             checked_member()
@@ -477,20 +488,38 @@ def _covering_perturbation(k: int) -> np.ndarray:
 
 
 def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LCPOutcome:
-    """Complementary pivoting with the all-ones covering vector, in one path.
+    """Complementary pivoting in one path, covering only the rows that start
+    infeasible.
 
     The constructions here are heavily degenerate (blocks of exact zeros in
     ``q``, a rank-deficient split form), so the path pivots on a perturbed
-    right-hand side ``q + eps * delta``, with a fixed ``delta > 0`` and
+    right-hand side ``q~ = q + eps * delta``, with a fixed ``delta > 0`` and
     ``eps = min(1e-8 (1 + max|q|), -min q / 4)``.  That resolves degeneracy
     only while ``eps`` is small against the basis (Cottle, Pang & Stone,
     ch. 4): at ``1e-7`` some origin-inside Wolfe-KKT paths ended on bases
-    feasible for the perturbed ``q`` alone.  A ray is returned as its
-    direction; a solution's basis is re-solved against ``q`` and must meet
-    the backward-error bound ``feas_tol (1 + ||q|| + max|M| ||v||)``, or
-    InternalInconsistency is raised.  A cycle, a failed rebuild or the pivot
-    limit raises PivotLimitExceeded.  The outcome reports the path's pivot
-    count.
+    feasible for the perturbed ``q`` alone.
+
+    The covering vector ``d`` is 1 where ``q~_i < 0`` and 0 elsewhere, so
+    every uncovered row has ``q~_i > 0``: the perturbation lifts each
+    ``q_i = 0`` row to ``eps delta_i``.  A secondary ray
+    ``(w, v, z0) + t (dw, dv, dz0)`` stays complementary for all ``t >= 0``,
+    so ``dv^T dw = dv^T M dv + dz0 d^T dv = 0``, and with ``M`` positive
+    semidefinite both terms vanish and ``(M + M^T) dv = 0``; its linear term
+    then gives ``dz0 d^T v + q~^T dv + z0 d^T dv = 0``.  If ``dz0 > 0``, then
+    ``d^T dv = 0`` and ``q~^T dv <= 0``; as ``dv >= 0`` vanishes on the
+    covered rows and ``q~ > 0`` on the others, ``dv = 0``: the primary ray,
+    which the path never returns to.  So ``dz0 = 0``, ``d^T dv > 0`` (else
+    ``dv = 0`` by the same argument) and ``q~^T dv = -z0 d^T dv < 0``.  For
+    primal-split, ``d^T dv`` is ``sum du``: in exact arithmetic its ray
+    always carries a positive multiplier.  Covering every row instead let
+    the split pairs ``s_j``, ``s'_j`` trade pivots with ``z0``: half again
+    as many pivots on 20x40 to 100x30 hulls, and rays with ``du = 0``.
+
+    A ray is returned as its direction; a solution's basis is re-solved
+    against ``q`` and must meet the backward-error bound
+    ``feas_tol (1 + ||q|| + max|M| ||v||)``, or InternalInconsistency is
+    raised.  A cycle, a failed rebuild or the pivot limit raises
+    PivotLimitExceeded.  The outcome reports the path's pivot count.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)

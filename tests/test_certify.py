@@ -389,15 +389,43 @@ class TestCrossCheck:
         assert set(report.votes.values()) == {d <= 1e-8}
         assert report.pairwise_max_deviation <= 1e-6
         errors = {k: e.error for k, e in report.entries.items() if e.status == "error"}
-        if d == 1e-7:
-            # lcp-primal's ray has no positive multiplier here, so it gives no
-            # witness and the route errors: a conflict, but no wrong vote.
-            assert list(errors) == ["lcp-primal"]
-            assert "no positive multiplier" in errors["lcp-primal"]
-            assert report.verdict == "conflict"
-        else:
-            assert errors == {}
-            assert report.verdict == "agree"
+        assert errors == {}
+        assert report.verdict == "agree"
+
+    def test_one_dimensional_sliver_agrees(self):
+        # The 1-D twin of the d = 1e-7 sliver.  Covering every row of
+        # primal-split, the pivot path ended on a ray that moved the split
+        # pair s, s' alone and carried no positive multiplier.
+        report = cross_check(Polyhedron(np.array([[0.7499998807907104], [1.1920928955078125e-07]])))
+        assert {k: e.status for k, e in report.entries.items() if e.status != "ok"} == {
+            "nnls": "not-applicable"
+        }
+        assert report.verdict == "agree"
+        assert_allclose(report.rho, [1.1920928955078125e-07], rtol=1e-12)
+
+    def test_no_empty_primal_split_ray_on_hunted_hulls(self):
+        # Small hulls with exact integer structure, rows 24 binary decades
+        # apart and noise 2 to 40 bits below the integers: the inputs where
+        # lcp-primal's pivot path ended on rays with no positive multiplier,
+        # 12 of these 500 when every row was covered.  A secondary ray of a
+        # path that covers only the rows starting infeasible always moves a
+        # multiplier (lcp.lemke_solve), so none may remain.
+        import warnings
+
+        rng = np.random.default_rng(0)
+        empty = []
+        for _ in range(500):
+            m, n = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            z = rng.integers(-4, 5, size=(m, n)).astype(float)
+            noise = rng.integers(-4, 5, size=(m, n)) * 2.0 ** rng.integers(-40, -1, size=(m, n))
+            z = (z + noise) * 2.0 ** rng.integers(-12, 13, size=(m, 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # duplicate vertices are legal
+                P = Polyhedron(z)
+            entry = cross_check(P).entries["lcp-primal"]
+            if entry.status == "error" and "no positive multiplier" in entry.error:
+                empty.append(z.tolist())
+        assert empty == []
 
     @pytest.mark.parametrize(
         "vertices",

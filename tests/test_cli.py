@@ -359,6 +359,32 @@ class TestExitCodes:
         assert doc["certificate"]["passed"] is False
 
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_closed_pipe_is_not_a_traceback(self, tmp_path, output, unbuffered):
+        # stdout is a pipe whose reader is already gone, as after `| grep -q`
+        # has matched: the write fails, and the process still exits with the
+        # run's own code and writes nothing to stderr.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = write_instance(tmp_path, TRIANGLE)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "ppocp.cli", "--input", path, "--method", "wolfe",
+                 "--output", output],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (0, "")
+
+
 class TestGen:
     def test_gen_is_seeded_by_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PPOCP_SEED", "7")
@@ -535,6 +561,17 @@ def test_lemke_ray_prints_passing_hull_witness(tmp_path, capsys, method):
     assert doc["certificate"]["passed"] is True
     assert doc["certificate"]["checks"][-1]["name"] == "hull-witness"
     assert doc["certificate"]["alpha_witness"] == [0.5, 0.5]
+
+
+def test_lcp_primal_answers_the_sliver(tmp_path, capsys):
+    # With every row of primal-split covered, this sliver's pivot path ended
+    # on a ray with no positive multiplier and the route exited 4.
+    path = write_instance(tmp_path, [[1.0, 1e-7], [-1.0, 1e-7]])
+    code, out, err = run_cli(capsys, "--input", path, "--method", "lcp-primal")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["origin_inside"] is False
+    assert np.allclose(doc["rho"], [0.0, 1e-7], rtol=0.0, atol=1e-15)
 
 
 def test_omega_ball_failure_exits_4(tmp_path, capsys, monkeypatch):

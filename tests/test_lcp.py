@@ -279,12 +279,13 @@ class TestRefactor:
 
 
 def _full_tableau_path(M, q, k):
-    # Reference for lcp._pivot_path: the same pivot rule on the whole
-    # k x (2k+1) tableau, pivoted row by row and rebuilt every 8 pivots by a
-    # dense solve of the whole basis.  The 8 is deliberate and is not
+    # Reference for lcp._pivot_path: the same pivot rule, covering vector
+    # and ratio-candidate threshold on the whole k x (2k+1) tableau, pivoted
+    # row by row and rebuilt every 8 pivots by a dense solve of the whole
+    # basis.  The 8 is deliberate and is not
     # lcp._REBUILD_INTERVAL: against it, TestFullTableauReference also checks
     # that the engine's longer interval reaches the same outcomes.
-    data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), q[:, None]])
+    data = np.hstack([np.eye(k), -M, -(q < 0.0).astype(float)[:, None], q[:, None]])
     T = data[:, :-1].copy()
     rhs = q.copy()
     basis = list(range(k))
@@ -310,7 +311,7 @@ def _full_tableau_path(M, q, k):
         seen.add(key)
         entering = leaving + k if leaving < k else leaving - k
         col = T[:, entering]
-        tol = 64.0 * eps * max(1.0, float(np.abs(col).max()))
+        tol = max(64.0, k) * eps * max(1.0, float(np.abs(col).max()))
         cand = np.flatnonzero(col > tol)
         if cand.size == 0:
             ray = np.zeros(2 * k + 1)
@@ -393,9 +394,8 @@ class TestFullTableauReference:
 
 class TestRebuildInterval:
     # Hull 0 of the 240x80 consensus sweep (153x69; random_polyhedron draws
-    # as scripts/consensus_sweep.make_instance does) at unit scale: drift
-    # over its primal-split path of 799 pivots ends on a wrong ray when the
-    # dictionary is never rebuilt.
+    # as scripts/consensus_sweep.make_instance does) at unit scale: its
+    # primal-split path of 551 pivots is the longest of the three.
     @pytest.fixture(scope="class")
     def hull(self):
         U, _ = unit_scale(random_polyhedron(0, max_m=240, max_n=80))
@@ -404,7 +404,7 @@ class TestRebuildInterval:
 
     def test_same_outcome_as_every_8_pivots(self, hull, monkeypatch):
         expected = (
-            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 799),
+            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 551),
             (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION, 190),
             (LcpVariant.DUAL_ORTHANT, LcpStatus.RAY_TERMINATION, 180),
         )
@@ -440,21 +440,32 @@ class TestRebuildInterval:
         monkeypatch.setattr(lcp, "_check_complementary_basis", counted_check)
         monkeypatch.setattr(lcp, "_refactor", counted_refactor)
         for variant, status, rebuilds in (
-            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 24),
+            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 17),
             (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION, 5),
         ):
             counts.update(check=0, rebuild=0)
             assert lemke_solve(build_lcp(hull, variant)).status is status
             assert counts == {"check": rebuilds + 1, "rebuild": rebuilds}
 
-    def test_drift_without_rebuild_is_inconsistent(self, hull, monkeypatch):
-        # Negative control: with no periodic rebuild lcp-primal's path ends on
-        # a ray with no positive multiplier, at one BLAS thread and at two.
-        monkeypatch.setattr(lcp, "_REBUILD_INTERVAL", 10**9)
-        L = build_lcp(hull, LcpVariant.PRIMAL_SPLIT)
-        out = lemke_solve(L)
-        with pytest.raises(InconsistentOutcome, match="no positive multiplier"):
-            extract_projection(hull, L, out)
+    def test_drifting_ray_ends_the_path_at_8_and_32(self, monkeypatch):
+        # Hull 13 of the 320x120 consensus sweep (277x108, k = 493): where its
+        # primal-split path reaches the ray, after 781 pivots, drift leaves
+        # entering-column entries of 2.5e-12 against max|col| = 113.  At a
+        # 64 eps candidate threshold the path ended on the ray at interval 8
+        # and went past it and raised at 32; at max(64, k) eps it ends on the
+        # ray at both.
+        U, _ = unit_scale(random_polyhedron(13, max_m=320, max_n=120))
+        assert U.vertices.shape == (277, 108)
+        L = build_lcp(U, LcpVariant.PRIMAL_SPLIT)
+        rays = []
+        for interval in (8, 32):
+            monkeypatch.setattr(lcp, "_REBUILD_INTERVAL", interval)
+            out = lemke_solve(L)
+            assert (out.status, out.pivots) == (LcpStatus.RAY_TERMINATION, 781)
+            assert out.v[L.k - U.m :].max() > 0.0
+            assert extract_projection(U, L, out).distance <= 1e-14
+            rays.append(out.v)
+        assert np.abs(rays[0] - rays[1]).max() <= 1e-9 * np.abs(rays[1]).max()
 
 
 class TestCheckComplementaryBasis:
