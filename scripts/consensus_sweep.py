@@ -6,6 +6,7 @@ Example:
     python scripts/consensus_sweep.py --count 50 --max-m 12 --max-n 8 --seed 0
     python scripts/consensus_sweep.py --lattice --count 150 --max-m 39 --max-n 7 --seed 1
     python scripts/consensus_sweep.py --family near-dependent --count 400 --seed 2026
+    python scripts/consensus_sweep.py --family hunt --count 3000 --seed 0
 
 Prints one line per instance (sizes, worst pairwise deviation, votes) and a
 summary block; exits nonzero when any instance fails to reach consensus.
@@ -19,6 +20,7 @@ on an error, and on a split vote ``origin_inside=split`` is followed by
 import argparse
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -87,7 +89,32 @@ def twelve_decade_instances(seed, count, box):
         yield Polyhedron(z * 10.0 ** rng.uniform(-6.0, 6.0, size=(m, 1)))
 
 
-FAMILIES = {"near-dependent": near_dependent_instances, "twelve-decade": twelve_decade_instances}
+def hunt_instances(seed, count, box):
+    """Small hulls with exact integer structure: 2 to 8 vertices in 1 to 4
+    dimensions, integer coordinates in [-4, 4] plus integer noise in [-4, 4]
+    times ``2**j``, j in [-40, -2], then each row scaled by ``2**k``, k in
+    [-12, 12].  Duplicate vertices, near-ties and rows 24 binary decades
+    apart are common.  ``box`` is ignored.  All hulls come from one stream
+    seeded by ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        z = rng.integers(-4, 5, size=(m, n)).astype(float)
+        noise = rng.integers(-4, 5, size=(m, n)) * 2.0 ** rng.integers(-40, -1, size=(m, n))
+        z = (z + noise) * 2.0 ** rng.integers(-12, 13, size=(m, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicate vertices are legal
+            P = Polyhedron(z)
+        # Outside the block, so that the filter does not cover the caller.
+        yield P
+
+
+FAMILIES = {
+    "near-dependent": near_dependent_instances,
+    "twelve-decade": twelve_decade_instances,
+    "hunt": hunt_instances,
+}
 
 
 def main(argv=None):
@@ -102,7 +129,9 @@ def main(argv=None):
     )
     parser.add_argument("--shift", type=float, default=3.0, help="--lattice shift along axis 1")
     parser.add_argument(
-        "--family", choices=FAMILIES, help="degenerate hulls that still conflict; uses --box"
+        "--family",
+        choices=FAMILIES,
+        help="degenerate hulls that still conflict; hunt ignores --box, the others use it",
     )
     args = parser.parse_args(argv)
     if args.family:

@@ -36,18 +36,13 @@ then the right-hand side.  A basic column is a unit vector that no pivot
 changes, so it is not stored (Cottle, Pang & Stone, ch. 4; the revised
 simplex method rests on the same observation).  Each pivot is one rank-one
 update, after which the entering variable's column is overwritten with the
-leaving variable's.  The engine guards each pivot in ``O(1)`` (the leaving
-variable is basic, the entering one is not) and checks the basis invariant
-in full, in ``O(k)``, at every rebuild and at the end of the path; its
-errors name the variables ``w1..wk``, ``v1..vk`` and ``z0``.  It breaks
-exact ratio ties lexicographically, and rebuilds the dictionary from the
-data every 32 pivots (``_REBUILD_INTERVAL``): every measured unit-scale path
-keeps the outcome it has at 8 (one primal-split ray of 963 large-hull paths
-comes 2 pivots sooner), for a quarter of the block solves, each of which
-costs about four times the eight rank-one updates before it.  The rebuild
-reduces only the nonbasic columns and ``q``, and solves only the block of
-the basis that its basic ``w`` columns, which are unit vectors, leave open;
-no rebuild runs once the path reaches a solution.
+leaving variable's.  The path starts from the all-``w`` basis, whose
+dictionary is ``[-M | -d | q]`` itself, and pivots it to the end with no
+rebuild from the data.  The engine guards each pivot in ``O(1)`` (the
+leaving variable is basic, the entering one is not) and checks the basis
+invariant in full, in ``O(k)``, at the end of the path; its errors name the
+variables ``w1..wk``, ``v1..vk`` and ``z0``.  It breaks exact ratio ties
+lexicographically.
 ``lemke_solve`` runs one path on a slightly perturbed right-hand side.  Its
 fixed perturbation is NumPy's ``default_rng(k)`` uniform stream, computed in
 plain integers so that a solving process never imports ``numpy.random``
@@ -74,9 +69,6 @@ from .core import (
     projection_result,
 )
 from .errors import InconsistentOutcome, InternalInconsistency, PivotLimitExceeded
-
-# Pivots between two rebuilds of the dictionary.  Read at call time.
-_REBUILD_INTERVAL = 32
 
 __all__ = [
     "LcpVariant",
@@ -230,38 +222,6 @@ def _pivot(T, row, col):
     T[row, col] = inv
 
 
-def _refactor(data, basis, cols, k):
-    """Row-reduce the columns ``cols`` of ``data = [I | -M | -d | q]`` to the
-    basis: ``B^-1 data[:, cols]``.
-
-    A basic ``w_j`` column of ``B = data[:, basis]`` is the unit vector
-    ``e_j``, so only the ``p x p`` block ``Y`` of the other basic columns
-    (``v`` and ``z0``), on the rows that no basic ``w`` covers, needs a
-    solve.  Those rows of the result are ``Z = Y^-1 data[rows, cols]``; the
-    row of each basic ``w_j`` follows as
-    ``data[j, cols] - data[j, others] @ Z``.  Returns None when ``Y`` is
-    singular or the result is not finite.
-    """
-    basis = np.asarray(basis)
-    on_w = basis < k
-    rows_w = basis[on_w]
-    others = basis[~on_w]
-    rows = np.ones(k, dtype=bool)
-    rows[rows_w] = False
-    selected = data[:, cols]
-    try:
-        Z = np.linalg.solve(data[np.ix_(rows, others)], selected[rows])
-    except np.linalg.LinAlgError:
-        return None
-    # C order, so that a pivot path adopts the result as its dictionary.
-    out = np.empty(selected.shape)
-    out[~on_w] = Z
-    out[on_w] = selected[rows_w] - data[np.ix_(rows_w, others)] @ Z
-    if not np.all(np.isfinite(out)):
-        return None
-    return out
-
-
 def _pivot_path(M, q, k):
     """Run the complementary pivot sequence on one right-hand side.
 
@@ -273,39 +233,37 @@ def _pivot_path(M, q, k):
     Each pivot is one rank-one update of ``T`` (``_pivot``), guarded in
     ``O(1)`` by ``_swap_members``, which keeps the basic membership ``member``
     up to date.  The leaving row is the lexicographic minimum ratio; the full
-    key sort runs only over rows that tie exactly on ``rhs / col``.  Every
-    ``_REBUILD_INTERVAL`` (32) pivots the dictionary is rebuilt exactly from
-    the basis (``_refactor``) to shed accumulated drift, which 32 sheds as
-    well as 8 on every measured unit-scale path.  An entry of the entering
-    column is a ratio candidate only above ``max(64, k) eps max(1, max|col|)``:
-    at ``64 eps``, drift let entries of 2.5e-12 against ``max|col| = 113``
-    pass where the 781-pivot primal-split path of a 277x108 hull
-    (``k = 493``) reaches its ray, so the path ended there or went past it
-    and raised, depending on the rebuild interval.
-    ``_check_complementary_basis`` checks the basis in full at every rebuild
-    and at the end of the path, and there ``member`` must equal the
-    membership it computes from ``basis``.
+    key sort runs only over rows that tie exactly on ``rhs / col``.  An entry
+    of the entering column is a ratio candidate only above
+    ``max(64, k) eps max(1, max|col|)``: at ``64 eps``, drift let entries of
+    2.5e-12 against ``max|col| = 113`` pass where the 781-pivot primal-split
+    path of a 277x108 hull (``k = 493``) reaches its ray.
 
-    Returns ``(SOLUTION, basis, pivots)`` once ``z0`` leaves, with no
-    rebuild there: the caller solves on the final basis itself.  Otherwise
-    ``(RAY_TERMINATION, dv, pivots)`` with ``dv`` the ``v`` part of the ray's
-    direction (1 on the entering variable, ``-T[:, column[entering]]`` on
-    the basis).  Raises PivotLimitExceeded when a basis repeats
-    (floating-point noise in tied ratio tests can defeat the lexicographic
-    rule), when a rebuild fails, and past the ``50 k`` safeguard.
+    The dictionary is pivoted from start to end and never rebuilt from the
+    data: at this threshold no measured path needs a rebuild to shed drift.
+    That 277x108 hull still ends on its 781-pivot ray, with a positive
+    multiplier, and the 20 hulls of the 400x160 consensus sweep (seed 0),
+    with primal-split paths of up to 1,146 pivots, end with no conflict.
+    ``_check_complementary_basis`` checks the basis in full at the end of
+    the path, where ``member`` must equal the membership it computes from
+    ``basis``, and ``lemke_solve`` verifies a solution against the data.
+
+    Returns ``(SOLUTION, basis, pivots)`` once ``z0`` leaves: the caller
+    solves on the final basis itself.  Otherwise ``(RAY_TERMINATION, dv,
+    pivots)`` with ``dv`` the ``v`` part of the ray's direction (1 on the
+    entering variable, ``-T[:, column[entering]]`` on the basis).  Raises
+    PivotLimitExceeded when a basis repeats (floating-point noise in tied
+    ratio tests can defeat the lexicographic rule) and past the ``50 k``
+    safeguard.
     """
-    # System [I | -M | -d] x = q with x = (w, v, z0), stacked with q, where
-    # the covering vector d is 1 on the rows that start infeasible.  The
-    # w variables start basic; the dictionary holds the v and z0 columns and
-    # q, the columns a rebuild reduces.  The pivots update ``nonbasic``
-    # through this view of ``cols``.
-    data = np.hstack([np.eye(k), -M, -(q < 0.0).astype(float)[:, None], q[:, None]])
-    cols = np.arange(k, 2 * k + 2)
-    nonbasic = cols[:-1]
+    # The system [I | -M | -d] x = q with x = (w, v, z0), where the covering
+    # vector d is 1 on the rows that start infeasible.  The w variables start
+    # basic, so the dictionary starts as the v and z0 columns and q.
+    T = np.hstack([-M, -(q < 0.0).astype(float)[:, None], q[:, None]])
+    rhs = T[:, -1]
+    nonbasic = np.arange(k, 2 * k + 1)
     column = np.full(2 * k + 1, -1)
     column[k:] = np.arange(k + 1)
-    T = data[:, k:].copy()
-    rhs = T[:, -1]
     basis = np.arange(k)
     member = np.zeros(2 * k + 1, dtype=bool)
     member[:k] = True
@@ -328,8 +286,6 @@ def _pivot_path(M, q, k):
     pivots = 0
     limit = 50 * k
     seen = set()
-    since_refactor = -1
-    interval = _REBUILD_INTERVAL
     while True:
         leaving = int(basis[row])
         _swap_members(member, leaving, entering, k)
@@ -342,17 +298,6 @@ def _pivot_path(M, q, k):
         if leaving == z0:
             checked_member()
             return LcpStatus.SOLUTION, basis, pivots
-        since_refactor += 1
-        if since_refactor >= interval:
-            # Long pivot sequences otherwise accumulate enough drift to steer
-            # the path into numerically singular bases; at 32 pivots every
-            # measured unit-scale path keeps its outcome at 8.
-            checked_member()
-            T = _refactor(data, basis, cols, k)
-            if T is None:
-                raise PivotLimitExceeded(f"tableau rebuild failed after {pivots} pivots")
-            rhs = T[:, -1]
-            since_refactor = 0
         key = member.tobytes()
         if key in seen:
             raise PivotLimitExceeded(f"pivot path revisited a basis after {pivots} pivots")
@@ -518,8 +463,8 @@ def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LC
     A ray is returned as its direction; a solution's basis is re-solved
     against ``q`` and must meet the backward-error bound
     ``feas_tol (1 + ||q|| + max|M| ||v||)``, or InternalInconsistency is
-    raised.  A cycle, a failed rebuild or the pivot limit raises
-    PivotLimitExceeded.  The outcome reports the path's pivot count.
+    raised.  A cycle or the pivot limit raises PivotLimitExceeded.  The
+    outcome reports the path's pivot count.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -15,6 +18,13 @@ SEGMENT_THROUGH_ORIGIN = [[-1.0, 0.0], [1.0, 0.0]]
 COLLINEAR_PAIR = [[1.0, 0.0], [2.0, 0.0]]
 LINE_POINTS = [[-1.0], [1.0], [5.0]]
 SINGLE_POINT = [[3.0, 4.0]]
+
+# scripts/consensus_sweep.py, whose hull families some tests draw from.
+_spec = importlib.util.spec_from_file_location(
+    "consensus_sweep", Path(__file__).resolve().parents[1] / "scripts" / "consensus_sweep.py"
+)
+consensus_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(consensus_sweep)
 
 
 def dual_quantities(out):

@@ -9,6 +9,7 @@ from conftest import (
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
+    consensus_sweep,
     far_vertex_kernel,
     origin_inside_polyhedron,
     random_polyhedron,
@@ -404,27 +405,19 @@ class TestCrossCheck:
         assert_allclose(report.rho, [1.1920928955078125e-07], rtol=1e-12)
 
     def test_no_empty_primal_split_ray_on_hunted_hulls(self):
-        # Small hulls with exact integer structure, rows 24 binary decades
-        # apart and noise 2 to 40 bits below the integers: the inputs where
-        # lcp-primal's pivot path ended on rays with no positive multiplier,
-        # 12 of these 500 when every row was covered.  A secondary ray of a
-        # path that covers only the rows starting infeasible always moves a
-        # multiplier (lcp.lemke_solve), so none may remain.
-        import warnings
-
-        rng = np.random.default_rng(0)
+        # The first 500 hulls of scripts/consensus_sweep.py's hunt family:
+        # small hulls with exact integer structure, rows 24 binary decades
+        # apart and noise 2 to 40 bits below the integers.  These are the
+        # inputs where lcp-primal's pivot path ended on rays with no positive
+        # multiplier, 12 of these 500 when every row was covered.  A
+        # secondary ray of a path that covers only the rows starting
+        # infeasible always moves a multiplier (lcp.lemke_solve), so none may
+        # remain.
         empty = []
-        for _ in range(500):
-            m, n = int(rng.integers(2, 9)), int(rng.integers(1, 5))
-            z = rng.integers(-4, 5, size=(m, n)).astype(float)
-            noise = rng.integers(-4, 5, size=(m, n)) * 2.0 ** rng.integers(-40, -1, size=(m, n))
-            z = (z + noise) * 2.0 ** rng.integers(-12, 13, size=(m, 1))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # duplicate vertices are legal
-                P = Polyhedron(z)
+        for P in consensus_sweep.hunt_instances(0, 500, None):
             entry = cross_check(P).entries["lcp-primal"]
             if entry.status == "error" and "no positive multiplier" in entry.error:
-                empty.append(z.tolist())
+                empty.append(P.vertices.tolist())
         assert empty == []
 
     @pytest.mark.parametrize(

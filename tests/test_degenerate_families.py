@@ -7,23 +7,16 @@ consensus bound and their origin-membership votes unanimous.
 """
 
 import functools
-import importlib.util
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import consensus_sweep
 from ppocp.certify import cross_check
 from ppocp.core import Polyhedron
 
 COUNT = 50
-
-_spec = importlib.util.spec_from_file_location(
-    "consensus_sweep", Path(__file__).resolve().parents[1] / "scripts" / "consensus_sweep.py"
-)
-consensus_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(consensus_sweep)
 
 
 def _sizes(rng, min_n=2):

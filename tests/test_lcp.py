@@ -22,7 +22,6 @@ from ppocp.errors import InconsistentOutcome, InternalInconsistency
 from ppocp.lcp import (
     _check_complementary_basis,
     _pivot,
-    _refactor,
     _swap_members,
     LCPInstance,
     LcpStatus,
@@ -212,79 +211,13 @@ def _dense_refactor(data, basis, k):
     return np.linalg.solve(data[:, basis], data)
 
 
-def _complementary_bases(k, rng):
-    # Complementary bases with no, some and all but one basic w, each once
-    # with z0 nonbasic and once with z0 basic, in shuffled row order.
-    for n_w in (0, k // 2, k - 1):
-        for with_z0 in (False, True):
-            pairs = rng.permutation(k)
-            basis = list(pairs[:n_w]) + [j + k for j in pairs[n_w:]]
-            if with_z0:
-                basis[-1] = 2 * k
-            yield [int(basis[i]) for i in rng.permutation(k)]
-
-
-class TestRefactor:
-    @pytest.mark.parametrize("k", (3, 28, 160))
-    def test_matches_dense_solve(self, k):
-        # A positive-definite M keeps every basis block well conditioned, so
-        # the two solves may differ by rounding alone.
-        rng = np.random.default_rng(k)
-        A = rng.normal(size=(k, k))
-        M = A @ A.T / k + np.eye(k)
-        data = np.hstack([np.eye(k), -M, -np.ones((k, 1)), rng.normal(size=(k, 1))])
-        for basis in _complementary_bases(k, rng):
-            ref = _dense_refactor(data, basis, k)
-            # The columns a pivot path rebuilds: the nonbasic ones, shuffled
-            # as pivots leave them, then q.
-            nonbasic = rng.permutation(np.setdiff1d(np.arange(2 * k + 1), basis))
-            cols = np.append(nonbasic, 2 * k + 1)
-            out = _refactor(data, basis, cols, k)
-            assert np.abs(out - ref[:, cols]).max() <= 1e-12 * np.abs(ref).max()
-            # Every column: basic ones come out as unit vectors, a basic w's
-            # exactly.
-            out = _refactor(data, basis, np.arange(2 * k + 2), k)
-            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert_allclose(out[:, basis], np.eye(k), rtol=0.0, atol=1e-12)
-            on_w = np.asarray(basis) < k
-            assert_array_equal(out[:, np.asarray(basis)[on_w]], np.eye(k)[:, on_w])
-
-    def test_singular_basis_is_refused(self):
-        data = np.hstack([np.eye(2), -np.ones((2, 2)), -np.ones((2, 1)), np.ones((2, 1))])
-        # v1 and v2 columns coincide
-        assert _refactor(data, [2, 3], [0, 1, 4, 5], 2) is None
-
-    @pytest.mark.parametrize("shape", ((60, 20), (100, 30)))
-    def test_answers_match_dense_solve(self, shape, monkeypatch):
-        rebuilds = dict.fromkeys(ALL_VARIANTS, 0)
-
-        def dense(data, basis, cols, k):
-            rebuilds[variant] += 1
-            return _dense_refactor(data, basis, k)[:, cols]
-
-        for seed in range(3):
-            P = _separated(seed, *shape)
-            for variant in ALL_VARIANTS:
-                L = build_lcp(P, variant)
-                out = lemke_solve(L)
-                with monkeypatch.context() as patch:
-                    patch.setattr(lcp, "_refactor", dense)
-                    ref = lemke_solve(L)
-                assert out.status is ref.status is LcpStatus.SOLUTION
-                assert out.pivots == ref.pivots
-                assert out.v.tobytes() == ref.v.tobytes()
-        # Every variant's paths must reach a rebuild, or the dense reference
-        # is never compared for it.
-        assert all(count >= 1 for count in rebuilds.values()), rebuilds
-
-
 def _full_tableau_path(M, q, k):
     # Reference for lcp._pivot_path: the same pivot rule, covering vector
     # and ratio-candidate threshold on the whole k x (2k+1) tableau, pivoted
     # row by row and rebuilt every 8 pivots by a dense solve of the whole
-    # basis.  The 8 is deliberate and is not
-    # lcp._REBUILD_INTERVAL: against it, TestFullTableauReference also checks
-    # that the engine's longer interval reaches the same outcomes.
+    # basis.  The engine never rebuilds, so against this reference
+    # TestFullTableauReference and TestLongPaths also check that its drift
+    # changes no outcome.
     data = np.hstack([np.eye(k), -M, -(q < 0.0).astype(float)[:, None], q[:, None]])
     T = data[:, :-1].copy()
     rhs = q.copy()
@@ -378,10 +311,10 @@ class TestFullTableauReference:
     )
     def test_ties_break_as_full_tableau(self, make, seed, variants):
         # On the unperturbed q many ratio tests tie exactly, and these paths
-        # end before the first rebuild, so the lexicographic keys alone decide
-        # them and the paths agree to the bit.  Dropping either part of the
-        # keys, or reading the nonbasic part from a wrong column of D, changes
-        # some outcome here.
+        # end before the reference's first rebuild, so the lexicographic keys
+        # alone decide them and the paths agree to the bit.  Dropping either
+        # part of the keys, or reading the nonbasic part from a wrong column
+        # of D, changes some outcome here.
         U, _ = unit_scale(make(seed))
         for variant in variants:
             L = build_lcp(U, LcpVariant(variant))
@@ -392,7 +325,7 @@ class TestFullTableauReference:
             assert np.asarray(end).tobytes() == np.asarray(ref_end).tobytes()
 
 
-class TestRebuildInterval:
+class TestLongPaths:
     # Hull 0 of the 240x80 consensus sweep (153x69; random_polyhedron draws
     # as scripts/consensus_sweep.make_instance does) at unit scale: its
     # primal-split path of 551 pivots is the longest of the three.
@@ -402,7 +335,7 @@ class TestRebuildInterval:
         assert U.vertices.shape == (153, 69)
         return U
 
-    def test_same_outcome_as_every_8_pivots(self, hull, monkeypatch):
+    def test_same_outcome_as_full_tableau(self, hull, monkeypatch):
         expected = (
             (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 551),
             (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION, 190),
@@ -412,7 +345,7 @@ class TestRebuildInterval:
             L = build_lcp(hull, variant)
             out = lemke_solve(L)
             with monkeypatch.context() as patch:
-                patch.setattr(lcp, "_REBUILD_INTERVAL", 8)
+                patch.setattr(lcp, "_pivot_path", _full_tableau_path)
                 ref = lemke_solve(L)
             assert out.status is ref.status is status
             assert out.pivots == ref.pivots == pivots
@@ -423,49 +356,39 @@ class TestRebuildInterval:
                 assert np.abs(out.v - ref.v).max() <= 1e-9 * np.abs(ref.v).max()
             extract_projection(hull, L, out)
 
-    def test_full_check_at_every_rebuild_and_at_the_end(self, hull, monkeypatch):
-        # Per pivot only the O(1) guard runs; the full O(k) check runs once
-        # per rebuild and once where the path ends, on a ray or a solution.
-        counts = {"check": 0, "rebuild": 0}
-        check, refactor = lcp._check_complementary_basis, lcp._refactor
+    def test_full_check_once_per_path(self, hull, monkeypatch):
+        # Per pivot only the O(1) guard runs; the full O(k) check runs once,
+        # where the path ends, on a ray or a solution.
+        calls = []
+        check = lcp._check_complementary_basis
 
         def counted_check(*args):
-            counts["check"] += 1
+            calls.append(args)
             return check(*args)
 
-        def counted_refactor(*args):
-            counts["rebuild"] += 1
-            return refactor(*args)
-
         monkeypatch.setattr(lcp, "_check_complementary_basis", counted_check)
-        monkeypatch.setattr(lcp, "_refactor", counted_refactor)
-        for variant, status, rebuilds in (
-            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION, 17),
-            (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION, 5),
+        for variant, status in (
+            (LcpVariant.PRIMAL_SPLIT, LcpStatus.RAY_TERMINATION),
+            (LcpVariant.WOLFE_KKT, LcpStatus.SOLUTION),
         ):
-            counts.update(check=0, rebuild=0)
+            calls.clear()
             assert lemke_solve(build_lcp(hull, variant)).status is status
-            assert counts == {"check": rebuilds + 1, "rebuild": rebuilds}
+            assert len(calls) == 1
 
-    def test_drifting_ray_ends_the_path_at_8_and_32(self, monkeypatch):
+    def test_drifting_ray_ends_the_path(self):
         # Hull 13 of the 320x120 consensus sweep (277x108, k = 493): where its
         # primal-split path reaches the ray, after 781 pivots, drift leaves
         # entering-column entries of 2.5e-12 against max|col| = 113.  At a
-        # 64 eps candidate threshold the path ended on the ray at interval 8
-        # and went past it and raised at 32; at max(64, k) eps it ends on the
-        # ray at both.
+        # 64 eps candidate threshold the path went past the ray and raised
+        # under some rebuild intervals; at max(64, k) eps it ends on the ray
+        # with no rebuild at all.
         U, _ = unit_scale(random_polyhedron(13, max_m=320, max_n=120))
         assert U.vertices.shape == (277, 108)
         L = build_lcp(U, LcpVariant.PRIMAL_SPLIT)
-        rays = []
-        for interval in (8, 32):
-            monkeypatch.setattr(lcp, "_REBUILD_INTERVAL", interval)
-            out = lemke_solve(L)
-            assert (out.status, out.pivots) == (LcpStatus.RAY_TERMINATION, 781)
-            assert out.v[L.k - U.m :].max() > 0.0
-            assert extract_projection(U, L, out).distance <= 1e-14
-            rays.append(out.v)
-        assert np.abs(rays[0] - rays[1]).max() <= 1e-9 * np.abs(rays[1]).max()
+        out = lemke_solve(L)
+        assert (out.status, out.pivots) == (LcpStatus.RAY_TERMINATION, 781)
+        assert out.v[L.k - U.m :].max() > 0.0
+        assert extract_projection(U, L, out).distance <= 1e-14
 
 
 class TestCheckComplementaryBasis:
