@@ -4,7 +4,7 @@ Every route's answer, and the oracle's, is one ProjectionResult built from
 its convex weights ``alpha`` as the point ``rho = alpha @ Z``, which lies in
 the hull.  It passes one check, once, on the unit instance before it is
 reported: the smallest vertex residual ``<z_i - rho, rho>`` must be at least
-``-opt_tol`` (``_vi_checked``), or the answer becomes an InconsistentOutcome
+``-opt_tol`` (``_checked``), or the answer becomes an InternalInconsistency
 filed under the route's ``ROUTES`` key.  A point of the hull that meets the
 variational inequality is the projection, so this check is complete.
 ``cross_check`` judges agreement on these unit-scale answers and only then
@@ -50,11 +50,7 @@ from .core import (
     unit_scale,
     vi_residuals,
 )
-from .errors import (
-    InconsistentOutcome,
-    MaxIterExceeded,
-    PpocpError,
-)
+from .errors import InternalInconsistency, MaxIterExceeded, PpocpError
 from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
 from .maximin import maximin_from_weights, solve_maximin
 from .nnls import project_via_nnls
@@ -218,20 +214,6 @@ def check_optimality(
     )
 
 
-def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionResult:
-    """Pass a route's answer on, or reject it when the VI residual is negative.
-
-    The one optimality check every answer meets before it is reported:
-    ``min_i <z_i - rho, rho> >= -opt_tol``, the bound ``check_optimality``
-    prints as its ``vi-min`` check.
-    """
-    if result.vi_min < -cfg.opt_tol:
-        raise InconsistentOutcome(
-            f"answer fails the optimality residual: {result.vi_min:.3e}"
-        )
-    return result
-
-
 # The route table: a route's name is its ``ROUTES`` key, and nothing else
 # names it; ``cross_check`` files each entry under that key and adds
 # ``"oracle"``.  Each runner takes ``(P, cfg)`` and returns the route's
@@ -242,7 +224,7 @@ def _vi_checked(result: ProjectionResult, cfg: ToleranceConfig) -> ProjectionRes
 # the record from them.  Weights proving the origin inside (the dual's
 # unbounded objective, a Lemke ray) answer with the point they combine to,
 # as all weights do.  ``_checked`` runs a runner on the unit instance and
-# applies ``_vi_checked``, once per answer.
+# checks its answer, once.
 # Runners look the solvers up as module globals at call time, so replacing
 # ``certify.solve_wolfe`` and its peers reaches every caller; in
 # ``cross_check`` the maximin route calls ``certify.maximin_from_weights``
@@ -322,9 +304,19 @@ def _one_kernel_routes():
 
 
 def _checked(runner, U, cfg) -> ProjectionResult | None:
-    """``runner``'s answer on the unit instance ``U`` through ``_vi_checked``."""
+    """``runner``'s answer on the unit instance ``U``, or None where it does not apply.
+
+    The one optimality check every answer meets before it is reported:
+    ``min_i <z_i - rho, rho> >= -opt_tol``, the bound ``check_optimality``
+    prints as its ``vi-min`` check.  An answer below it raises
+    InternalInconsistency.
+    """
     result = runner(U, cfg)
-    return None if result is None else _vi_checked(result, cfg)
+    if result is not None and result.vi_min < -cfg.opt_tol:
+        raise InternalInconsistency(
+            f"answer fails the optimality residual: {result.vi_min:.3e}"
+        )
+    return result
 
 
 def _in_units(r: ProjectionResult, s: float) -> ProjectionResult:

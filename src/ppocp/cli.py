@@ -26,13 +26,7 @@ import numpy as np
 
 from .certify import ROUTES, check_optimality, cross_check, run_route
 from .core import DEFAULT_TOLERANCES, Polyhedron, ToleranceConfig, translate
-from .errors import (
-    InconsistentOutcome,
-    InternalInconsistency,
-    MaxIterExceeded,
-    PivotLimitExceeded,
-    PpocpError,
-)
+from .errors import InternalInconsistency, MaxIterExceeded
 
 METHODS = (*ROUTES, "all")
 
@@ -161,7 +155,7 @@ def _report_payload(report, shift) -> dict:
     }
 
 
-def _result_payload(route, result, certificate, shift, report=None) -> dict:
+def _result_payload(route, result, certificate, shift, report) -> dict:
     payload = {
         "rho": list(_shifted(result.rho, shift)),
         "distance": result.distance,
@@ -172,15 +166,6 @@ def _result_payload(route, result, certificate, shift, report=None) -> dict:
     if report is not None:
         payload["report"] = _report_payload(report, shift)
     return payload
-
-
-def _certificate_exit(certificate) -> int:
-    """Exit 0 for a passing printed certificate; else name its failed checks and exit 4."""
-    if certificate.passed:
-        return 0
-    failed = ", ".join(c.name for c in certificate.checks if not c.passed)
-    print(f"error: consistency conflict: certificate fails {failed}", file=sys.stderr)
-    return 4
 
 
 def _render_text(payload):
@@ -270,35 +255,34 @@ def run(argv=None) -> int:
 
     try:
         if ns.method == "all":
-            report = cross_check(work, cfg)
-            headline = report.headline
-            if headline is None:
+            route, report = "consensus", cross_check(work, cfg)
+            result = report.headline
+            if result is None:
                 print("error: every route failed", file=sys.stderr)
                 return 4
-            certificate = check_optimality(work, headline.rho, alpha=headline.alpha, cfg=cfg)
-            payload = _result_payload("consensus", headline, certificate, shift, report=report)
-            _emit(payload, ns.output)
-            if report.verdict != "agree":
-                print("error: cross-route consensus conflict", file=sys.stderr)
-                return 4
-            return _certificate_exit(certificate)
-
-        result = run_route(ns.method, work, cfg)
-        if result is None:
-            _emit({"status": "not-applicable"}, ns.output)
-            return 0
+        else:
+            route, report = ns.method, None
+            result = run_route(ns.method, work, cfg)
+            if result is None:
+                _emit({"status": "not-applicable"}, ns.output)
+                return 0
         certificate = check_optimality(work, result.rho, alpha=result.alpha, cfg=cfg)
-        _emit(_result_payload(ns.method, result, certificate, shift), ns.output)
-        return _certificate_exit(certificate)
-    except (MaxIterExceeded, PivotLimitExceeded) as err:
+    except MaxIterExceeded as err:
         print(f"error: solver did not converge: {err}", file=sys.stderr)
         return 3
-    except (InternalInconsistency, InconsistentOutcome) as err:
+    except InternalInconsistency as err:
         print(f"error: consistency conflict: {err}", file=sys.stderr)
         return 4
-    except PpocpError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+
+    _emit(_result_payload(route, result, certificate, shift, report), ns.output)
+    if report is not None and report.verdict != "agree":
+        print("error: cross-route consensus conflict", file=sys.stderr)
+        return 4
+    if not certificate.passed:
+        failed = ", ".join(c.name for c in certificate.checks if not c.passed)
+        print(f"error: consistency conflict: certificate fails {failed}", file=sys.stderr)
+        return 4
+    return 0
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared by the solver routes."""
+"""Exception types shared by the solver routes, one for each solver exit code."""
 
 
 class PpocpError(Exception):
@@ -6,10 +6,12 @@ class PpocpError(Exception):
 
 
 class MaxIterExceeded(PpocpError):
-    """Iteration budget exhausted before the stopping contract was met.
+    """A solver stopped before its stopping contract was met: the CLI exits 3.
 
-    Carries the best iterate seen and its residual so callers can inspect
-    how close the solver got.
+    Raised when an iteration budget runs out, and when Lemke's pivot path
+    revisits a basis or passes its pivot limit.  A first-order solver's
+    raise carries the best iterate seen and its residual so callers can
+    inspect how close the solver got.
     """
 
     def __init__(self, message, best=None, residual=None, iterations=None):
@@ -20,12 +22,9 @@ class MaxIterExceeded(PpocpError):
 
 
 class InternalInconsistency(PpocpError):
-    """Two mathematically equivalent computations disagreed beyond tolerance."""
+    """Two computations that must agree did not: the CLI exits 4.
 
-
-class PivotLimitExceeded(PpocpError):
-    """Complementary pivoting hit the cycling safeguard."""
-
-
-class InconsistentOutcome(PpocpError):
-    """A recovered projection failed its own optimality certificate."""
+    Raised when an answer fails its optimality residual, when a complementary
+    solution fails verification or leaves no positive multiplier, and when
+    weights or a pivot basis break their invariants.
+    """

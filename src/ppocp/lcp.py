@@ -68,7 +68,7 @@ from .core import (
     gram_matrix,
     projection_result,
 )
-from .errors import InconsistentOutcome, InternalInconsistency, PivotLimitExceeded
+from .errors import InternalInconsistency, MaxIterExceeded
 
 __all__ = [
     "LcpVariant",
@@ -252,7 +252,7 @@ def _pivot_path(M, q, k):
     solves on the final basis itself.  Otherwise ``(RAY_TERMINATION, dv,
     pivots)`` with ``dv`` the ``v`` part of the ray's direction (1 on the
     entering variable, ``-T[:, column[entering]]`` on the basis).  Raises
-    PivotLimitExceeded when a basis repeats (floating-point noise in tied
+    MaxIterExceeded when a basis repeats (floating-point noise in tied
     ratio tests can defeat the lexicographic rule) and past the ``50 k``
     safeguard.
     """
@@ -300,10 +300,10 @@ def _pivot_path(M, q, k):
             return LcpStatus.SOLUTION, basis, pivots
         key = member.tobytes()
         if key in seen:
-            raise PivotLimitExceeded(f"pivot path revisited a basis after {pivots} pivots")
+            raise MaxIterExceeded(f"pivot path revisited a basis after {pivots} pivots")
         seen.add(key)
         if pivots >= limit:
-            raise PivotLimitExceeded(f"no complementary solution within {limit} pivots")
+            raise MaxIterExceeded(f"no complementary solution within {limit} pivots")
 
         entering = leaving + k if leaving < k else leaving - k
         c = int(column[entering])
@@ -463,7 +463,7 @@ def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LC
     A ray is returned as its direction; a solution's basis is re-solved
     against ``q`` and must meet the backward-error bound
     ``feas_tol (1 + ||q|| + max|M| ||v||)``, or InternalInconsistency is
-    raised.  A cycle or the pivot limit raises PivotLimitExceeded.  The
+    raised.  A cycle or the pivot limit raises MaxIterExceeded.  The
     outcome reports the path's pivot count.
     """
     k = L.k
@@ -523,18 +523,18 @@ def extract_projection(
     at least a point of the hull, on a ray.  The answer
     votes by ``core.projection_result``'s rule like any other.  An outcome
     with no positive multiplier, or any ray of the always-solvable wolfe-kkt
-    variant, is an inconsistency; its message names the variant, and the
-    caller knows the route.  The point is returned unchecked;
+    variant, raises InternalInconsistency; its message names the variant,
+    and the caller knows the route.  The point is returned unchecked;
     ``certify`` applies the variational-inequality check, which certifies it
     completely because it lies in the hull.
     """
     if O.status is LcpStatus.RAY_TERMINATION and L.variant is LcpVariant.WOLFE_KKT:
-        raise InconsistentOutcome(
+        raise InternalInconsistency(
             "ray termination on the always-solvable simplex variant"
         )
     alpha = vertex_weights(P, L, O)
     if alpha is None:
-        raise InconsistentOutcome(
+        raise InternalInconsistency(
             f"{L.variant.value} {O.status.value} with no positive multiplier"
         )
     return projection_result(P, alpha, O.pivots, cfg)

@@ -88,22 +88,17 @@ class DualOutcome:
     alpha: np.ndarray
 
 
-def _check_nonnegative(u, m: int, feas_tol: float) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (m,):
-        raise ValueError(f"dual vector must have length {m}")
-    if u.min() < -feas_tol:
-        raise ValueError(f"dual vector has entry {u.min():.3e} below zero")
-    return u
-
-
 def dual_objective(P: Polyhedron, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Evaluate ``f(u) = 1/4 ||Z^T u||^2 - sum u`` on the orthant.
 
     Raises ValueError unless ``u`` has length ``m`` and no entry below
     ``-feas_tol``.
     """
-    u = _check_nonnegative(u, P.m, cfg.feas_tol)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (P.m,):
+        raise ValueError(f"dual vector must have length {P.m}")
+    if u.min() < -cfg.feas_tol:
+        raise ValueError(f"dual vector has entry {u.min():.3e} below zero")
     g = P.vertices.T @ u
     return 0.25 * float(g @ g) - float(u.sum())
 

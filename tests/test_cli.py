@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SEGMENT_THROUGH_ORIGIN, TRIANGLE, far_vertex_kernel
-from ppocp import certify, cli
+from ppocp import certify, cli, lcp
 from ppocp.core import DEFAULT_TOLERANCES, Polyhedron, projection_result
 from ppocp.support_qp import DualOutcome
 
@@ -193,6 +193,32 @@ class TestProjectionRuns:
         assert code == 0
 
 
+def freeze_membership(monkeypatch):
+    # The basic membership never moves, so the second pivot's basis reads as
+    # the first's: the path's cycle guard raises.
+    monkeypatch.setattr(lcp, "_swap_members", lambda *args: None)
+
+
+def shift_basis_solution(monkeypatch):
+    # The final basis solve is off by one in every v: the backward-error
+    # check that follows it refuses the solution.
+    real = lcp._solve_on_basis
+
+    def shifted(M, q, basis, k):
+        w, v = real(M, q, basis, k)
+        return w, v + 1.0
+
+    monkeypatch.setattr(lcp, "_solve_on_basis", shifted)
+
+
+def end_on_ray(monkeypatch):
+    # Every pivot path ends on a ray, the always-solvable wolfe-kkt one too.
+    def ray(M, q, k):
+        return lcp.LcpStatus.RAY_TERMINATION, np.ones(k), 3
+
+    monkeypatch.setattr(lcp, "_pivot_path", ray)
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "--input", "/nonexistent/file.json")
@@ -357,6 +383,27 @@ class TestExitCodes:
         doc = json.loads(out)
         assert doc["report"]["verdict"] == "agree"
         assert doc["certificate"]["passed"] is False
+
+    @pytest.mark.parametrize(
+        "method, patch, code, message",
+        [
+            ("lcp-dual", freeze_membership, 3,
+             "error: solver did not converge: pivot path revisited a basis after 2 pivots\n"),
+            ("lcp-wolfe", shift_basis_solution, 4,
+             "error: consistency conflict: complementary solution failed verification: "
+             "basis solve residual "),
+            ("lcp-wolfe", end_on_ray, 4,
+             "error: consistency conflict: ray termination on the always-solvable "
+             "simplex variant\n"),
+        ],
+        ids=["pivot-path", "verification", "wolfe-kkt-ray"],
+    )
+    def test_lemke_failure_exit(self, tmp_path, capsys, monkeypatch, method, patch, code, message):
+        patch(monkeypatch)
+        path = write_instance(tmp_path, TRIANGLE)
+        got, out, err = run_cli(capsys, "--input", path, "--method", method)
+        assert (got, out) == (code, "")
+        assert err.startswith(message)
 
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

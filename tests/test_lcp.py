@@ -18,7 +18,7 @@ from conftest import (
 from ppocp.certify import cross_check
 from ppocp.core import Polyhedron, unit_scale
 from ppocp import lcp
-from ppocp.errors import InconsistentOutcome, InternalInconsistency
+from ppocp.errors import InternalInconsistency
 from ppocp.lcp import (
     _check_complementary_basis,
     _pivot,
@@ -646,7 +646,7 @@ class TestExtractProjection:
         broken = type(fake)(
             status=LcpStatus.RAY_TERMINATION, w=None, v=None, pivots=3
         )
-        with pytest.raises(InconsistentOutcome):
+        with pytest.raises(InternalInconsistency, match="always-solvable simplex variant"):
             extract_projection(P, L, broken)
 
     @pytest.mark.parametrize("d", (1e-6, 1e-5, 1e-4, 1e-3))
