@@ -103,11 +103,7 @@ def hunt_instances(seed, count, box):
         z = rng.integers(-4, 5, size=(m, n)).astype(float)
         noise = rng.integers(-4, 5, size=(m, n)) * 2.0 ** rng.integers(-40, -1, size=(m, n))
         z = (z + noise) * 2.0 ** rng.integers(-12, 13, size=(m, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # duplicate vertices are legal
-            P = Polyhedron(z)
-        # Outside the block, so that the filter does not cover the caller.
-        yield P
+        yield Polyhedron(z)
 
 
 FAMILIES = {

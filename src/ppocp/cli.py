@@ -9,7 +9,8 @@ stable for a fixed input and flag set.
 Exit codes: 0 success (including a mathematically inapplicable nnls route),
 2 invalid input or usage, 3 solver non-convergence, 4 any cross-route or
 internal consistency conflict, including a printed certificate with a
-failed check.  A reader that closes stdout early does not change the code.
+failed check.  A reader that closes stdout early does not change the code,
+nor do duplicate vertices, which print one ``warning:`` line on stderr.
 
 A ``gen`` subcommand emits random test instances; the environment variable
 ``PPOCP_SEED`` fixes its seed, a nonnegative integer (default 0).
@@ -71,7 +72,13 @@ def _load_instance(path: str) -> Polyhedron:
         lengths.add(len(row))
     if len(lengths) != 1 or lengths == {0}:
         raise ValueError("all vertex rows must share the same positive length")
-    return Polyhedron(np.array(rows, dtype=float))
+    P = Polyhedron(np.array(rows, dtype=float))
+    # Rows are equal coordinate by coordinate (so -0.0 matches 0.0), and after
+    # a lexicographic sort any equal pair is adjacent.
+    z = P.vertices[np.lexsort(P.vertices.T[::-1])]
+    if (z[1:] == z[:-1]).all(axis=1).any():
+        print("warning: duplicate vertices kept as given", file=sys.stderr)
+    return P
 
 
 def _build_parser() -> argparse.ArgumentParser:

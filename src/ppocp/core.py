@@ -14,7 +14,6 @@ which works on the vertex rows in R^n without forming the Gram matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,32 +79,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Polyhedron:
     """Convex hull of ``m`` vertices in R^n, stored as an (m, n) row matrix.
 
     Vertex order is preserved: row index ``i`` is a stable identifier used in
     every weight vector, residual vector and diagnostic across the package.
-    Duplicate vertices are legal (the math tolerates them) but draw a warning
-    when constructed; instances derived from one (``translate``,
-    ``unit_scale``) run only ``__post_init__``'s checks.  Two rows are
-    duplicates when they compare equal coordinate by coordinate (so ``-0.0``
-    matches ``0.0``); after a lexicographic sort of the rows any such pair is
-    adjacent, which is what the check reads.
+    Duplicate vertices are legal and kept as given, with no warning: the
+    hull, and so the projection, is the same without them.
     """
 
     vertices: np.ndarray
 
-    def __init__(self, vertices):
-        object.__setattr__(self, "vertices", vertices)
-        self.__post_init__()
-        z = self.vertices
-        rows = z[np.lexsort(z.T[::-1])]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
-            warnings.warn("duplicate vertices kept as given", stacklevel=2)
-
     def __post_init__(self):
-        """Check the rows and freeze them; every instance passes here once."""
         z = np.asarray(self.vertices, dtype=float)
         if z.ndim != 2:
             raise ValueError(
@@ -192,17 +178,8 @@ def vi_residuals(P: Polyhedron, y) -> np.ndarray:
     return (P.vertices - y) @ y
 
 
-def _derived(z: np.ndarray) -> Polyhedron:
-    """A Polyhedron of rows derived one for one from a built one's, whose
-    duplicates were reported then: only ``__post_init__``'s checks run."""
-    P = object.__new__(Polyhedron)
-    object.__setattr__(P, "vertices", z)
-    P.__post_init__()
-    return P
-
-
 def translate(P: Polyhedron, p) -> Polyhedron:
-    """Shift every vertex by ``-p``.
+    """Shift every vertex by ``-p``, keeping the rows' order and duplicates.
 
     Projecting an arbitrary point ``p`` onto the hull reduces to projecting
     the origin onto the shifted hull and adding ``p`` back.  Raises
@@ -210,7 +187,7 @@ def translate(P: Polyhedron, p) -> Polyhedron:
     """
     p = _vector(p, P.n, "p")
     with np.errstate(over="ignore"):
-        return _derived(P.vertices - p)
+        return Polyhedron(P.vertices - p)
 
 
 def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:
@@ -220,7 +197,7 @@ def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:
     with ``s`` times ``2^k``.
     """
     k = _unit_exponent(P.vertices)
-    return _derived(np.ldexp(P.vertices, -k)), float(np.ldexp(1.0, k))
+    return Polyhedron(np.ldexp(P.vertices, -k)), float(np.ldexp(1.0, k))
 
 
 def _unit_exponent(z: np.ndarray) -> int:

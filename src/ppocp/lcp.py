@@ -42,7 +42,7 @@ rebuild from the data.  The engine guards each pivot in ``O(1)`` (the
 leaving variable is basic, the entering one is not) and checks the basis
 invariant in full, in ``O(k)``, at the end of the path; its errors name the
 variables ``w1..wk``, ``v1..vk`` and ``z0``.  It breaks exact ratio ties
-lexicographically.
+lexicographically, on keys indexed by variable.
 ``lemke_solve`` runs one path on a slightly perturbed right-hand side.  Its
 fixed perturbation is NumPy's ``default_rng(k)`` uniform stream, computed in
 plain integers so that a solving process never imports ``numpy.random``
@@ -92,8 +92,11 @@ class LcpVariant(enum.Enum):
 class LCPInstance:
     M: np.ndarray
     q: np.ndarray
-    k: int
     variant: LcpVariant
+
+    @property
+    def k(self) -> int:
+        return len(self.q)
 
 
 class LcpStatus(enum.Enum):
@@ -129,7 +132,7 @@ def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
         M[two_n:, :two_n] = A
         q = np.zeros(k)
         q[two_n:] = -1.0
-        return LCPInstance(M=M, q=q, k=k, variant=variant)
+        return LCPInstance(M=M, q=q, variant=variant)
     if variant is LcpVariant.WOLFE_KKT:
         B = gram_matrix(P)
         k = m + 2
@@ -141,10 +144,10 @@ def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
         q = np.zeros(k)
         q[m] = -1.0
         q[m + 1] = 1.0
-        return LCPInstance(M=M, q=q, k=k, variant=variant)
+        return LCPInstance(M=M, q=q, variant=variant)
     if variant is LcpVariant.DUAL_ORTHANT:
         B = gram_matrix(P)
-        return LCPInstance(M=0.5 * B, q=-np.ones(m), k=m, variant=variant)
+        return LCPInstance(M=0.5 * B, q=-np.ones(m), variant=variant)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -226,18 +229,18 @@ def _pivot_path(M, q, k):
     """Run the complementary pivot sequence on one right-hand side.
 
     The path keeps a ``k x (k+2)`` dictionary ``T = [D | rhs]``: the
-    tableau's columns of the ``k + 1`` nonbasic variables, ``nonbasic[c]``
-    being the variable of column ``c`` and ``column[j]`` the column of a
-    nonbasic variable ``j``, then the right-hand side.  A basic column is the
-    unit vector of its row, which no pivot changes, so it is not stored.
-    Each pivot is one rank-one update of ``T`` (``_pivot``), guarded in
-    ``O(1)`` by ``_swap_members``, which keeps the basic membership ``member``
-    up to date.  The leaving row is the lexicographic minimum ratio; the full
-    key sort runs only over rows that tie exactly on ``rhs / col``.  An entry
-    of the entering column is a ratio candidate only above
-    ``max(64, k) eps max(1, max|col|)``: at ``64 eps``, drift let entries of
-    2.5e-12 against ``max|col| = 113`` pass where the 781-pivot primal-split
-    path of a 277x108 hull (``k = 493``) reaches its ray.
+    tableau's columns of the ``k + 1`` nonbasic variables, ``column[j]``
+    being the column of variable ``j`` (-1 when basic), then the right-hand
+    side.  A basic column is the unit vector of its row, which no pivot
+    changes, so it is not stored.  Each pivot is one rank-one update of
+    ``T`` (``_pivot``), guarded in ``O(1)`` by ``_swap_members``, which keeps
+    the basic membership ``member``, the cycle check's key, up to date.  The
+    leaving row is the lexicographic minimum ratio, on keys indexed by
+    variable; the full key sort runs only over rows that tie exactly on
+    ``rhs / col``.  An entry of the entering column is a ratio candidate
+    only above ``max(64, k) eps max(1, max|col|)``: at ``64 eps``, drift let
+    entries of 2.5e-12 against ``max|col| = 113`` pass where the 781-pivot
+    primal-split path of a 277x108 hull (``k = 493``) reaches its ray.
 
     The dictionary is pivoted from start to end and never rebuilt from the
     data: at this threshold no measured path needs a rebuild to shed drift.
@@ -261,7 +264,6 @@ def _pivot_path(M, q, k):
     # basic, so the dictionary starts as the v and z0 columns and q.
     T = np.hstack([-M, -(q < 0.0).astype(float)[:, None], q[:, None]])
     rhs = T[:, -1]
-    nonbasic = np.arange(k, 2 * k + 1)
     column = np.full(2 * k + 1, -1)
     column[k:] = np.arange(k + 1)
     basis = np.arange(k)
@@ -291,7 +293,6 @@ def _pivot_path(M, q, k):
         _swap_members(member, leaving, entering, k)
         _pivot(T, row, c)
         basis[row] = entering
-        nonbasic[c] = leaving
         column[leaving] = c
         column[entering] = -1
         pivots += 1
@@ -326,8 +327,8 @@ def _pivot_path(M, q, k):
         if tied.size > 1:
             keys = np.zeros((tied.size, k + 1))
             keys[:, 0] = rhs[tied]
-            free_w = np.flatnonzero(nonbasic < k)
-            keys[:, 1 + nonbasic[free_w]] = T[np.ix_(tied, free_w)]
+            free_w = np.flatnonzero(column[:k] >= 0)
+            keys[:, 1 + free_w] = T[np.ix_(tied, column[free_w])]
             on_w = np.flatnonzero(basis[tied] < k)
             keys[on_w, 1 + basis[tied[on_w]]] = 1.0
             ratios = keys / col[tied, None]

@@ -48,11 +48,8 @@ def triangle():
 
 
 def random_polyhedron(seed, max_m=12, max_n=8, box=5.0):
-    """Vertices uniform in a box; mixed dimensions and counts."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, max_n + 1))
-    m = int(rng.integers(1, max_m + 1))
-    return Polyhedron(rng.uniform(-box, box, size=(m, n)))
+    """Vertices uniform in a box; mixed dimensions and counts: the sweep's hulls."""
+    return consensus_sweep.make_instance(seed, max_m, max_n, box)
 
 
 def origin_inside_polyhedron(seed, max_m=12, max_n=8, box=5.0):

@@ -356,18 +356,13 @@ class TestCrossCheck:
             assert report.verdict == "conflict"
 
     def test_duplicate_vertices_are_first_class(self):
-        import warnings
-
         cases = [
             ([[2.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [0.0, 2.0]], [1.0, 1.0]),
             ([[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0]),
             ([[3.0, 4.0], [3.0, 4.0]], [3.0, 4.0]),
         ]
         for vertices, expected in cases:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                P = Polyhedron(np.array(vertices))
-            report = cross_check(P)
+            report = cross_check(Polyhedron(np.array(vertices)))
             assert report.verdict == "agree"
             assert np.allclose(report.rho, expected, atol=1e-8)
 

@@ -193,6 +193,44 @@ class TestProjectionRuns:
         assert code == 0
 
 
+DUPLICATE_NOTICE = "warning: duplicate vertices kept as given\n"
+
+
+class TestDuplicateNotice:
+    # The CLI alone reports duplicate rows: one stderr line per run, with the
+    # answer and the exit code of any other instance.
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0]],
+            [[3.0, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, 5.0], [1.0, 1.0], [2.0, 0.0]],
+        ],
+        ids=["signed-zero", "non-adjacent"],
+    )
+    def test_duplicate_rows_print_one_line(self, tmp_path, capsys, vertices):
+        # Rows compare by value, so a signed zero matches its opposite, and
+        # duplicates need not be adjacent in the file.
+        path = write_instance(tmp_path, vertices)
+        code, out, err = run_cli(capsys, "--input", path, "--method", "wolfe")
+        assert (code, err) == (0, DUPLICATE_NOTICE)
+        assert json.loads(out)["certificate"]["passed"] is True
+
+    def test_nearly_equal_rows_print_nothing(self, tmp_path, capsys):
+        path = write_instance(tmp_path, [[1.0, 2.0], [float(np.nextafter(1.0, 2.0)), 2.0]])
+        code, _, err = run_cli(capsys, "--input", path, "--method", "wolfe")
+        assert (code, err) == (0, "")
+
+    def test_one_line_under_method_all_and_point(self, tmp_path, capsys):
+        # The translated instance and cross_check's unit-scale one keep the
+        # duplicate rows, and neither reports them again.
+        path = write_instance(tmp_path, [[1.0, 0.0], [1.0, 0.0], [1.0, 1e-300]])
+        code, out, err = run_cli(
+            capsys, "--input", path, "--method", "all", "--point", "0.5", "0.5"
+        )
+        assert (code, err) == (0, DUPLICATE_NOTICE)
+        assert json.loads(out)["report"]["verdict"] == "agree"
+
+
 def freeze_membership(monkeypatch):
     # The basic membership never moves, so the second pivot's basis reads as
     # the first's: the path's cycle guard raises.

@@ -45,30 +45,29 @@ class TestPolyhedron:
         with pytest.raises(ValueError):
             Polyhedron(np.array([[np.inf, 0.0]]))
 
-    def test_duplicate_vertices_warn_but_are_kept(self):
-        with pytest.warns(UserWarning, match="duplicate"):
-            P = Polyhedron(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert P.m == 2
-        # Rows compare by value, so a signed zero matches its opposite, and
-        # duplicates need not be adjacent in the input.
-        with pytest.warns(UserWarning, match="duplicate"):
-            Polyhedron(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    def test_duplicate_vertices_are_kept_silently(self):
+        # Duplicates are legal input, kept as given and in order, signed
+        # zeros included; only the CLI reports them (tests/test_cli.py).
         six = np.array([[3.0, 1.0], [1.0, 2.0], [2.0, 0.0], [0.0, 5.0], [1.0, 1.0], [2.0, 0.0]])
-        with pytest.warns(UserWarning, match="duplicate"):
-            assert Polyhedron(six).m == 6
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            Polyhedron(np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0]]))
+            assert_array_equal(Polyhedron(six).vertices, six)
+            kept = Polyhedron(signed).vertices
+        assert np.signbit(kept).tolist() == [[False, False], [True, False]]
 
-    def test_duplicates_warn_once_when_constructed(self):
-        # Derived instances (translated, at unit scale) keep the source's
-        # rows, so they report nothing again.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            P = Polyhedron(np.array(TRIANGLE + [TRIANGLE[1]]) * 8.0)
-            assert cross_check(P).verdict == "agree"
-            translate(P, np.array([1.0, 1.0]))
-        assert [str(w.message) for w in caught] == ["duplicate vertices kept as given"]
+    def test_derived_instances_keep_duplicates_silently(self):
+        z = np.array(TRIANGLE + [TRIANGLE[1]]) * 8.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = Polyhedron(z)
+            shifted = translate(P, np.array([1.0, 1.0]))
+            U, s = unit_scale(P)
+            report = cross_check(P)
+        assert_array_equal(shifted.vertices, z - 1.0)
+        assert_array_equal(U.vertices * s, z)
+        assert report.verdict == "agree"
+        assert report.headline.alpha.shape == (4,)
 
     def test_vertices_are_readonly(self):
         P = Polyhedron(np.array(TRIANGLE))

@@ -137,6 +137,12 @@ class TestBuildLcp:
         assert build_lcp(P, LcpVariant.PRIMAL_SPLIT).k == 2 * 2 + 1
         assert build_lcp(P, LcpVariant.WOLFE_KKT).k == 1 + 2
 
+    def test_size_is_read_from_q(self):
+        # The size is not a field, so a hand-built instance cannot contradict
+        # its arrays.
+        with pytest.raises(TypeError):
+            LCPInstance(M=np.eye(3), q=-np.ones(3), k=1, variant=LcpVariant.DUAL_ORTHANT)
+
     def test_zero_blocks_are_exact(self):
         P = random_polyhedron(21)
         L = build_lcp(P, LcpVariant.PRIMAL_SPLIT)
@@ -326,8 +332,8 @@ class TestFullTableauReference:
 
 
 class TestLongPaths:
-    # Hull 0 of the 240x80 consensus sweep (153x69; random_polyhedron draws
-    # as scripts/consensus_sweep.make_instance does) at unit scale: its
+    # Hull 0 of the 240x80 consensus sweep (153x69; random_polyhedron is
+    # scripts/consensus_sweep.make_instance) at unit scale: its
     # primal-split path of 551 pivots is the longest of the three.
     @pytest.fixture(scope="class")
     def hull(self):
@@ -485,9 +491,7 @@ class TestSwapMembers:
 
 class TestLemkeSolve:
     def test_nonnegative_q_is_immediate(self):
-        L = LCPInstance(
-            M=np.eye(2), q=np.array([1.0, 2.0]), k=2, variant=LcpVariant.DUAL_ORTHANT
-        )
+        L = LCPInstance(M=np.eye(2), q=np.array([1.0, 2.0]), variant=LcpVariant.DUAL_ORTHANT)
         out = lemke_solve(L)
         assert out.status is LcpStatus.SOLUTION
         assert out.pivots == 0

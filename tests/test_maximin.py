@@ -78,8 +78,7 @@ class TestSolveMaximin:
             assert_allclose(sol.rho, np.zeros(len(sol.rho)), atol=1e-8)
 
     def test_all_vertices_at_origin(self):
-        with pytest.warns(UserWarning):
-            P = Polyhedron(np.zeros((3, 2)))
+        P = Polyhedron(np.zeros((3, 2)))  # three copies of one vertex
         sol = solve_maximin(P)
         assert sol.origin_inside
         assert maximin_pair(P, sol)[1] == 0.0

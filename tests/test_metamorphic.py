@@ -61,12 +61,6 @@ def lattice_hulls(draw):
     return z
 
 
-def _polyhedron(z):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicated vertices are intended
-        return Polyhedron(z)
-
-
 def _bound(P, *reports):
     distance = max(
         (e.result.distance for r in reports for e in r.entries.values() if e.result),
@@ -150,7 +144,7 @@ def test_permuting_and_duplicating_vertices_keeps_the_answer(z, seed):
     m = z.shape[0]
     rows = np.concatenate([rng.permutation(m), rng.integers(0, m, size=rng.integers(0, m + 1))])
     P = Polyhedron(z)
-    before, after = cross_check(P), cross_check(_polyhedron(z[rows]))
+    before, after = cross_check(P), cross_check(Polyhedron(z[rows]))
     _assert_moved(before, after, lambda rho: rho, _bound(P, before, after))
 
 
@@ -176,5 +170,5 @@ def test_point_projects_the_translated_instance(z, seed):
 
 @given(z=lattice_hulls())
 def test_lattice_hulls_agree(z):
-    report = cross_check(_polyhedron(z))
+    report = cross_check(Polyhedron(z))
     assert report.verdict == "agree", {n: e.error for n, e in report.entries.items() if e.error}

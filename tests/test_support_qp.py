@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -147,9 +145,7 @@ def tall_inside(seed, m, n, box=5.0):
 
 
 def polyhedron(rows):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicate vertices are the point here
-        return Polyhedron(np.array(rows, dtype=float))
+    return Polyhedron(np.array(rows, dtype=float))
 
 
 def degenerate_hull(seed):
