@@ -4,7 +4,7 @@
 Example:
 
     python scripts/consensus_sweep.py --count 50 --max-m 12 --max-n 8 --seed 0
-    python scripts/consensus_sweep.py --lattice --count 150 --max-m 39 --max-n 7 --seed 1
+    python scripts/consensus_sweep.py --family lattice --count 150 --max-m 39 --max-n 7 --seed 1
     python scripts/consensus_sweep.py --family near-dependent --count 400 --seed 2026
     python scripts/consensus_sweep.py --family hunt --count 3000 --seed 0
 
@@ -89,13 +89,12 @@ def twelve_decade_instances(seed, count, box):
         yield Polyhedron(z * 10.0 ** rng.uniform(-6.0, 6.0, size=(m, 1)))
 
 
-def hunt_instances(seed, count, box):
+def hunt_instances(seed, count):
     """Small hulls with exact integer structure: 2 to 8 vertices in 1 to 4
     dimensions, integer coordinates in [-4, 4] plus integer noise in [-4, 4]
     times ``2**j``, j in [-40, -2], then each row scaled by ``2**k``, k in
     [-12, 12].  Duplicate vertices, near-ties and rows 24 binary decades
-    apart are common.  ``box`` is ignored.  All hulls come from one stream
-    seeded by ``seed``.
+    apart are common.  All hulls come from one stream seeded by ``seed``.
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -106,10 +105,16 @@ def hunt_instances(seed, count, box):
         yield Polyhedron(z)
 
 
+# Each family as a function of the parsed arguments; every one reads --seed
+# and --count.
 FAMILIES = {
-    "near-dependent": near_dependent_instances,
-    "twelve-decade": twelve_decade_instances,
-    "hunt": hunt_instances,
+    "uniform": lambda a: (
+        make_instance(a.seed + i, a.max_m, a.max_n, a.box) for i in range(a.count)
+    ),
+    "lattice": lambda a: lattice_instances(a.seed, a.count, a.max_m, a.max_n, a.shift),
+    "near-dependent": lambda a: near_dependent_instances(a.seed, a.count, a.box),
+    "twelve-decade": lambda a: twelve_decade_instances(a.seed, a.count, a.box),
+    "hunt": lambda a: hunt_instances(a.seed, a.count),
 }
 
 
@@ -120,14 +125,14 @@ def main(argv=None):
     parser.add_argument("--max-n", type=int, default=8)
     parser.add_argument("--box", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--lattice", action="store_true", help="integer hulls, see lattice_instances; no --box"
-    )
-    parser.add_argument("--shift", type=float, default=3.0, help="--lattice shift along axis 1")
+    parser.add_argument("--shift", type=float, default=3.0, help="lattice's shift along axis 1")
     parser.add_argument(
         "--family",
         choices=FAMILIES,
-        help="degenerate hulls that still conflict; hunt ignores --box, the others use it",
+        default="uniform",
+        help="hulls to sweep (default: uniform); besides --seed and --count, uniform reads "
+        "--max-m, --max-n and --box, lattice --max-m, --max-n and --shift, near-dependent "
+        "and twelve-decade --box, and hunt nothing else",
     )
     args = parser.parse_args(argv)
     # A numpy RuntimeWarning (overflow, invalid value, division by zero) ends
@@ -135,15 +140,7 @@ def main(argv=None):
     # test: a NaN or an overflow inside a route is a fault even when its
     # verdict still agrees.
     warnings.simplefilter("error", RuntimeWarning)
-    if args.family:
-        instances = FAMILIES[args.family](args.seed, args.count, args.box)
-    elif args.lattice:
-        instances = lattice_instances(args.seed, args.count, args.max_m, args.max_n, args.shift)
-    else:
-        instances = (
-            make_instance(args.seed + i, args.max_m, args.max_n, args.box)
-            for i in range(args.count)
-        )
+    instances = FAMILIES[args.family](args)
 
     conflicts = 0
     inside_count = 0

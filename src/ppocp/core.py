@@ -255,6 +255,10 @@ def projection_result(
         raise InternalInconsistency(f"weights are off the simplex by {deviation:.3e}")
     rho = alpha @ P.vertices
     distance = float(np.linalg.norm(rho))
+    if not 2.0**-500 < distance < 2.0**500 and rho.any():
+        # The norm's squares leave the double range past about 2**+-511.
+        e = int(np.frexp(np.abs(rho).max())[1])
+        distance = float(np.ldexp(np.linalg.norm(np.ldexp(rho, -e)), e))
     vi_min = float(vi_residuals(P, rho).min())
     return ProjectionResult(
         rho=rho,

@@ -369,7 +369,8 @@ def _hashmix(value: int, const: int, mult: int) -> tuple[int, int]:
 def _default_rng_uniform(seed: int, size: int) -> list[float]:
     """``np.random.default_rng(seed).uniform(0.0, 1.0, size)``, bit for bit.
 
-    ``SeedSequence(seed)`` hashes the 32-bit words of ``seed`` into a pool of
+    ``seed`` is one 32-bit word, ``0 <= seed < 2**32``, as an LCP size is.
+    ``SeedSequence(seed)`` hashes the words ``(seed, 0, 0, 0)`` into a pool of
     four words and draws four 64-bit words from it (NumPy's
     ``bit_generator.pyx``): PCG64's 128-bit initial state and its stream.
     PCG64 steps a 128-bit LCG and emits the XSL-RR output of each new state
@@ -377,13 +378,9 @@ def _default_rng_uniform(seed: int, size: int) -> list[float]:
     Algorithms for Random Number Generation", 2014); a double is its top 53
     bits times ``2**-53``.
     """
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
     pool, const = [], 0x43B0D7E5
-    for i in range(4):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const, 0x931E8875)
+    for word in (seed, 0, 0, 0):
+        word, const = _hashmix(word, const, 0x931E8875)
         pool.append(word)
 
     def mix(dst: int, word: int) -> None:
@@ -396,9 +393,6 @@ def _default_rng_uniform(seed: int, size: int) -> list[float]:
         for dst in range(4):
             if src != dst:
                 mix(dst, pool[src])
-    for word in entropy[4:]:
-        for dst in range(4):
-            mix(dst, word)
     words, const = [], 0x8B51F9DD
     for i in range(8):
         word, const = _hashmix(pool[i % 4], const, 0x58F38DED)

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import hypothesis
@@ -19,12 +20,23 @@ COLLINEAR_PAIR = [[1.0, 0.0], [2.0, 0.0]]
 LINE_POINTS = [[-1.0], [1.0], [5.0]]
 SINGLE_POINT = [[3.0, 4.0]]
 
-# scripts/consensus_sweep.py, whose hull families some tests draw from.
-_spec = importlib.util.spec_from_file_location(
-    "consensus_sweep", Path(__file__).resolve().parents[1] / "scripts" / "consensus_sweep.py"
-)
-consensus_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(consensus_sweep)
+
+def _load(name, relpath):
+    """The module at ``relpath`` from the repository root, registered as ``name``."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+# Each hull family is defined once, and the tests draw from that definition:
+# the sweep's families from scripts/consensus_sweep.py, the benchmark's
+# separated and origin-inside hulls from perfbench/workloads.py.
+consensus_sweep = _load("consensus_sweep", "scripts/consensus_sweep.py")
+workloads = _load("workloads", "perfbench/workloads.py")
+separated, origin_inside = workloads.separated, workloads.origin_inside
 
 
 def dual_quantities(out):
@@ -52,27 +64,20 @@ def random_polyhedron(seed, max_m=12, max_n=8, box=5.0):
     return consensus_sweep.make_instance(seed, max_m, max_n, box)
 
 
-def origin_inside_polyhedron(seed, max_m=12, max_n=8, box=5.0):
+def origin_inside_polyhedron(seed, max_m=12, max_n=8):
     """Hull containing the origin: one vertex closes a positive combination."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, max_n + 1))
     m = int(rng.integers(2, max_m + 1))
-    z = rng.uniform(-box, box, size=(m - 1, n))
-    lam = rng.uniform(0.2, 1.0, size=m)
-    closing = -(lam[1:] @ z) / lam[0]
-    return Polyhedron(np.vstack([closing[None, :], z]))
+    return Polyhedron(origin_inside(rng, m, n))
 
 
-def separated_polyhedron(seed, margin=0.5, max_m=12, max_n=8, box=5.0):
+def separated_polyhedron(seed, margin=0.5, max_m=12, max_n=8):
     """Hull strongly separated from the origin by at least ``margin``."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
-    z = rng.uniform(-box, box, size=(m, n))
-    d = rng.normal(size=n)
-    d /= np.linalg.norm(d)
-    shift = margin - float(np.min(z @ d))
-    return Polyhedron(z + shift * d)
+    return Polyhedron(separated(rng, m, n, margin))
 
 
 def far_vertex_kernel(Z, max_cycles):

@@ -17,6 +17,7 @@ from conftest import (
     dual_quantities,
     maximin_pair,
     origin_inside_polyhedron,
+    random_polyhedron,
     separated_polyhedron,
 )
 from ppocp.certify import cross_check, reference_projection
@@ -45,13 +46,6 @@ def criterion(number, name):
         print(f"\nACCEPTANCE {number} ({name}): FAIL")
         raise
     print(f"\nACCEPTANCE {number} ({name}): PASS")
-
-
-def sweep_instance(i):
-    rng = np.random.default_rng(20_000 + i)
-    n = int(rng.integers(1, 9))
-    m = int(rng.integers(1, 13))
-    return Polyhedron(rng.uniform(-5.0, 5.0, size=(m, n)))
 
 
 @dataclass
@@ -99,7 +93,7 @@ def _run_all_routes(P):
 @pytest.fixture(scope="module")
 def route_sweep():
     start = time.perf_counter()
-    records = [_run_all_routes(sweep_instance(i)) for i in range(200)]
+    records = [_run_all_routes(random_polyhedron(20_000 + i)) for i in range(200)]
     return records, time.perf_counter() - start
 
 

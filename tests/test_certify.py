@@ -409,7 +409,7 @@ class TestCrossCheck:
         # infeasible always moves a multiplier (lcp.lemke_solve), so none may
         # remain.
         empty = []
-        for P in consensus_sweep.hunt_instances(0, 500, None):
+        for P in consensus_sweep.hunt_instances(0, 500):
             entry = cross_check(P).entries["lcp-primal"]
             if entry.status == "error" and "no positive multiplier" in entry.error:
                 empty.append(P.vertices.tolist())

@@ -11,8 +11,10 @@ from conftest import (
     SINGLE_POINT,
     TRIANGLE,
     dual_quantities,
+    origin_inside,
     origin_inside_polyhedron,
     random_polyhedron,
+    separated,
     separated_polyhedron,
 )
 from ppocp.certify import cross_check
@@ -34,15 +36,6 @@ from ppocp.lcp import (
 from ppocp.support_qp import dual_objective, solve_dual
 
 ALL_VARIANTS = (LcpVariant.PRIMAL_SPLIT, LcpVariant.WOLFE_KKT, LcpVariant.DUAL_ORTHANT)
-
-
-def _origin_inside(seed, m=80, n=20):
-    # The benchmark's origin-inside generator: the first vertex closes a
-    # strictly positive combination of the others.
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-5.0, 5.0, size=(m - 1, n))
-    lam = rng.uniform(0.2, 1.0, size=m)
-    return Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z]))
 
 
 # Counts the pivot paths of dual-orthant on random_polyhedron(37, box=1e3) and
@@ -69,16 +62,6 @@ except InternalInconsistency as err:
 
 # consensus-medium's hull shapes.
 _MEDIUM_SHAPES = ((60, 20), (100, 30), (20, 40), (40, 60))
-
-
-def _separated(seed, m, n):
-    # The benchmark's separated generator: a uniform box shifted along a
-    # random unit direction until its nearest vertex is 0.5 away.
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-5.0, 5.0, size=(m, n))
-    d = rng.normal(size=n)
-    d /= np.linalg.norm(d)
-    return Polyhedron(z + (0.5 - float(np.min(z @ d))) * d)
 
 
 def _primal_split_blocks(P):
@@ -280,8 +263,9 @@ class TestFullTableauReference:
     )
     def test_same_path_as_full_tableau(self, hull, monkeypatch):
         kind, seed, m, n = hull
-        make = _separated if kind == "separated" else _origin_inside
-        U, _ = unit_scale(make(seed, m, n))
+        rng = np.random.default_rng(seed)
+        z = separated(rng, m, n, 0.5) if kind == "separated" else origin_inside(rng, m, n)
+        U, _ = unit_scale(Polyhedron(z))
         for variant in ALL_VARIANTS:
             L = build_lcp(U, variant)
             out = lemke_solve(L)
@@ -455,7 +439,7 @@ class TestSwapMembers:
             swap(member, leaving, entering, k)
 
         monkeypatch.setattr(lcp, "_swap_members", wrong_third)
-        U, _ = unit_scale(_separated(0, 60, 20))
+        U, _ = unit_scale(Polyhedron(separated(np.random.default_rng(0), 60, 20, 0.5)))
         for variant in ALL_VARIANTS:
             calls.clear()
             with pytest.raises(InternalInconsistency):
@@ -473,7 +457,7 @@ class TestSwapMembers:
             touched.update((leaving, entering))
             swap(member, leaving, entering, k)
 
-        U, _ = unit_scale(_separated(0, 60, 20))
+        U, _ = unit_scale(Polyhedron(separated(np.random.default_rng(0), 60, 20, 0.5)))
         L = build_lcp(U, LcpVariant.WOLFE_KKT)
         monkeypatch.setattr(lcp, "_swap_members", recording)
         lemke_solve(L)
@@ -508,6 +492,11 @@ class TestLemkeSolve:
         with pytest.raises(ValueError):
             delta[0] = 1.0
 
+    def test_covering_draw_at_the_largest_seed(self):
+        # The draw takes its seed as one 32-bit word; 2**32 - 1 is the last.
+        fresh = np.random.default_rng(2**32 - 1).uniform(0.0, 1.0, size=8)
+        assert lcp._default_rng_uniform(2**32 - 1, 8) == fresh.tolist()
+
     def test_covering_perturbation_values(self):
         assert lcp._covering_perturbation(3).tolist() == [
             1.0856491671436244,
@@ -535,7 +524,7 @@ class TestLemkeSolve:
             (60, 20, 347),
             (150, 40, 26),
         ):
-            P = _origin_inside(seed, m, n)
+            P = Polyhedron(origin_inside(np.random.default_rng(seed), m, n))
             U, _ = unit_scale(P)
             calls.clear()
             out = lemke_solve(build_lcp(U, LcpVariant.WOLFE_KKT))
@@ -601,7 +590,8 @@ class TestLemkeSolve:
             # cycles at the hulls' own scale; at unit scale it ends on a ray,
             # as on 39, whose weights combine the vertices to the origin.
             for seed in (0, 17, 22, 39):
-                U, _ = unit_scale(_origin_inside(seed))
+                z = origin_inside(np.random.default_rng(seed), 80, 20)
+                U, _ = unit_scale(Polyhedron(z))
                 L = build_lcp(U, variant)
                 out = lemke_solve(L)
                 assert out.status is LcpStatus.RAY_TERMINATION

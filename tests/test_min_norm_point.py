@@ -7,7 +7,7 @@ import scipy.optimize
 import ppocp.core as core
 import ppocp.maximin as maximin
 import ppocp.simplex_qp as simplex_qp
-from conftest import TRIANGLE
+from conftest import TRIANGLE, origin_inside, separated
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
@@ -22,31 +22,18 @@ SHAPES = [(3, 2), (12, 4), (60, 6), (150, 8), (400, 10)]
 MAX_CYCLES = DEFAULT_TOLERANCES.max_iter  # the cap both routes pass
 
 
-def _separated(rng, m, n, margin=0.5):
-    z = rng.uniform(-5.0, 5.0, size=(m, n))
-    d = rng.normal(size=n)
-    d /= np.linalg.norm(d)
-    return z + (margin - float(np.min(z @ d))) * d
-
-
-def _origin_inside(rng, m, n):
-    z = rng.uniform(-5.0, 5.0, size=(m - 1, n))
-    lam = rng.uniform(0.2, 1.0, size=m)
-    return np.vstack([-(lam[1:] @ z) / lam[0], z])
-
-
 def _flat(rng, m, n):
     """Separated hull whose vertices span only a plane of R^n."""
     basis = np.linalg.qr(rng.normal(size=(n, 2)))[0].T
-    return _separated(rng, m, 2) @ basis
+    return separated(rng, m, 2, 0.5) @ basis
 
 
 def hulls():
     for seed in range(4):
         rng = np.random.default_rng(seed)
         for m, n in SHAPES:
-            yield f"separated-{m}x{n}-{seed}", _separated(rng, m, n)
-            yield f"inside-{m}x{n}-{seed}", _origin_inside(rng, m, n)
+            yield f"separated-{m}x{n}-{seed}", separated(rng, m, n, 0.5)
+            yield f"inside-{m}x{n}-{seed}", origin_inside(rng, m, n)
             yield f"flat-{m}x{n}-{seed}", _flat(rng, m, n)
 
 
@@ -130,11 +117,30 @@ def test_routes_answer_far_below_unit_scale(solve):
 
 @pytest.mark.parametrize("solve", [solve_wolfe, solve_maximin])
 def test_absolute_gap_overflow_stays_loud(solve):
-    # The gap checks stay absolute on Z as given: past 2^511 the gap itself
-    # overflows, and the answer is refused rather than passed.
+    # The gap checks stay absolute on Z as given: past 2^511 the gap of this
+    # triangle, whose nearest point lies inside an edge, overflows, and the
+    # answer is refused rather than passed.  A nearest point at a vertex has
+    # a gap of exactly 0 and passes (test_distance_past_the_squares_range).
     P = Polyhedron(np.ldexp(np.array(TRIANGLE), 600))
     with np.errstate(over="ignore"), pytest.raises(MaxIterExceeded):
         solve(P)
+
+
+# Nearest point (1, 2), a vertex, at distance sqrt 5.
+Z0 = np.array([[3.0, 4.0], [1.0, 2.0], [2.0, 5.0]])
+
+
+@pytest.mark.parametrize("solve", [solve_wolfe, solve_maximin])
+@pytest.mark.parametrize("exponent", [-600, -1000, 520])
+def test_distance_past_the_squares_range(solve, exponent):
+    # ||rho||^2 underflows to 0 below about 2^-511 and overflows above 2^511;
+    # the distance is still the unit distance scaled by the power of two.
+    # At 2^520 vi_min overflows, as documented, and warns.
+    unit = solve(Polyhedron(Z0)).distance
+    with np.errstate(over="ignore" if exponent > 0 else "warn"):
+        out = solve(Polyhedron(np.ldexp(Z0, exponent)))
+    assert out.distance == np.ldexp(unit, exponent)
+    assert out.alpha.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_routes_make_one_kernel_call(monkeypatch):
@@ -174,7 +180,7 @@ def test_routes_never_build_the_gram_matrix(monkeypatch):
 
 def test_maximin_origin_inside_polish_steps(monkeypatch):
     m, n = 2000, 20
-    P = Polyhedron(_origin_inside(np.random.default_rng(0), m, n))
+    P = Polyhedron(origin_inside(np.random.default_rng(0), m, n))
     steps = []
     kernel = maximin.refine_simplex_minimizer
 
@@ -199,7 +205,7 @@ def test_corral_starts_at_lowest_norm_support_vertex():
     np.testing.assert_array_equal(weights, [0.0, 1.0, 0.0])
 
 
-# Draw 138 of ``scripts/consensus_sweep.py --lattice --count 150 --max-m 39
+# Draw 138 of ``scripts/consensus_sweep.py --family lattice --count 150 --max-m 39
 # --max-n 7 --seed 1``.  The kernel reaches the corral {7, 5, 2} with weights
 # (6.9e-16, 0.444, 0.556) and adds z_4; vertex 7 blocks the first minor step
 # at a length of 6.9e-16, which leaves z_4 a weight of the same size.  Cut

@@ -10,8 +10,10 @@ from conftest import (
     SINGLE_POINT,
     TRIANGLE,
     dual_quantities,
+    origin_inside,
     origin_inside_polyhedron,
     random_polyhedron,
+    separated,
     separated_polyhedron,
 )
 from ppocp.core import Polyhedron, ToleranceConfig
@@ -127,23 +129,6 @@ class TestSolveDual:
 EPS = np.finfo(float).eps
 
 
-def tall_separated(seed, m=1000, n=20, margin=5.0, box=5.0):
-    """A hull at distance >= margin: perfbench/workloads.separated, first draw."""
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-box, box, size=(m, n))
-    d = rng.normal(size=n)
-    d /= np.linalg.norm(d)
-    return Polyhedron(z + (margin - float(np.min(z @ d))) * d)
-
-
-def tall_inside(seed, m, n, box=5.0):
-    """First vertex closes a strictly positive combination through the origin."""
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-box, box, size=(m - 1, n))
-    lam = rng.uniform(0.2, 1.0, size=m)
-    return Polyhedron(np.vstack([-(lam[1:] @ z) / lam[0], z]))
-
-
 def polyhedron(rows):
     return Polyhedron(np.array(rows, dtype=float))
 
@@ -255,9 +240,9 @@ class TestActiveSetSolver:
     @pytest.mark.parametrize(
         "P",
         [origin_inside_polyhedron(seed) for seed in range(12)]
-        + [tall_inside(seed, 100, 30) for seed in range(3)]
-        + [tall_inside(seed, 1000, 20) for seed in range(3)]
-        + [tall_inside(seed, 2000, 20) for seed in range(2)],
+        + [Polyhedron(origin_inside(np.random.default_rng(seed), 100, 30)) for seed in range(3)]
+        + [Polyhedron(origin_inside(np.random.default_rng(seed), 1000, 20)) for seed in range(3)]
+        + [Polyhedron(origin_inside(np.random.default_rng(seed), 2000, 20)) for seed in range(2)],
     )
     def test_origin_inside_witness(self, P):
         out = solve_dual(P)
@@ -266,8 +251,8 @@ class TestActiveSetSolver:
 
     @pytest.mark.parametrize(
         "P",
-        [tall_separated(seed) for seed in (0, 1, 2, 46)]
-        + [tall_separated(seed, m=2000, margin=0.5) for seed in (0, 1)],
+        [Polyhedron(separated(np.random.default_rng(s), 1000, 20, 5.0)) for s in (0, 1, 2, 46)]
+        + [Polyhedron(separated(np.random.default_rng(s), 2000, 20, 0.5)) for s in (0, 1)],
         ids=["1000x20-s0", "1000x20-s1", "1000x20-s2", "1000x20-s46", "2000x20-s0", "2000x20-s1"],
     )
     def test_tall_separated_agree_with_wolfe(self, P):
@@ -288,7 +273,10 @@ class TestActiveSetSolver:
     def test_power_of_two_scaling(self, factor):
         hulls = [separated_polyhedron(seed) for seed in range(8)]
         hulls += [origin_inside_polyhedron(seed) for seed in range(8)]
-        hulls += [tall_separated(46), tall_inside(0, 1000, 20)]
+        hulls += [
+            Polyhedron(separated(np.random.default_rng(46), 1000, 20, 5.0)),
+            Polyhedron(origin_inside(np.random.default_rng(0), 1000, 20)),
+        ]
         for P in hulls:
             base = solve_dual(P)
             scaled = solve_dual(Polyhedron(P.vertices * factor))
