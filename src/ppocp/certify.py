@@ -280,7 +280,8 @@ def _one_kernel_routes():
     runner checks those with ``maximin_from_weights``; ``solve_maximin``
     makes the same kernel call as ``solve_wolfe`` and gets the same weights,
     so its entry does not change.  When ``solve_wolfe`` raises anything else
-    (weights off the simplex by more than ``feas_tol``), maximin runs
+    (weights off the simplex by more than ``feas_tol``, or a singular
+    bordered system in the kernel), maximin runs
     ``solve_maximin``, whose kernel gives the same weights.  Built anew for
     every call, so nothing is kept across instances; wolfe must run first.
     """

@@ -281,13 +281,16 @@ def refine_simplex_minimizer(Z: np.ndarray, max_cycles: int) -> tuple[np.ndarray
     cycle scans ``j = argmin Z x`` and stops once ``||x||^2 - <z_j, x>`` is
     at most ``64 eps max_i ||z_i||^2`` or ``z_j`` is already in the corral;
     otherwise ``z_j`` joins it.  Each minor cycle solves the affine-hull
-    problem on the corral with a bordered least squares system and, when
+    problem on the corral as the square bordered linear system of Wolfe's
+    paper, by LU with partial pivoting (``np.linalg.solve``), and, when
     that leaves the simplex, steps back to its boundary and drops the
     vertices whose weight reaches zero, save ``z_j`` in its first minor
     cycle unless it blocks the step itself: a short step leaves it a weight
     too small to tell from rounding, but it still has to stay.  The corral
     stays affinely independent, so it never holds more than n + 1 vertices,
-    and ``||x||^2`` falls with every major cycle.  All of this runs on
+    and ``||x||^2`` falls with every major cycle.  An exactly singular
+    system would mean an affinely dependent corral; it raises
+    InternalInconsistency.  All of this runs on
     ``kernel_rows(Z)``, the rows divided by ``2^round(log2 max_i ||z_i||)``,
     so no norm overflows or underflows, and scaling ``Z`` by a power of two
     leaves the weights unchanged to the bit.  Returns the weights over all
@@ -316,15 +319,21 @@ def refine_simplex_minimizer(Z: np.ndarray, max_cycles: int) -> tuple[np.ndarray
             k = len(corral)
             K = np.zeros((k + 1, k + 1))
             # The Gram block is divided by its largest diagonal entry so that
-            # it and the unit border share one magnitude: the least-squares
-            # rank cut-off then does not depend on the units of Z.
+            # it and the unit border share one magnitude: the pivots that LU's
+            # partial pivoting picks between Gram rows and the border row then
+            # do not depend on the units of Z.
             G = Zs @ Zs.T
             K[:k, :k] = G / G.diagonal().max()
             K[:k, k] = -1.0
             K[k, :k] = 1.0
             rhs = np.zeros(k + 1)
             rhs[k] = 1.0
-            mu = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
+            try:
+                mu = np.linalg.solve(K, rhs)[:k]
+            except np.linalg.LinAlgError:
+                raise InternalInconsistency(
+                    f"Wolfe's bordered system is singular for a corral of {k} vertices"
+                ) from None
             if mu.min() >= 0.0:
                 lam = mu
                 break

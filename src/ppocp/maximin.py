@@ -47,7 +47,8 @@ def solve_maximin(
 
     Runs ``refine_simplex_minimizer`` within ``cfg.max_iter`` major cycles,
     the call ``solve_wolfe`` makes, and reads the answer off its weights with
-    ``maximin_from_weights``, whose MaxIterExceeded it raises.
+    ``maximin_from_weights``, whose MaxIterExceeded it raises.  A singular
+    bordered system in the kernel raises InternalInconsistency.
     """
     weights, iterations = refine_simplex_minimizer(P.vertices, cfg.max_iter)
     return maximin_from_weights(P, weights, iterations, cfg)

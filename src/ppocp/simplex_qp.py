@@ -56,6 +56,9 @@ def solve_wolfe(
         kernel solves a power-of-two rescaling of ``Z``, but the contract is
         absolute on ``Z`` as given: far above unit scale rounding alone
         breaks it, and past ``max_i ||z_i|| = 2^511`` the gap overflows.
+    InternalInconsistency
+        If the kernel's bordered system is singular, which an affinely
+        independent corral rules out in exact arithmetic.
     """
     alpha, iterations = refine_simplex_minimizer(P.vertices, cfg.max_iter)
     result = projection_result(P, alpha, iterations, cfg)

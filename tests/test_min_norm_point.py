@@ -1,5 +1,8 @@
 """Wolfe's minimum-norm-point kernel and the two routes built on it."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,13 +11,15 @@ import ppocp.core as core
 import ppocp.maximin as maximin
 import ppocp.simplex_qp as simplex_qp
 from conftest import TRIANGLE, origin_inside, separated
+from ppocp import cli
+from ppocp.certify import cross_check, reference_projection
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ToleranceConfig,
     refine_simplex_minimizer,
 )
-from ppocp.errors import MaxIterExceeded
+from ppocp.errors import InternalInconsistency, MaxIterExceeded
 from ppocp.maximin import solve_maximin
 from ppocp.simplex_qp import solve_wolfe
 
@@ -69,13 +74,13 @@ def _scale(Z):
 def test_kernel_corral_weights_and_gap(name, Z, monkeypatch):
     m, n = Z.shape
     sizes = []
-    lstsq = np.linalg.lstsq
+    solve = np.linalg.solve
 
-    def recording_lstsq(K, rhs, rcond=None):
+    def recording_solve(K, rhs):
         sizes.append(K.shape[0] - 1)  # the bordered system adds one row
-        return lstsq(K, rhs, rcond=rcond)
+        return solve(K, rhs)
 
-    monkeypatch.setattr(core.np.linalg, "lstsq", recording_lstsq)
+    monkeypatch.setattr(core.np.linalg, "solve", recording_solve)
     weights, steps = refine_simplex_minimizer(Z, MAX_CYCLES)
     monkeypatch.undo()
 
@@ -235,8 +240,6 @@ LATTICE_16x5 = np.array(
 
 
 def test_entering_vertex_survives_a_tiny_first_step():
-    from ppocp.certify import cross_check
-
     Z = LATTICE_16x5
     P = Polyhedron(Z)
     weights, _ = refine_simplex_minimizer(Z, MAX_CYCLES)
@@ -248,3 +251,95 @@ def test_entering_vertex_survives_a_tiny_first_step():
     report = cross_check(P)
     assert report.verdict == "agree"
     assert {name: e.status for name, e in report.entries.items()}["wolfe"] == "ok"
+
+
+# Hulls 1165 and 1731 of ``scripts/consensus_sweep.py --family hunt --count 3000
+# --seed 0``, whose row norms span 20 and 22 binary decades.  On hull 1165
+# the bordered system of the corral of vertices 2, 0 and 1 has a smallest
+# singular value of 1.5e-15, just under the 1.8e-15 rank cut-off of an SVD
+# least-squares solve: its minimum-norm solution kept all three vertices with
+# nonnegative weights, the kernel stopped at a gap of 5.2e-7, and ``project
+# --method wolfe`` printed a distance 12.5 % too large.  The LU solve finds
+# the negative affine weight and drops the vertex.
+HUNT_HULLS = {
+    "hunt-1165": [
+        [6143.953125, -5632.0],
+        [-0.015624940395355225, 0.011718750000007105],
+        [-0.007812492549419403, 0.003906242549419403],
+        [-8.000000000116415, -15.999999999534339],
+    ],
+    "hunt-1731": [
+        [-16.03125, -7.5, -11.999999999985448],
+        [1.7881393432617188e-07, 0.003906250000014211, 0.0029296874708961695],
+        [4095.999984741211, -4097.0, -12288.000061035156],
+        [-0.0019588470458984375, 0.0009765624963620212, -0.0039062499998294697],
+    ],
+}
+
+
+@pytest.mark.parametrize("vertices", HUNT_HULLS.values(), ids=HUNT_HULLS)
+def test_rows_many_binary_decades_apart_match_the_oracle(vertices):
+    P = Polyhedron(np.array(vertices))
+    ref = reference_projection(P).rho
+    tol = 1e-12 * float(np.abs(P.vertices).max())
+    assert np.linalg.norm(solve_wolfe(P).rho - ref) <= tol
+    assert np.linalg.norm(solve_maximin(P).rho - ref) <= tol
+    report = cross_check(P)
+    for name in ("wolfe", "maximin"):
+        assert np.linalg.norm(report.entries[name].result.rho - ref) <= tol
+
+
+@pytest.mark.parametrize("vertices", HUNT_HULLS.values(), ids=HUNT_HULLS)
+def test_cli_distance_on_rows_many_binary_decades_apart(vertices, tmp_path, capsys):
+    path = tmp_path / "hull.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    distances = {}
+    for method in ("wolfe", "dual"):
+        assert cli.run(["--input", str(path), "--method", method]) == 0
+        distances[method] = json.loads(capsys.readouterr().out)["distance"]
+    # The oracle's own answer on hull 1165 sits 1.2e-12 from all six routes'
+    # and prints one unit in the last place lower; the dual's matches to the bit.
+    assert distances["wolfe"] == distances["dual"]
+    oracle = reference_projection(Polyhedron(np.array(vertices))).distance
+    assert distances["wolfe"] == pytest.approx(oracle, rel=4 * np.finfo(float).eps)
+
+
+@pytest.fixture
+def singular_kernel(monkeypatch):
+    """Make every bordered solve of Wolfe's kernel report a singular matrix.
+
+    Other callers of ``np.linalg.solve`` (the dual's and Lemke's) keep the
+    real one, so only the kernel's failure shows.
+    """
+    solve = np.linalg.solve
+
+    def failing(K, rhs):
+        if sys._getframe(1).f_code is refine_simplex_minimizer.__code__:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(K, rhs)
+
+    monkeypatch.setattr(core.np.linalg, "solve", failing)
+
+
+def test_singular_bordered_system_is_an_inconsistency(singular_kernel):
+    P = Polyhedron(np.array(TRIANGLE))
+    with pytest.raises(InternalInconsistency, match="singular for a corral of 2 vertices"):
+        solve_wolfe(P)
+    report = cross_check(P)
+    assert report.verdict == "conflict"
+    for name in ("wolfe", "maximin"):
+        assert report.entries[name].status == "error"
+        assert "singular for a corral of 2 vertices" in report.entries[name].error
+    assert report.entries["dual"].status == "ok"
+
+
+def test_singular_bordered_system_exits_4(singular_kernel, tmp_path, capsys):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"vertices": TRIANGLE}))
+    assert cli.run(["--input", str(path), "--method", "wolfe"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: consistency conflict: "
+        "Wolfe's bordered system is singular for a corral of 2 vertices\n"
+    )
