@@ -11,7 +11,9 @@ Example:
 Prints one line per instance (sizes, worst pairwise deviation, votes) and a
 summary block; exits nonzero when any instance fails to reach consensus.
 The summary counts a hull as ``origin inside`` only when every vote says
-so, and counts split votes apart.  A
+so, and counts split votes apart.  It sorts the conflicts by cause: an
+error entry, a split vote (a hull can have both, and is counted under
+each), or a pairwise deviation past the bound with neither.  A
 conflict line names its dissenters: ``errors=`` lists the routes that ended
 on an error, and on a split vote ``origin_inside=split`` is followed by
 ``inside=``, the routes that voted the origin inside.
@@ -143,6 +145,9 @@ def main(argv=None):
     instances = FAMILIES[args.family](args)
 
     conflicts = 0
+    error_conflicts = 0
+    split_error_conflicts = 0
+    deviation_conflicts = 0
     inside_count = 0
     split_count = 0
     iteration_totals = {}
@@ -167,6 +172,9 @@ def main(argv=None):
             errors = [name for name, e in report.entries.items() if e.status == "error"]
             if errors:
                 dissent.append("errors=" + ",".join(errors))
+            error_conflicts += bool(errors)
+            split_error_conflicts += split and bool(errors)
+            deviation_conflicts += not (split or errors)
             marker = "".join(f" {d}" for d in dissent) + "  <-- CONFLICT"
         print(
             f"[{i:4d}] m={P.m:2d} n={P.n:2d} routes_ok={len(ok)} "
@@ -178,6 +186,8 @@ def main(argv=None):
     print("-" * 64)
     print(f"instances: {args.count}   conflicts: {conflicts}   "
           f"origin inside: {inside_count}   split: {split_count}   elapsed: {elapsed:.2f}s")
+    print(f"conflicts by cause: error entry {error_conflicts}   split vote {split_count} "
+          f"({split_error_conflicts} also with an error)   deviation only {deviation_conflicts}")
     print("mean iterations per route:")
     for name in sorted(iteration_totals):
         its = iteration_totals[name]

@@ -66,14 +66,8 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    if (
-        isinstance(a, np.ndarray)
-        and a.dtype == float
-        and a.base is None
-        and not a.flags.writeable
-    ):
-        return a  # a frozen buffer of its own: a copy would only cost memory
+def _readonly(a) -> np.ndarray:
+    """A frozen float copy of ``a``, which no caller holds and so none can edit."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -92,7 +86,7 @@ class Polyhedron:
     vertices: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.vertices, dtype=float)
+        z = _readonly(self.vertices)
         if z.ndim != 2:
             raise ValueError(
                 "vertices must be a 2-D array-like with one row per vertex"
@@ -101,7 +95,7 @@ class Polyhedron:
             raise ValueError("need at least one vertex of dimension at least one")
         if not np.all(np.isfinite(z)):
             raise ValueError("vertices must have finite coordinates")
-        object.__setattr__(self, "vertices", _readonly(z))
+        object.__setattr__(self, "vertices", z)
 
     @property
     def m(self) -> int:
@@ -191,32 +185,38 @@ def translate(P: Polyhedron, p) -> Polyhedron:
 
 
 def unit_scale(P: Polyhedron) -> tuple[Polyhedron, float]:
-    """``(Polyhedron(Z / s), s)`` with ``s = 2^round(log2 max_i ||z_i||)``.
+    """``(Polyhedron(Z / s), s)`` with ``s`` the power of two nearest
+    ``max_i ||z_i||`` in log scale (``_unit_exponent``).
 
     ``s`` is exact to divide by, so ``2^k P`` gives the same unit instance
-    with ``s`` times ``2^k``.
+    with ``s`` times ``2^k``, exact ties in ``log2 max_i ||z_i||`` included.
     """
     k = _unit_exponent(P.vertices)
     return Polyhedron(np.ldexp(P.vertices, -k)), float(np.ldexp(1.0, k))
 
 
 def _unit_exponent(z: np.ndarray) -> int:
-    """``k = round(log2 max_i ||z_i||)``, from norms taken over the binary
-    exponent of the largest entry, so that none overflows or underflows."""
+    """``k = e + round(log2 max_i ||2^-e z_i||)``, with ``e`` the binary
+    exponent of the largest entry, so that no norm overflows or underflows
+    and an exact tie rounds the same way at every power-of-two scale."""
     e = int(np.frexp(np.abs(z).max())[1])  # 0 when every vertex is the origin
     norm = float(np.linalg.norm(np.ldexp(z, -e), axis=1).max())
     return min(e + round(float(np.log2(norm))), 1023) if norm > 0.0 else 0
 
 
 def kernel_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(2^-k Z, its squared row norms, k)`` with ``k = round(log2 max_i ||z_i||)``.
+    """``(2^-k Z, its squared row norms, k)`` with ``k = round(1/2 log2 max_i ||z_i||^2)``.
 
     The first-order kernels solve this rescaling of the rows they are given,
     so neither their squared norms nor their iterates overflow or underflow
     at any scale of ``Z``.  ``k`` comes from the squared norms of ``Z``
     itself unless those are not finite or not normal; then it is
-    ``unit_scale``'s.  When ``k = 0``, as on ``unit_scale``'s instance,
-    ``Z`` is returned as given.
+    ``unit_scale``'s.  Python's ``round`` sends an exact half to the even
+    integer, so where ``max_i ||z_i||^2`` is an odd power of two, ``k`` can
+    differ from ``unit_scale``'s by one and does not follow a power-of-two
+    scaling of ``Z`` step for step; the kernels' weights depend on neither.
+    When ``k = 0``, as on ``unit_scale``'s instance, ``Z`` is returned as
+    given.
     """
     sq = np.einsum("ij,ij->i", Z, Z)
     top = float(sq.max())
@@ -290,12 +290,12 @@ def refine_simplex_minimizer(Z: np.ndarray, max_cycles: int) -> tuple[np.ndarray
     stays affinely independent, so it never holds more than n + 1 vertices,
     and ``||x||^2`` falls with every major cycle.  An exactly singular
     system would mean an affinely dependent corral; it raises
-    InternalInconsistency.  All of this runs on
-    ``kernel_rows(Z)``, the rows divided by ``2^round(log2 max_i ||z_i||)``,
-    so no norm overflows or underflows, and scaling ``Z`` by a power of two
-    leaves the weights unchanged to the bit.  Returns the weights over all
-    m vertices and the number of minor cycles taken; at most
-    ``max_cycles`` major cycles run.
+    InternalInconsistency.  All of this runs on ``kernel_rows(Z)``, the
+    rows divided by a power of two within a factor ``sqrt 2`` of their
+    largest norm, so no norm overflows or underflows, and scaling ``Z`` by
+    a power of two leaves the weights unchanged to the bit.  Returns the
+    weights over all m vertices and the number of minor cycles taken; at
+    most ``max_cycles`` major cycles run.
     """
     Z, sq, _ = kernel_rows(np.asarray(Z, dtype=float))
     m = Z.shape[0]

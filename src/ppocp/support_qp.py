@@ -39,6 +39,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
     ToleranceConfig,
+    _readonly,
     gram_matrix,  # unused here; kept as a module attribute for perfbench/tracing.py
     kernel_rows,
 )
@@ -86,6 +87,10 @@ class DualOutcome:
     rho: np.ndarray
     iterations: int
     alpha: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho", _readonly(self.rho))
+        object.__setattr__(self, "alpha", _readonly(self.alpha))
 
 
 def dual_objective(P: Polyhedron, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:

@@ -205,6 +205,16 @@ class TestUnitScale:
         assert 0.5 <= np.linalg.norm(U.vertices, axis=1).max() <= 2.0
         assert_array_equal(U.vertices * s, Z)
 
+    def test_exact_tie_gives_one_unit_instance(self):
+        # max ||z|| = 2^2.5 * 2^j lies exactly halfway between two powers of
+        # two; whichever way the tie goes, it goes the same way at every j.
+        Z = np.array([[4.0, 4.0], [1.0, 2.0], [3.0, -1.0]])
+        base, s = unit_scale(Polyhedron(Z))
+        for j in range(-3, 5):
+            U, t = unit_scale(Polyhedron(np.ldexp(Z, j)))
+            assert_array_equal(U.vertices, base.vertices)
+            assert t == np.ldexp(s, j)
+
     def test_scaled_instance_is_the_same_unit_instance(self):
         P = random_polyhedron(5)
         U, s = unit_scale(P)

@@ -293,6 +293,23 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: vertices must have finite coordinates\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", 'instance file must be an object with a "vertices" key'),
+            ('{"vertices": []}', "vertices must be a nonempty list of rows"),
+            ('{"vertices": [[1, "a"]]}', "every vertex must be a list of numbers"),
+        ],
+        ids=["not-an-object", "no-rows", "not-a-number"],
+    )
+    def test_malformed_instance_is_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_too_deep_nesting_is_input_error(self, tmp_path, capsys):
         # Deeper than the JSON decoder's recursion limit.
         path = tmp_path / "deep.json"
@@ -324,6 +341,13 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "error: --point: vertices must have finite coordinates\n"
+
+    def test_non_finite_point_is_input_error(self, tmp_path, capsys):
+        path = write_instance(tmp_path, TRIANGLE)
+        code, out, err = run_cli(capsys, "--input", path, "--point", "nan", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --point: p must be finite\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -497,6 +521,12 @@ class TestGen:
     def test_gen_rejects_bad_sizes(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "--m", "0", "--n", "2")
         assert code == 2
+
+    def test_gen_needs_both_sizes(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--m", "3")
+        assert code == 2
+        assert out == ""
+        assert "the following arguments are required: --n" in err
 
     @pytest.mark.parametrize(
         "m, n",

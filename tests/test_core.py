@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -16,15 +17,18 @@ from ppocp.certify import cross_check
 from ppocp.core import (
     DEFAULT_TOLERANCES,
     Polyhedron,
+    ProjectionResult,
     ToleranceConfig,
     gram_matrix,
     kernel_rows,
+    projection_result,
     refine_simplex_minimizer,
     support_value,
     translate,
     unit_scale,
     vi_residuals,
 )
+from ppocp.errors import InternalInconsistency
 
 
 class TestPolyhedron:
@@ -73,6 +77,35 @@ class TestPolyhedron:
         P = Polyhedron(np.array(TRIANGLE))
         with pytest.raises(ValueError):
             P.vertices[0, 0] = 7.0
+
+    def test_records_keep_their_values_when_the_callers_array_changes(self):
+        # A caller's array is copied even when it is frozen and owns its
+        # data: the caller can thaw it again, so only a copy is immutable.
+        z, alpha, rho = np.array(TRIANGLE), np.array([0.5, 0.5, 0.0]), np.array([1.0, 1.0])
+        for a in (z, alpha, rho):
+            a.flags.writeable = False
+        P = Polyhedron(z)
+        built = projection_result(P, alpha, 1)
+        given = ProjectionResult(
+            rho=rho, distance=2.0**0.5, iterations=1, vi_min=0.0, origin_inside=False, alpha=alpha
+        )
+        for a in (z, alpha, rho):
+            a.flags.writeable = True
+            a[...] = -7.0
+        assert_array_equal(P.vertices, TRIANGLE)
+        for result in (built, given):
+            assert_array_equal(result.alpha, [0.5, 0.5, 0.0])
+            assert_array_equal(result.rho, [1.0, 1.0])
+        assert_array_equal(cross_check(P).rho, [1.0, 1.0])
+
+
+class TestProjectionResult:
+    @pytest.mark.parametrize("alpha", [[0.5, 0.5], [[0.5, 0.5, 0.0]], 1.0])
+    def test_weights_of_the_wrong_shape_are_inconsistent(self, alpha):
+        P = Polyhedron(np.array(TRIANGLE))
+        shape = np.shape(alpha)
+        with pytest.raises(InternalInconsistency, match=re.escape(f"{shape} weights for 3 vertices")):
+            projection_result(P, alpha, 1)
 
 
 class TestToleranceConfig:
@@ -125,6 +158,18 @@ class TestKernelRows:
         assert j == base_k + k
         assert_array_equal(scaled, base)
         assert_array_equal(sq, base_sq)
+
+    def test_exact_tie_rounds_half_to_even(self):
+        # max ||z||^2 = 32 * 4^j, so half its log2 is the half-integer 2.5 + j
+        # and round() sends it to the even neighbour: k is unit_scale's 3 + j
+        # only at odd j.  The kernels' weights depend on neither k nor j.
+        Z = np.array([[4.0, 4.0], [1.0, 2.0], [3.0, -1.0]])
+        exponents = [kernel_rows(np.ldexp(Z, j))[2] for j in range(-3, 5)]
+        assert exponents == [0, 0, 2, 2, 4, 4, 6, 6]
+        base, _ = refine_simplex_minimizer(Z, DEFAULT_TOLERANCES.max_iter)
+        for j in range(-3, 5):
+            weights, _ = refine_simplex_minimizer(np.ldexp(Z, j), DEFAULT_TOLERANCES.max_iter)
+            assert weights.tobytes() == base.tobytes()
 
 
 class TestGramMatrix:

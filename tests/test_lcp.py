@@ -120,6 +120,11 @@ class TestBuildLcp:
         assert build_lcp(P, LcpVariant.PRIMAL_SPLIT).k == 2 * 2 + 1
         assert build_lcp(P, LcpVariant.WOLFE_KKT).k == 1 + 2
 
+    def test_unknown_variant_is_rejected(self):
+        # The variant's value string is not the variant.
+        with pytest.raises(ValueError, match="unknown variant 'dual-orthant'"):
+            build_lcp(Polyhedron(np.array(TRIANGLE)), "dual-orthant")
+
     def test_size_is_read_from_q(self):
         # The size is not a field, so a hand-built instance cannot contradict
         # its arrays.
@@ -642,6 +647,17 @@ class TestExtractProjection:
         )
         with pytest.raises(InternalInconsistency, match="always-solvable simplex variant"):
             extract_projection(P, L, broken)
+
+    def test_outcome_with_no_positive_multiplier_is_error(self):
+        P = Polyhedron(np.array(TRIANGLE))
+        L = build_lcp(P, LcpVariant.DUAL_ORTHANT)
+        empty = lcp.LCPOutcome(
+            status=LcpStatus.SOLUTION, w=-L.q, v=np.array([0.0, -1.0, 0.0]), pivots=0
+        )
+        with pytest.raises(
+            InternalInconsistency, match="dual-orthant solution with no positive multiplier"
+        ):
+            extract_projection(P, L, empty)
 
     @pytest.mark.parametrize("d", (1e-6, 1e-5, 1e-4, 1e-3))
     def test_sliver_answer_is_exact(self, d):

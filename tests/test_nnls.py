@@ -4,7 +4,8 @@ import scipy.optimize
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import TRIANGLE, random_polyhedron
-from ppocp.core import Polyhedron, vi_residuals
+from ppocp.core import Polyhedron, ToleranceConfig, vi_residuals
+from ppocp.errors import MaxIterExceeded
 from ppocp.nnls import construct_b, nnls_solve, project_via_nnls
 from ppocp.simplex_qp import solve_wolfe
 from ppocp.support_qp import dual_objective
@@ -65,6 +66,14 @@ class TestNnlsSolve:
             _, ref_norm = scipy.optimize.nnls(A, b)
             mine = float(np.linalg.norm(A @ x - b))
             assert mine <= ref_norm + 1e-9 * (1.0 + ref_norm)
+
+    def test_budget_exhausted_raises_with_the_last_iterate(self):
+        # Both columns enter the passive set, one step each; a budget of one
+        # step stops after the first.
+        with pytest.raises(MaxIterExceeded, match="iteration budget exhausted") as info:
+            nnls_solve(np.eye(2), np.array([1.0, 2.0]), ToleranceConfig(max_iter=1))
+        assert info.value.iterations == 2
+        assert_array_equal(info.value.best, [0.0, 2.0])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

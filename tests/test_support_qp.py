@@ -41,6 +41,12 @@ class TestDualObjective:
         t = 2.0 / 25.0
         assert dual_objective(P, np.array([t])) == pytest.approx(-1.0 / 25.0)
 
+    @pytest.mark.parametrize("u", [[0.5, 0.5], [0.5, 0.5, 0.0, 0.0], [[0.5, 0.5, 0.0]]])
+    def test_rejects_wrong_length(self, u):
+        P = Polyhedron(np.array(TRIANGLE))
+        with pytest.raises(ValueError, match="dual vector must have length 3"):
+            dual_objective(P, u)
+
     def test_rejects_negative_entries(self):
         P = Polyhedron(np.array(TRIANGLE))
         with pytest.raises(ValueError):
@@ -69,6 +75,12 @@ class TestSolveDual:
         assert_allclose(out.rho, [1.0, 1.0], atol=1e-9)
         f_star = dual_objective(P, u_star)
         assert f_star == pytest.approx(-0.5, abs=1e-10)
+
+    def test_outcome_is_immutable(self):
+        out = solve_dual(Polyhedron(np.array(TRIANGLE)))
+        for a in (out.alpha, out.rho):
+            with pytest.raises(ValueError):
+                a[0] = 5.0
 
     def test_segment_unbounded(self):
         out = solve_dual(Polyhedron(np.array(SEGMENT_THROUGH_ORIGIN)))
