@@ -22,15 +22,18 @@ votes of the wolfe, dual, maximin and lcp-primal routes among
 ``cross_check``'s.  They are equivalent theorems, so a split vote makes the
 verdict ``conflict``, never resolved silently.  Each answer votes by
 ``core.projection_result``'s one rule, ``||rho|| <= zero_tol``.  The
-reference oracle is deliberately low-tech (exact face enumeration for up to
-four vertices) so that it shares no machinery with the routes it
-arbitrates.  Every entry point solves ``Z / s`` (``core.unit_scale``) and
+reference oracle is deliberately low-tech so that it shares no machinery
+with the routes it arbitrates: for up to four vertices it enumerates the
+faces in floating point (``_project_enumerate``).  It is not exact, and on
+hulls whose rows span many binary decades it is less accurate than the
+routes.  Every entry point solves ``Z / s`` (``core.unit_scale``) and
 reports in the caller's units.
 
 The wolfe and maximin routes share Wolfe's minimum-norm-point kernel.
-``cross_check`` runs it once per call, inside the wolfe route, and the
-maximin route checks the weights it returned; ``run_route`` runs each
-route's own kernel.
+``cross_check`` runs it once per call when wolfe's entry is ``ok``: the
+maximin route checks that answer's weights.  Otherwise maximin runs the
+kernel itself, as ``run_route`` does, and the deterministic kernel gives it
+the weights wolfe's run had.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .core import (
     unit_scale,
     vi_residuals,
 )
-from .errors import InternalInconsistency, MaxIterExceeded, PpocpError
+from .errors import InternalInconsistency, PpocpError
 from .lcp import LcpVariant, build_lcp, extract_projection, lemke_solve
 from .maximin import maximin_from_weights, solve_maximin
 from .nnls import project_via_nnls
@@ -116,17 +119,20 @@ class ConsensusReport:
 
 
 def _project_enumerate(z):
-    """Exact subset enumeration: project onto every face's affine hull.
+    """Subset enumeration in floating point: project onto every face's affine hull.
 
-    For each vertex subset, project the origin onto its affine hull by least
-    squares and keep the candidate when the barycentric weights are
-    nonnegative.  The true projection lies on some face and is a nonnegative
-    combination of an affinely independent subset, whose (then unique)
-    weights the least-squares solve reproduces, so it is always among the
-    candidates.  Grid search at any fixed step cannot reach the residual
+    For each vertex subset, project the origin onto its affine hull with
+    ``np.linalg.lstsq`` and keep the candidate when its barycentric weights
+    are all at least ``-1e-12``.  The true projection lies on some face and
+    is a nonnegative combination of an affinely independent subset, whose
+    (then unique) weights the least-squares solve reproduces in exact
+    arithmetic, so it is among the candidates.  In floating point the solve
+    loses accuracy with the conditioning of the face: on hulls whose rows
+    span many binary decades the oracle is less accurate than the routes it
+    arbitrates.  Grid search at any fixed step cannot reach the residual
     tolerances the certificates demand.  Returns the nearest candidate's m
     weights and the number of candidates compared: every vertex, plus each
-    larger face whose affine-hull projection has nonnegative weights.
+    larger face whose affine-hull projection passes the weight test.
     """
     m = z.shape[0]
     best = None
@@ -227,8 +233,8 @@ def check_optimality(
 # checks its answer, once.
 # Runners look the solvers up as module globals at call time, so replacing
 # ``certify.solve_wolfe`` and its peers reaches every caller; in
-# ``cross_check`` the maximin route calls ``certify.maximin_from_weights``
-# instead of ``certify.solve_maximin`` (``_one_kernel_routes``).
+# ``cross_check`` the maximin route calls ``certify.maximin_from_weights`` on
+# wolfe's ``ok`` entry instead of ``certify.solve_maximin``.
 
 
 def _run_wolfe(P, cfg):
@@ -271,39 +277,6 @@ ROUTES = {
 }
 
 
-def _one_kernel_routes():
-    """``ROUTES`` with wolfe and maximin sharing one run of the kernel.
-
-    The wolfe runner returns ``solve_wolfe``'s answer and keeps the weights
-    and minor-cycle count of its kernel run: the answer's, also when it then
-    fails the VI check, or the best iterate a gap miss carries.  The maximin
-    runner checks those with ``maximin_from_weights``; ``solve_maximin``
-    makes the same kernel call as ``solve_wolfe`` and gets the same weights,
-    so its entry does not change.  When ``solve_wolfe`` raises anything else
-    (weights off the simplex by more than ``feas_tol``, or a singular
-    bordered system in the kernel), maximin runs
-    ``solve_maximin``, whose kernel gives the same weights.  Built anew for
-    every call, so nothing is kept across instances; wolfe must run first.
-    """
-    kernel = []
-
-    def wolfe(P, cfg):
-        try:
-            result = solve_wolfe(P, cfg)
-        except MaxIterExceeded as err:
-            kernel.append((err.best, err.iterations))
-            raise
-        kernel.append((result.alpha, result.iterations))
-        return result
-
-    def maximin(P, cfg):
-        if not kernel:  # solve_wolfe raised on its weights before handing them over
-            return solve_maximin(P, cfg)
-        return maximin_from_weights(P, *kernel[-1], cfg)
-
-    return dict(ROUTES, wolfe=wolfe, maximin=maximin)
-
-
 def _checked(runner, U, cfg) -> ProjectionResult | None:
     """``runner``'s answer on the unit instance ``U``, or None where it does not apply.
 
@@ -341,17 +314,25 @@ def cross_check(
 
     Per-route errors, an answer failing the VI check included, are captured
     in the report rather than aborting the remaining routes.  The kernel the
-    wolfe and maximin routes share runs once: maximin checks wolfe's weights.
+    wolfe and maximin routes share runs once when wolfe's entry is ``ok``:
+    maximin checks that answer's weights, and otherwise runs the kernel again.
     The verdict is judged on the unit-scale answers: ``agree`` only when all
     successful routes match pairwise within ``1e-6 (1 + max distance)`` and
     their origin-membership votes coincide.  Entries and the deviation are
     then reported in the caller's units.
     """
     U, s = unit_scale(P)
-    runners = _one_kernel_routes()
+    entries: dict[str, RouteEntry] = {}
+
+    def maximin(P, cfg):  # runs after wolfe's entry is filed, in ROUTES order
+        wolfe = entries["wolfe"]
+        if wolfe.status != "ok":
+            return solve_maximin(P, cfg)
+        return maximin_from_weights(P, wolfe.result.alpha, wolfe.result.iterations, cfg)
+
+    runners = dict(ROUTES, maximin=maximin)
     if U.m <= 4:
         runners["oracle"] = _run_oracle
-    entries: dict[str, RouteEntry] = {}
     for name, runner in runners.items():
         try:
             result = _checked(runner, U, cfg)

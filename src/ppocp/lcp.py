@@ -337,7 +337,14 @@ def _pivot_path(M, q, k):
 
 
 def _solve_on_basis(M, q, basis, k):
-    """Solve ``w = M v + q`` on a complementary basis and assemble w, v."""
+    """Solve ``w = M v + q`` on a complementary basis and assemble w, v.
+
+    A pivot on a nonzero entry keeps the basis nonsingular, so a singular
+    final basis means a pivot landed on rounding noise: the dual-orthant
+    path of ``random_polyhedron(37, box=1e3)``, solved without unit scaling,
+    ends with five ``v`` columns of a rank-2 ``M``.  No answer can be read
+    off such a basis, and it raises InternalInconsistency.
+    """
     basis = np.asarray(basis)
     on_w = basis < k
     cols = np.zeros((k, k))
@@ -346,7 +353,7 @@ def _solve_on_basis(M, q, basis, k):
     try:
         values = np.linalg.solve(cols, q)
     except np.linalg.LinAlgError:
-        values, *_ = np.linalg.lstsq(cols, q, rcond=None)
+        raise InternalInconsistency("final basis is singular") from None
     solution = np.zeros(2 * k)
     solution[basis] = values
     return solution[:k], solution[k:]
@@ -458,8 +465,8 @@ def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LC
     A ray is returned as its direction; a solution's basis is re-solved
     against ``q`` and must meet the backward-error bound
     ``feas_tol (1 + ||q|| + max|M| ||v||)``, or InternalInconsistency is
-    raised.  A cycle or the pivot limit raises MaxIterExceeded.  The
-    outcome reports the path's pivot count.
+    raised, as it is on a singular final basis.  A cycle or the pivot limit
+    raises MaxIterExceeded.  The outcome reports the path's pivot count.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)

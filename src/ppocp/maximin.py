@@ -17,10 +17,10 @@ routes share one kernel and one gap inequality: their agreement confirms
 neither.  The answer is the weights' point ``w`` itself, which lies in the
 hull; ``t`` is the lower end of the distance bracket ``[t, ||w||]``.
 ``solve_maximin`` runs the kernel and then the check; ``certify.cross_check``
-runs the kernel once, in the wolfe route, and hands its weights to the
-check.  Both return the route's ProjectionResult, which
-``core.projection_result`` builds from the weights.  ``iterations`` counts
-the kernel's minor cycles.
+hands the check the weights of the wolfe route's answer when that answer
+passed, and otherwise calls ``solve_maximin``.  Both return the route's
+ProjectionResult, which ``core.projection_result`` builds from the weights.
+``iterations`` counts the kernel's minor cycles.
 """
 
 from __future__ import annotations

@@ -471,13 +471,28 @@ def _assert_same_entry(a, b):
             assert a.result.alpha.tobytes() == b.result.alpha.tobytes()
 
 
-def _kernel_stub(iterations):
-    """``far_vertex_kernel`` reporting ``iterations`` minor cycles."""
+def _miss_wolfes_gap(monkeypatch):
+    # wolfe's kernel still runs, and then hands over the far vertex [2, 2],
+    # whose weights miss the gap contract after 5 iterations.
+    kernel = simplex_qp.refine_simplex_minimizer
 
-    def kernel(Z, max_cycles):
-        return far_vertex_kernel(Z, max_cycles)[0], iterations
+    def far(Z, max_cycles):
+        kernel(Z, max_cycles)
+        return far_vertex_kernel(Z, max_cycles)[0], 5
 
-    return kernel
+    monkeypatch.setattr(simplex_qp, "refine_simplex_minimizer", far)
+
+
+def _fail_wolfes_vi(monkeypatch):
+    # wolfe answers the far vertex [2, 2], which fails the VI check.
+    real = certify.solve_wolfe
+
+    def far_weights(P, cfg):
+        answer = real(P, cfg)
+        far = far_vertex_kernel(P.vertices, 1)[0]
+        return projection_result(P, far, answer.iterations, cfg)
+
+    monkeypatch.setattr(certify, "solve_wolfe", far_weights)
 
 
 class TestOneKernel:
@@ -526,44 +541,38 @@ class TestOneKernel:
                 for name in certify.ROUTES:
                     _assert_same_entry(report.entries[name], _entry_as_run_route(name, P))
 
-    def test_wolfe_gap_miss_hands_its_best_iterate_to_maximin(self, monkeypatch):
-        # The far vertex [2, 2] misses wolfe's gap contract; maximin checks the
-        # same weights, as its own kernel run would have given them.
+    @pytest.mark.parametrize(
+        "patch, message",
+        [(_miss_wolfes_gap, "optimality gap"), (_fail_wolfes_vi, "fails the optimality residual")],
+        ids=["gap-miss", "vi-failure"],
+    )
+    def test_wolfe_error_leaves_maximin_its_own_kernel_run(
+        self, monkeypatch, kernel_calls, patch, message
+    ):
+        # wolfe's entry is an error, so maximin runs its own kernel, as
+        # run_route does, and answers what run_route answers.
         P = Polyhedron(np.array(TRIANGLE))
-        monkeypatch.setattr(simplex_qp, "refine_simplex_minimizer", _kernel_stub(5))
+        patch(monkeypatch)
         report = cross_check(P)
-        wolfe, mm = report.entries["wolfe"], report.entries["maximin"]
-        assert wolfe.status == "error" and "optimality gap" in wolfe.error
-        assert mm.status == "error" and "distance identity" in mm.error
-        assert "after 5 iterations" in wolfe.error and "after 5 iterations" in mm.error
-        assert report.verdict == "conflict"
-        monkeypatch.setattr(maximin, "refine_simplex_minimizer", _kernel_stub(5))
-        _assert_same_entry(mm, _entry_as_run_route("maximin", P))
+        assert sorted(kernel_calls) == ["ppocp.maximin", "ppocp.simplex_qp"]
+        assert report.entries["wolfe"].status == "error"
+        assert message in report.entries["wolfe"].error
+        assert report.entries["maximin"].status == "ok"
+        _assert_same_entry(report.entries["maximin"], _entry_as_run_route("maximin", P))
 
-    def test_wolfe_vi_failure_hands_its_weights_to_maximin(self, monkeypatch):
-        # Weights on the far vertex [2, 2] give wolfe an answer that fails the
-        # VI check; the same weights and count still reach maximin.
-        P = Polyhedron(np.array(TRIANGLE))
-        real = certify.solve_wolfe
+    def test_maximin_checks_the_weights_of_wolfes_answer(self, monkeypatch):
         handed = []
 
-        def far_weights(P, cfg):
-            answer = real(P, cfg)
-            far = far_vertex_kernel(P.vertices, 1)[0]
-            return projection_result(P, far, answer.iterations, cfg)
-
         def spy(P, weights, iterations, cfg):
-            handed.append((weights, iterations))
+            handed.append((weights.tobytes(), iterations))
             return maximin.maximin_from_weights(P, weights, iterations, cfg)
 
-        monkeypatch.setattr(certify, "solve_wolfe", far_weights)
         monkeypatch.setattr(certify, "maximin_from_weights", spy)
-        report = cross_check(P)
-        assert report.entries["wolfe"].status == "error"
-        assert "fails the optimality residual" in report.entries["wolfe"].error
-        (weights, iterations), = handed
-        assert weights.tolist() == [0.0, 0.0, 1.0]
-        assert iterations == real(unit_scale(P)[0]).iterations
+        for vertices in (TRIANGLE, separated_polyhedron(3).vertices, origin_inside_polyhedron(3).vertices):
+            handed.clear()
+            wolfe = cross_check(Polyhedron(np.array(vertices))).entries["wolfe"]
+            assert wolfe.status == "ok"
+            assert handed == [(wolfe.result.alpha.tobytes(), wolfe.result.iterations)]
 
     def test_wolfe_weights_off_the_simplex_fail_both_routes(self, monkeypatch):
         # solve_wolfe raises on weights off the simplex before it can hand
@@ -580,24 +589,6 @@ class TestOneKernel:
             assert report.entries[name].status == "error"
             assert report.entries[name].error.startswith("weights are off the simplex by ")
         assert report.entries["wolfe"].error == report.entries["maximin"].error
-
-    def test_maximin_checks_the_weights_it_is_handed(self, monkeypatch):
-        # wolfe hands over the far vertex's weights: its own answer is their
-        # point and fails the VI check, and maximin's distance identity
-        # catches the same weights.
-        real = certify.solve_wolfe
-
-        def far_weights(P, cfg):
-            answer = real(P, cfg)
-            far = far_vertex_kernel(P.vertices, cfg.max_iter)[0]
-            return projection_result(P, far, answer.iterations, cfg)
-
-        monkeypatch.setattr(certify, "solve_wolfe", far_weights)
-        P = Polyhedron(np.array(TRIANGLE))
-        report = cross_check(P)
-        assert report.entries["wolfe"].status == "error"
-        assert report.entries["maximin"].status == "error"
-        assert "distance identity" in report.entries["maximin"].error
 
 
 def _nan_answer(P, cfg):

@@ -257,6 +257,16 @@ def end_on_ray(monkeypatch):
     monkeypatch.setattr(lcp, "_pivot_path", ray)
 
 
+def singular_final_basis(monkeypatch):
+    # The path ends with both members of the split pair s_1, s'_1 basic (v1
+    # and v3 of the triangle's primal-split form); their M columns are exact
+    # negatives, so the final basis is singular.
+    def singular(M, q, k):
+        return lcp.LcpStatus.SOLUTION, np.array([7, 1, 9, 3, 4, 5, 6]), 2
+
+    monkeypatch.setattr(lcp, "_pivot_path", singular)
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "--input", "/nonexistent/file.json")
@@ -457,8 +467,10 @@ class TestExitCodes:
             ("lcp-wolfe", end_on_ray, 4,
              "error: consistency conflict: ray termination on the always-solvable "
              "simplex variant\n"),
+            ("lcp-primal", singular_final_basis, 4,
+             "error: consistency conflict: final basis is singular\n"),
         ],
-        ids=["pivot-path", "verification", "wolfe-kkt-ray"],
+        ids=["pivot-path", "verification", "wolfe-kkt-ray", "singular-basis"],
     )
     def test_lemke_failure_exit(self, tmp_path, capsys, monkeypatch, method, patch, code, message):
         patch(monkeypatch)

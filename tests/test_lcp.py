@@ -24,6 +24,7 @@ from ppocp.errors import InternalInconsistency
 from ppocp.lcp import (
     _check_complementary_basis,
     _pivot,
+    _solve_on_basis,
     _swap_members,
     LCPInstance,
     LcpStatus,
@@ -412,6 +413,15 @@ class TestCheckComplementaryBasis:
             _check_complementary_basis([0, 1, 2, 3, 8], 4)  # every pair and z0
 
 
+def test_singular_final_basis_raises():
+    # v1 and v3 are the split pair s_1, s'_1 of a 3x2 hull: their M columns
+    # are exact negatives, so the basis holding both is singular.
+    L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.PRIMAL_SPLIT)
+    assert_array_equal(L.M[:, 0], -L.M[:, 2])
+    with pytest.raises(InternalInconsistency, match="final basis is singular"):
+        _solve_on_basis(L.M, L.q, [7, 1, 9, 3, 4, 5, 6], L.k)
+
+
 class TestSwapMembers:
     def test_swap_updates_membership(self):
         member = np.array([True, False, True, False, True, False, False])
@@ -428,6 +438,11 @@ class TestSwapMembers:
         member = np.array([True, False, True, False, True, False, False])
         with pytest.raises(InternalInconsistency, match="entering variable v2 is already basic"):
             _swap_members(member, 0, 4, 3)
+
+    def test_z0_must_be_nonbasic_to_enter(self):
+        member = np.array([True, False, True, False, False, False, True])
+        with pytest.raises(InternalInconsistency, match="entering variable z0 is already basic"):
+            _swap_members(member, 0, 6, 3)
 
     def test_one_wrong_swap_stops_the_path(self, monkeypatch):
         # Book the third pivot's swap against another basic variable than the
@@ -538,8 +553,9 @@ class TestLemkeSolve:
             assert cross_check(P).verdict == "agree"
 
     def test_gives_up_after_one_path(self):
-        # At box 1e3 this hull fails verification; the solver must give up
-        # after its one path, at one BLAS thread and at two.
+        # At box 1e3, without unit scaling, this hull's path ends on a
+        # singular basis (five v columns of a rank-2 M); the solver must give
+        # up after its one path, at one BLAS thread and at two.
         src = os.path.dirname(os.path.dirname(os.path.abspath(lcp.__file__)))
         tests = os.path.dirname(os.path.abspath(__file__))
         for threads in ("1", "2"):
@@ -552,7 +568,7 @@ class TestLemkeSolve:
                 text=True,
                 check=True,
             ).stdout
-            assert out.startswith("1 complementary solution failed verification")
+            assert out == "1 final basis is singular\n"
 
     def test_dual_orthant_triangle(self):
         L = build_lcp(Polyhedron(np.array(TRIANGLE)), LcpVariant.DUAL_ORTHANT)
