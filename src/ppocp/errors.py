@@ -1,4 +1,7 @@
-"""Exception types shared by the solver routes, one for each solver exit code."""
+"""Exception types shared by the solver routes, one for each solver exit code.
+
+Each solver error carries its message and nothing else.
+"""
 
 
 class PpocpError(Exception):
@@ -9,16 +12,8 @@ class MaxIterExceeded(PpocpError):
     """A solver stopped before its stopping contract was met: the CLI exits 3.
 
     Raised when an iteration budget runs out, and when Lemke's pivot path
-    revisits a basis or passes its pivot limit.  A first-order solver's
-    raise carries the best iterate seen and its residual so callers can
-    inspect how close the solver got.
+    revisits a basis or passes its pivot limit.
     """
-
-    def __init__(self, message, best=None, residual=None, iterations=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.iterations = iterations
 
 
 class InternalInconsistency(PpocpError):

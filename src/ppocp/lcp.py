@@ -116,7 +116,12 @@ class LCPOutcome:
 
 
 def build_lcp(P: Polyhedron, variant: LcpVariant) -> LCPInstance:
-    """Assemble the complementarity data for one of the three constructions."""
+    """Assemble the complementarity data for one of the three constructions.
+
+    ``lemke_solve``'s pivot thresholds assume an instance near unit scale,
+    ``max_i ||z_i||`` about 1: the instance divided by its scale
+    (``core.unit_scale``), which is what ``certify`` passes.
+    """
     m = P.m
     if variant is LcpVariant.PRIMAL_SPLIT:
         # Unknowns (s, s', u): the quadratic form is H = [[I, -I], [-I, I]]
@@ -467,6 +472,13 @@ def lemke_solve(L: LCPInstance, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LC
     ``feas_tol (1 + ||q|| + max|M| ||v||)``, or InternalInconsistency is
     raised, as it is on a singular final basis.  A cycle or the pivot limit
     raises MaxIterExceeded.  The outcome reports the path's pivot count.
+
+    The pivot thresholds, the floor 1 of the ratio test's ``max(1, max|col|)``
+    and the ``1 + max|q|`` of ``eps``, assume an instance near unit scale:
+    ``build_lcp`` on the instance divided by its scale (``core.unit_scale``),
+    which is what ``certify`` passes.  Far from it the path can pivot on
+    rounding noise and end on a singular basis; the dual-orthant form of a
+    hull with coordinates up to 1e3 does.
     """
     k = L.k
     q = np.asarray(L.q, dtype=float)

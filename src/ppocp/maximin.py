@@ -70,9 +70,9 @@ def maximin_from_weights(
     MaxIterExceeded
         If ``t`` misses the distance identity ``t = ||w||``, that is when
         ``||w|| (||w|| - t)``, the wolfe route's gap ``||w||^2 - min_i <z_i, w>``
-        up to rounding, exceeds ``opt_tol``; carries the weights.  Like
-        wolfe's, the check is absolute on ``Z`` as given, and past
-        ``max_i ||z_i|| = 2^511`` its gap overflows.
+        up to rounding, exceeds ``opt_tol``.  Like wolfe's, the check is
+        absolute on ``Z`` as given, and past ``max_i ||z_i|| = 2^511`` its gap
+        overflows.
     """
     result = projection_result(P, weights, iterations, cfg)
     w, w_norm = result.rho, result.distance
@@ -83,9 +83,6 @@ def maximin_from_weights(
         raise MaxIterExceeded(
             f"maximin value {t:.17g} misses the distance identity "
             f"t = ||w|| = {w_norm:.17g}: gap {gap:.3e} above {cfg.opt_tol:.1e} "
-            f"after {iterations} iterations",
-            best=weights,
-            residual=gap,
-            iterations=iterations,
+            f"after {iterations} iterations"
         )
     return result

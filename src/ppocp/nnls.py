@@ -75,11 +75,7 @@ def nnls_solve(A, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndar
         while True:
             iterations += 1
             if iterations > cfg.max_iter:
-                raise MaxIterExceeded(
-                    "active-set iteration budget exhausted",
-                    best=x,
-                    iterations=iterations,
-                )
+                raise MaxIterExceeded("active-set iteration budget exhausted")
             z, *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
             if z.size and z.min() <= 0.0:
                 xs = x[passive]

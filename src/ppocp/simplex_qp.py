@@ -52,10 +52,10 @@ def solve_wolfe(
     Raises
     ------
     MaxIterExceeded
-        If the gap contract cannot be met; carries the best iterate.  The
-        kernel solves a power-of-two rescaling of ``Z``, but the contract is
-        absolute on ``Z`` as given: far above unit scale rounding alone
-        breaks it, and past ``max_i ||z_i|| = 2^511`` the gap overflows.
+        If the gap contract cannot be met.  The kernel solves a power-of-two
+        rescaling of ``Z``, but the contract is absolute on ``Z`` as given: far
+        above unit scale rounding alone breaks it, and past
+        ``max_i ||z_i|| = 2^511`` the gap overflows.
     InternalInconsistency
         If the kernel's bordered system is singular, which an affinely
         independent corral rules out in exact arithmetic.
@@ -66,9 +66,6 @@ def solve_wolfe(
     if gap > cfg.opt_tol:
         raise MaxIterExceeded(
             f"optimality gap {gap:.3e} above {cfg.opt_tol:.1e} "
-            f"after {iterations} iterations",
-            best=alpha,
-            residual=gap,
-            iterations=iterations,
+            f"after {iterations} iterations"
         )
     return result

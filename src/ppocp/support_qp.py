@@ -134,12 +134,9 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
     alike.
 
     Raises MaxIterExceeded when the answer needs more than ``cfg.max_iter``
-    steps (adds and drops together), with the dual vector ``u = 2 lam`` of
-    the last step, in the units of ``Z``, as ``best``, the entering row's
-    multiplier included, and the largest violation ``-min s`` as
-    ``residual``.
+    steps (adds and drops together).
     """
-    Z, sq, k = kernel_rows(P.vertices)
+    Z, sq, _ = kernel_rows(P.vertices)
     m = P.m
     zmax = float(np.sqrt(sq.max()))
     enter_tol = ENTER_TOL * zmax
@@ -159,13 +156,6 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
     def outcome(status, alpha):
         return DualOutcome(status=status, rho=alpha @ P.vertices, iterations=steps, alpha=alpha)
 
-    def give_up(message, violation, entering, lam_entering):
-        best = weights(2.0 * lam, active)
-        best[entering] += 2.0 * lam_entering
-        return MaxIterExceeded(
-            message, best=np.ldexp(best, -2 * k), residual=violation, iterations=steps
-        )
-
     while True:
         s = Z @ y - 1.0
         p = int(np.argmin(s))
@@ -173,19 +163,13 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             break
         if p in active:
             # Only rounding can make an active row the most violated one.
-            raise give_up(
-                f"dual active-set solver stalled at vertex {p}", float(-s[p]), p, 0.0
-            )
+            raise MaxIterExceeded(f"dual active-set solver stalled at vertex {p}")
         zp = Z[p]
         sp = float(s[p])
-        lam_p = 0.0  # the entering row's multiplier, built up by partial steps
         while True:
             if steps == cfg.max_iter:
-                raise give_up(
-                    f"dual solver did not converge in {cfg.max_iter} active-set steps",
-                    float(-s[p]),
-                    p,
-                    lam_p,
+                raise MaxIterExceeded(
+                    f"dual solver did not converge in {cfg.max_iter} active-set steps"
                 )
             q = Q.T @ zp
             z = zp - Q @ q
@@ -210,7 +194,6 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             t2 = np.inf if dependent else -sp / curvature
             t = min(t1, t2)
             lam = lam - t * r
-            lam_p += t
             sp += t * curvature
             if t2 <= t1:
                 active.append(p)

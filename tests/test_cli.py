@@ -14,6 +14,7 @@ from ppocp.support_qp import DualOutcome
 
 # Square and nonsingular, so every route applies, nnls included.
 SQUARE = [[3.0, 1.0], [1.0, 2.0]]
+SLIVER = [[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]]
 NEARLY_COLLINEAR = [
     [2.7994477098858166, 3.684311544172296, -1.8399501423975915],
     [0.08064196756289999, 0.9437460251275889, 2.223781739311237],
@@ -376,21 +377,38 @@ class TestExitCodes:
         assert err == f"error: {field} must be finite and positive\n"
 
     def test_nonconvergence_exit(self, tmp_path, capsys):
-        # The isosceles sliver needs two active-set steps; one is not enough.
-        path = write_instance(tmp_path, [[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]])
-        code, _, err = run_cli(
-            capsys,
-            "--input",
-            path,
-            "--method",
-            "dual",
-            "--tol",
-            "1e-18",
-            "--max-iter",
-            "1",
-        )
-        assert code == 3
-        assert "converge" in err
+        # The isosceles sliver needs two active-set steps of the dual solver
+        # and more than one kernel cycle; the segment's two columns each take
+        # one nnls step.  A budget of one stops every first-order route, and
+        # stderr is its message alone.
+        segment = [[1.0, 0.0], [0.0, 1.0]]
+        cases = [
+            ("wolfe", SLIVER, "optimality gap 2.100e-01 above 1.0e-18 after 1 iterations"),
+            (
+                "maximin",
+                SLIVER,
+                "maximin value 0.022360679774997783 misses the distance identity "
+                "t = ||w|| = 0.46957427527495582: gap 2.100e-01 above 1.0e-18 "
+                "after 1 iterations",
+            ),
+            ("dual", SLIVER, "dual solver did not converge in 1 active-set steps"),
+            ("nnls", segment, "active-set iteration budget exhausted"),
+        ]
+        for method, vertices, message in cases:
+            path = write_instance(tmp_path, vertices)
+            code, out, err = run_cli(
+                capsys,
+                "--input",
+                path,
+                "--method",
+                method,
+                "--tol",
+                "1e-18",
+                "--max-iter",
+                "1",
+            )
+            assert (code, out) == (3, ""), method
+            assert err == f"error: solver did not converge: {message}\n"
 
     def test_consensus_conflict_exit(self, tmp_path, capsys, monkeypatch):
         from ppocp.certify import ConsensusReport, RouteEntry

@@ -132,6 +132,11 @@ class TestSharedKernel:
     def test_distance_identity_miss_raises(self, monkeypatch):
         # A kernel answer at the far vertex [2, 2] gives t = sqrt(2) < ||w||.
         monkeypatch.setattr(maximin, "refine_simplex_minimizer", far_vertex_kernel)
-        with pytest.raises(MaxIterExceeded) as info:
+        # The gap ||w|| (||w|| - t) is sqrt(8) (sqrt(8) - sqrt(2)) = 4.
+        with pytest.raises(
+            MaxIterExceeded,
+            match=r"^maximin value 1\.4142135623730949 misses the distance identity "
+            r"t = \|\|w\|\| = 2\.8284271247461903: gap 4\.000e\+00 above 1\.0e-08 "
+            r"after 1 iterations$",
+        ):
             solve_maximin(Polyhedron(np.array(TRIANGLE)))
-        assert info.value.residual == pytest.approx(4.0)

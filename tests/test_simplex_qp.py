@@ -87,13 +87,13 @@ class TestSolveWolfe:
             assert sol.origin_inside
             assert sol.distance**2 <= 1e-8
 
-    def test_max_iter_carries_best_iterate(self):
-        P = Polyhedron(np.array(TRIANGLE))
-        cfg = ToleranceConfig(max_iter=1, opt_tol=1e-16)
-        try:
-            solve_wolfe(P, cfg)
-        except MaxIterExceeded as err:
-            assert err.best is not None
-            assert err.residual > 0
-        # Polish may still certify at 1e-16 on this tiny instance; either
-        # outcome honors the contract.
+    def test_max_iter_raises_on_the_gap(self):
+        # One major cycle leaves the isosceles sliver's kernel at a vertex
+        # whose gap is far above the contract.  The gap is absolute on Z as
+        # given: the CLI solves Z / 4 and prints 2.100e-01, 16 times smaller.
+        P = Polyhedron(np.array([[5.0, 1.0], [-5.0, 1.0], [0.5, 2.0]]))
+        with pytest.raises(
+            MaxIterExceeded,
+            match=r"^optimality gap 3\.360e\+00 above 1\.0e-08 after 1 iterations$",
+        ):
+            solve_wolfe(P, ToleranceConfig(max_iter=1))
