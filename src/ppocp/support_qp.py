@@ -115,16 +115,19 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
     ``y = 0`` and an empty active set.  Each pass scans ``s = Z y - 1`` for
     ``p = argmin s`` (lowest index on ties) and stops once ``s_p`` clears
     ``ENTER_TOL``.  Otherwise ``z_p`` is split, through a thin QR of the
-    active rows ``N`` (refactored whenever they change), into ``N r`` in
-    their span and a part in its null space.  A null-space part allows a
-    primal step, which adds ``p`` once ``s_p`` reaches zero; a multiplier
-    ``lam_j - t r_j`` reaching zero first drops ``j`` instead (a partial
-    step), and ``p`` is tried again.  A row dependent on the active rows
-    (``DEPENDENT_TOL``) takes only the partial step; with no ``r_j > 0`` it
-    has none, and ``z_p - N r = 0`` is a convex combination through the
-    origin: the outcome is UNBOUNDED_BELOW with its weights ``(1, -r)``
-    normalised as ``alpha``.  After each add, ``y`` and ``lam`` are solved
-    afresh from the factors.
+    active rows ``N``, into ``N r`` in their span and a part in its null
+    space.  A null-space part allows a primal step, which adds ``p`` once
+    ``s_p`` reaches zero; a multiplier ``lam_j - t r_j`` reaching zero
+    first drops ``j`` instead (a partial step), and ``p`` is tried again.
+    A row dependent on the active rows (``DEPENDENT_TOL``) takes only the
+    partial step; with no ``r_j > 0`` it has none, and ``z_p - N r = 0`` is
+    a convex combination through the origin: the outcome is UNBOUNDED_BELOW
+    with its weights ``(1, -r)`` normalised as ``alpha``.  The factors, kept
+    as ``Q`` and the inverse of ``R``, are appended to on an add, after one
+    pass of reorthogonalization, and refactored on a drop; after each add,
+    ``y`` and ``lam`` are recomputed from them.  The answer, the SOLVED
+    weights or the witness ``r``, is read off one fresh factorization of the
+    final active rows, so rounding along the path does not reach its bits.
 
     The steps run on ``kernel_rows(Z) = 2^-k Z``, whose largest row norm
     is about 1, so ``y`` stays finite at any scale of the vertices; ``rho``
@@ -145,7 +148,11 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
     y = np.zeros(P.n)
     active: list[int] = []
     lam = np.zeros(0)
-    Q, R = np.linalg.qr(Z[active].T)
+    # Q, the first k columns of Qbuf, is orthonormal and spans the k active
+    # rows N = Q R; Rinv, the leading k x k block of Rbuf, is R's inverse.
+    Qbuf = np.zeros((P.n, P.n))
+    Rbuf = np.zeros((P.n, P.n))
+    Q, Rinv = Qbuf[:, :0], Rbuf[:0, :0]
     steps = 0
 
     def weights(values, rows):
@@ -173,7 +180,7 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
                 )
             q = Q.T @ zp
             z = zp - Q @ q
-            r = np.linalg.solve(R, q)
+            r = Rinv @ q
             positive = np.flatnonzero(r > 0.0)
             if positive.size:
                 ratios = lam[positive] / r[positive]
@@ -184,7 +191,13 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             spread = 1.0 + float(np.abs(r).sum())
             dependent = float(np.linalg.norm(z)) <= dependent_tol * spread
             if dependent and not positive.size:
-                alpha = weights(-r, active)
+                # The witness is read off a fresh factorization, so that
+                # rounding along the path does not reach it.  Its r has no
+                # entry above zero up to that rounding; one just above is
+                # clipped.
+                Qf, R = np.linalg.qr(Z[active].T)
+                r = np.linalg.solve(R, Qf.T @ zp)
+                alpha = weights(np.where(r > 0.0, 0.0, -r), active)
                 alpha[p] = 1.0
                 return outcome(DualStatus.UNBOUNDED_BELOW, alpha / alpha.sum())
             steps += 1
@@ -196,17 +209,40 @@ def solve_dual(P: Polyhedron, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Dual
             lam = lam - t * r
             sp += t * curvature
             if t2 <= t1:
+                # z_p = Q q + z with z orthogonal to Q's columns, after one
+                # pass of reorthogonalization (Daniel, Gragg, Kaufman and
+                # Stewart, Math. Comp. 30, 1976).  Appending z / ||z|| to Q
+                # appends the column (q, ||z||) to R, and the inverse of
+                # [[R, q], [0, ||z||]] is [[Rinv, -Rinv q / ||z||], [0, 1 / ||z||]].
+                c = Q.T @ z
+                z -= Q @ c
+                q += c
+                norm = float(np.linalg.norm(z))
+                k = len(active)
+                Qbuf[:, k] = z / norm
+                Rbuf[:k, k] = (Rinv @ q) / -norm
+                Rbuf[k, :k] = 0.0
+                Rbuf[k, k] = 1.0 / norm
                 active.append(p)
+                Q, Rinv = Qbuf[:, : k + 1], Rbuf[: k + 1, : k + 1]
                 break
             del active[drop]
             lam = np.delete(lam, drop)
-            Q, R = np.linalg.qr(Z[active].T)
+            k = len(active)
+            Qf, R = np.linalg.qr(Z[active].T)
+            Qbuf[:, :k] = Qf
+            Rbuf[:k, :k] = np.linalg.inv(R)
+            Q, Rinv = Qbuf[:, :k], Rbuf[:k, :k]
         # All active rows hold with equality: y is the minimum-norm solution
-        # of N^T y = 1 and lam its multipliers, recomputed from the QR factors
-        # so that rounding does not accumulate over the steps.
-        Q, R = np.linalg.qr(Z[active].T)
-        w = np.linalg.solve(R.T, np.ones(len(active)))
+        # of N^T y = 1, Q Rinv^T 1, and lam its multipliers, Rinv Rinv^T 1,
+        # from factors appended to on an add and refactored on a drop.
+        w = Rinv.sum(axis=0)
         y = Q @ w
-        lam = np.maximum(np.linalg.solve(R, w), 0.0)  # clip rounding below zero
+        lam = np.maximum(Rinv @ w, 0.0)  # clip rounding below zero
 
+    # The answer is read off one fresh factorization of the final active
+    # rows, so that rounding along the path does not reach its bits.
+    Q, R = np.linalg.qr(Z[active].T)
+    w = np.linalg.solve(R.T, np.ones(len(active)))
+    lam = np.maximum(np.linalg.solve(R, w), 0.0)  # clip rounding below zero
     return outcome(DualStatus.SOLVED, weights(lam / lam.sum(), active))

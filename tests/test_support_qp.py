@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from conftest import (
     SEGMENT_THROUGH_ORIGIN,
     SINGLE_POINT,
     TRIANGLE,
+    consensus_sweep,
     dual_quantities,
     origin_inside,
     origin_inside_polyhedron,
@@ -281,6 +284,54 @@ class TestActiveSetSolver:
         slack = P.vertices @ y_bar - 1.0
         assert slack.min() >= -1e-13
         assert abs(float(u_star @ slack)) <= 1e-13 * u_star.sum()
+
+    @pytest.mark.parametrize(
+        "family, index",
+        [("lattice", i) for i in (2, 14, 77, 98, 213, 223, 229)] + [("near-dependent", 140)],
+    )
+    def test_hulls_with_exact_ties(self, family, index):
+        # Exact ties among the entering rows and multipliers, where rounding
+        # in the factors can pick one of several paths; on these draws of the
+        # sweep's CI streams the step count and the answer's last bits depend
+        # on it.  On lattice draws 77 and 213 the witness's r, read off a
+        # fresh factorization, has entries just above zero where the path's
+        # were not: unclipped, they gave weights down to -2e-16.
+        draws = {
+            "lattice": lambda: consensus_sweep.lattice_instances(3, 300, 59, 9, 2.0),
+            "near-dependent": lambda: consensus_sweep.near_dependent_instances(2026, 400, 5.0),
+        }
+        P = next(islice(draws[family](), index, None))
+        out = solve_dual(P)
+        wolfe = solve_wolfe(P)
+        zmax = float(np.linalg.norm(P.vertices, axis=1).max())
+        inside = float(np.linalg.norm(wolfe.rho)) <= 64 * EPS * zmax
+        assert (out.status is DualStatus.UNBOUNDED_BELOW) == inside
+        if not inside:
+            assert np.linalg.norm(out.rho - wolfe.rho) <= 1e-12 * np.linalg.norm(wolfe.rho)
+        assert_witness(P, out)
+
+    def test_factors_kept_across_steps(self, monkeypatch):
+        # A 100x30 hull of consensus-medium's family takes 26 active-set
+        # steps, 3 of them drops.  An add appends to the factors; only a drop
+        # and the answer factor the active rows afresh.
+        P = Polyhedron(separated(np.random.default_rng(0), 100, 30, 0.5))
+        calls = []
+        qr = np.linalg.qr
+
+        def recording_qr(A):
+            calls.append(A.shape)
+            return qr(A)
+
+        monkeypatch.setattr(support_qp.np.linalg, "qr", recording_qr)
+        out = solve_dual(P)
+        monkeypatch.undo()
+
+        assert out.status is DualStatus.SOLVED
+        assert out.iterations == 26
+        # Each step adds or drops a row, so steps = 2 drops + final rows.
+        drops = (out.iterations - np.count_nonzero(out.alpha)) // 2
+        assert drops == 3
+        assert len(calls) == drops + 1
 
     @pytest.mark.parametrize("factor", [2.0**17, 2.0**-14])
     def test_power_of_two_scaling(self, factor):
